@@ -39,6 +39,9 @@ from .transfer import (
 
 TASKS = ("pressure", "capacity", "spectrum", "correlation", "vp_check",
          "inverse_vp", "gap_example", "transfer_check", "property_suite")
+# tasks that build a shift system and a potential from the config
+SYMBOLIC_TASKS = ("pressure", "capacity", "spectrum", "correlation",
+                  "vp_check", "inverse_vp")
 
 
 class ConfigError(ValueError):
@@ -70,6 +73,9 @@ class ExperimentConfig:
         kind = system["kind"]
         _require(kind in ("full_shift", "sft", "line_doubling"),
                  "system.kind", "must be full_shift | sft | line_doubling")
+        _require(kind != "line_doubling" or task not in SYMBOLIC_TASKS,
+                 "system.kind", f"line_doubling has no symbolic system for "
+                 f"task {task!r}")
         if kind == "full_shift":
             _require(isinstance(system.get("k"), int) and system["k"] >= 2,
                      "system.k", "must be an integer >= 2")
@@ -103,6 +109,9 @@ class ExperimentConfig:
         for key in ("tol",):
             if key in budget:
                 _require(budget[key] > 0, f"budget.{key}", "must be positive")
+        if "n_max" in budget:
+            _require(isinstance(budget["n_max"], int) and budget["n_max"] >= 8,
+                     "budget.n_max", "must be an integer >= 8")
         if "q_grid" in budget:
             q = budget["q_grid"]
             ok = (isinstance(q, list) and q) or \
@@ -124,7 +133,10 @@ class ExperimentConfig:
         if kind == "full_shift":
             return make_full_shift(self.system_spec["k"])
         if kind == "sft":
-            return ShiftSystem(self.system_spec["adjacency"])
+            try:
+                return ShiftSystem(self.system_spec["adjacency"])
+            except ValueError as exc:
+                raise ConfigError(f"config-error at 'system.adjacency': {exc}")
         return None  # line_doubling has no symbolic system
 
     def build_potential(self, system: ShiftSystem) -> Potential:
@@ -136,9 +148,12 @@ class ExperimentConfig:
         if kind == "named":
             raise ConfigError("config-error at 'potential.kind': the named "
                               "potential only applies to the line model")
-        table = {tuple(int(c) for c in key.split(",")): float(v)
-                 for key, v in self.potential_spec["table"].items()}
-        return Potential(system, self.potential_spec["depth"], table)
+        try:
+            table = {tuple(int(c) for c in key.split(",")): float(v)
+                     for key, v in self.potential_spec["table"].items()}
+            return Potential(system, self.potential_spec["depth"], table)
+        except ValueError as exc:
+            raise ConfigError(f"config-error at 'potential.table': {exc}")
 
     def build_subset(self, system: ShiftSystem) -> SubsetSpec:
         if self.subset_spec is None:
@@ -212,8 +227,9 @@ def _task_pressure(cfg: ExperimentConfig) -> TaskResult:
                             abs(est.value - oracle) <= 2 * tol,
                             est.value, 2 * tol, f"transfer={oracle:.12g}"))
     else:
-        checks.append(Check("pressure bracket width",
-                            est.bracket[1] - est.bracket[0] <= tol,
+        lo_end, hi_end = est.bracket  # both -inf for an empty subset
+        width = 0.0 if lo_end == hi_end else hi_end - lo_end
+        checks.append(Check("pressure bracket width", width <= tol,
                             est.value, tol, "estimate-only"))
     lo, hi = capacity_pressures(subset, potential, Cover(system, depths[-1]),
                                 max(8, n_max))

@@ -19,7 +19,11 @@ combinatorics and the two covering sums of interest become exact:
 
 Both computations run on a small state space (the trailing symbols a
 word needs to extend: max(t, potential depth) - 1 of them, at least 1),
-so costs are linear in the word length instead of exponential.
+so costs are linear in the word length instead of exponential.  The
+word sums come from one forward sweep over word lengths, a log-space
+matrix-vector product per step, cached and extended on demand: every N
+reads the same sweep, so a whole N-window up to N_max costs O(N_max)
+steps rather than a fresh dynamic program per N.
 
 The topological pressure of a subset is the critical alpha at which the
 variable-length sum switches from growing to vanishing with N; it is
@@ -32,11 +36,13 @@ geometrically fast on these systems, instead of at rate 1/N).
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .shifts import (
     CylinderSet,
@@ -151,6 +157,11 @@ class PressureEstimate:
         return bool(self.diagnostics.get("degenerate", False))
 
 
+def _log_matvec(logv: np.ndarray, logm: np.ndarray) -> np.ndarray:
+    """log(exp(logv) @ exp(logm)), computed in log space."""
+    return np.logaddexp.reduce(logv[:, None] + logm, axis=0)
+
+
 def _forward_live(B: np.ndarray) -> np.ndarray:
     """Symbols from which an infinite admissible path exists (greatest
     fixed point of 'has an allowed successor that is itself live')."""
@@ -163,7 +174,16 @@ def _forward_live(B: np.ndarray) -> np.ndarray:
 
 
 class _StringCalculus:
-    """Shared state-space machinery for both covering sums."""
+    """Shared state-space machinery for both covering sums.
+
+    States are the admissible sdepth-words of the working graph (the
+    reduced sub-adjacency for a sub-SFT, the parent adjacency otherwise)
+    whose symbols can all continue indefinitely.  Two dense matrices over
+    the states hold window values, -inf where state j cannot follow state
+    i: ``v_append[i, j]`` is the window a word ending in i completes when
+    it grows into j (its last r symbols), ``v_string[i, j]`` the window
+    that one string-length increment completes.
+    """
 
     def __init__(self, subset: SubsetSpec, potential: Potential, cover: Cover):
         system = cover.system
@@ -181,34 +201,65 @@ class _StringCalculus:
         self.subset = subset
         self.potential = potential
         self.r, self.t = r, t
-        self.sdepth = max(t - 1, 1)
-        self.A = system.adjacency
-
+        self.sdepth = sd = max(t - 1, 1)
         if subset.kind == SubsetSpec.SUB_SFT:
-            B = subset.sub_adjacency
-            self.graph = B
-            self.live = _forward_live(B)
+            graph = subset.sub_adjacency
+            live = _forward_live(graph)
         else:
-            self.graph = self.A
-            self.live = np.ones(system.alphabet_size, dtype=bool)
+            graph = system.adjacency
+            live = np.ones(system.alphabet_size, dtype=bool)
 
-        # states: admissible sdepth-words of the working graph whose
-        # symbols can all continue indefinitely
-        self.states = [s for s in iter_admissible_tuples(self.graph, self.sdepth)
-                       if all(self.live[a] for a in s)]
+        self.states = [s for s in iter_admissible_tuples(graph, sd)
+                       if all(live[a] for a in s)]
         self.state_id = {s: i for i, s in enumerate(self.states)}
-        # A-graph states for cylinder-union subtrees (the subset contains
-        # the whole subtree below each listed word)
-        if subset.kind == SubsetSpec.CYLINDERS:
-            self.full_states = list(iter_admissible_tuples(self.A, self.sdepth))
-            self.full_state_id = {s: i for i, s in enumerate(self.full_states)}
-        else:
-            self.full_states = self.states
-            self.full_state_id = self.state_id
+        n = len(self.states)
+        st = np.array(self.states, dtype=np.int64).reshape(n, sd)
+        self._state_codes = self._codes(st)  # ascending: states are sorted
+        keys = np.array(list(potential.table), dtype=np.int64).reshape(-1, r)
+        self._window_value = np.zeros(system.alphabet_size ** r)
+        self._window_value[self._codes(keys)] = list(potential.table.values())
+
+        self.v_append = np.full((n, n), -np.inf)
+        self.v_string = np.full((n, n), -np.inf)
+        lo = sd + 1 - t
+        for a in range(system.alphabet_size):
+            rows = np.flatnonzero(graph[st[:, -1], a] * live[a])
+            joint = np.column_stack([st[rows], np.full(len(rows), a)])
+            cols = self._state_index(joint[:, -sd:])
+            self.v_append[rows, cols] = self._values(joint[:, -r:])
+            self.v_string[rows, cols] = self._values(joint[:, lo:lo + r])
+        self._zero = np.where(self.v_append > -np.inf, 0.0, -np.inf)
+
+        # seed words: the states themselves, or the listed cylinder words
+        # (those shorter than a state extended to every state below them)
+        self._seeds: dict[int, np.ndarray] = {}
+        if subset.kind != SubsetSpec.CYLINDERS:
+            self._fold_seeds(st)
+        for length, group in itertools.groupby(subset.words, key=len):
+            if length < sd:
+                self._fold_seeds(np.concatenate(
+                    [st[(st[:, :length] == u).all(axis=1)] for u in group]))
+                continue
+            while chunk := list(itertools.islice(group, 4096)):
+                self._fold_seeds(np.array(chunk, dtype=np.int64))
+        self._lmin = min(self._seeds, default=sd)
+        self._forward: list[np.ndarray] = []
         self._entry_cache: dict = {}
-        self._cfactor_cache: dict = {}
+        self._cfactor_cache: tuple = (None,)
 
     # -- window bookkeeping -------------------------------------------------
+
+    def _codes(self, blocks: np.ndarray) -> np.ndarray:
+        """Base-k codes of the symbol blocks along the last axis."""
+        width = blocks.shape[-1]
+        return blocks.astype(np.int64) @ \
+            self.system.alphabet_size ** np.arange(width - 1, -1, -1)
+
+    def _state_index(self, blocks: np.ndarray) -> np.ndarray:
+        return np.searchsorted(self._state_codes, self._codes(blocks))
+
+    def _values(self, windows: np.ndarray) -> np.ndarray:
+        return self._window_value[self._codes(windows)]
 
     def _seed_log(self, word: tuple, n_target: int) -> float:
         """Sum of the complete Birkhoff windows of a seed word, clipped to
@@ -217,98 +268,74 @@ class _StringCalculus:
         top = min(len(word) - r, n_target - 1)
         return sum(self.potential.value(word[p:p + r]) for p in range(top + 1))
 
-    def _append_factor(self, state: tuple, a: int, position: int,
-                       n_target: int) -> float:
-        """Birkhoff contribution of appending symbol ``a`` at word index
-        ``position`` (0-based), while summing windows below n_target."""
-        p = position - self.r + 1
-        if 0 <= p <= n_target - 1:
-            window = (state + (a,))[len(state) + 1 - self.r:]
-            return self.potential.value(window)
-        return 0.0
-
-    def _transition_window(self, state: tuple, a: int) -> tuple:
-        """Window completed by one string-length increment out of ``state``."""
-        joint = state + (a,)
-        start = self.sdepth + 1 - self.t
-        return joint[start:start + self.r]
+    def _fold_seeds(self, words: np.ndarray):
+        """Fold equal-length seed words into ``_seeds[length]``: row j holds,
+        per end state, the log-sum of exp(window sum of a word without its
+        last j windows), 0 <= j <= t - r (the windows a string of length N
+        still counts when the word enters j steps past N + r - 1)."""
+        if not len(words):
+            return
+        length, n = words.shape[1], len(self.states)
+        end = self._state_index(words[:, -self.sdepth:])
+        count = max(length - self.r + 1, 0)
+        sums = np.zeros((len(words), count + 1))
+        if count:
+            windows = sliding_window_view(words, self.r, axis=1)
+            np.cumsum(self._values(windows), axis=1, out=sums[:, 1:])
+        rows = np.empty((self.t - self.r + 1, n))
+        for j in range(len(rows)):
+            v = sums[:, count - j]
+            top = np.full(n, -np.inf)
+            np.maximum.at(top, end, v)
+            total = np.bincount(end, np.exp(v - top[end]), minlength=n)
+            with np.errstate(divide="ignore"):
+                rows[j] = np.log(total) + top
+        old = self._seeds.get(length)
+        self._seeds[length] = rows if old is None else np.logaddexp(old, rows)
 
     # -- entry families at word length L0 = N + t - 1 -----------------------
 
-    def _entry_logs(self, N: int) -> tuple[dict, list]:
+    def _sweep(self, length: int) -> np.ndarray:
+        """Per-state log-sums of the seed words of length <= ``length``,
+        grown to that length, with every complete window counted.  One
+        forward sweep, cached and extended on demand, serves every N."""
+        forward = self._forward
+        if not forward:
+            forward.append(self._seeds[self._lmin][0])
+        while self._lmin + len(forward) <= length:
+            grown = _log_matvec(forward[-1], self.v_append)
+            seeds = self._seeds.get(self._lmin + len(forward))
+            forward.append(grown if seeds is None
+                           else np.logaddexp(grown, seeds[0]))
+        return forward[length - self._lmin]
+
+    def _entry_logs(self, N: int) -> tuple[np.ndarray, list]:
         """Log-weights of the meeting words of length N + t - 1.
 
         Returns (per-state log-sums for words whose subtree continues
         homogeneously, list of (word, deeper listed words) for explicit
         trie roots coming from listed cylinders deeper than the entry
-        level).  Cached per N: the sums do not depend on the exponent.
+        level).  Windows at positions >= N do not count, so the sweep is
+        read at N + r - 1 and then grown t - r steps at zero weight, while
+        seed words of those lengths enter with their sums clipped.  Cached
+        per N: the sums do not depend on the exponent.
         """
         if N in self._entry_cache:
             return self._entry_cache[N]
-        L0 = N + self.t - 1
-        if self.subset.kind == SubsetSpec.CYLINDERS:
-            result = self._entry_logs_cylinders(N, L0)
-        else:
-            logW = {}
-            for s in self.states:
-                logW[s] = self._seed_log(s, N)
-            logW = self._advance(logW, self.sdepth, L0, N, self.graph,
-                                 self.live)
-            result = (logW, [])
-        self._entry_cache[N] = result
-        return result
-
-    def _advance(self, logW: dict, start_len: int, end_len: int, N: int,
-                 graph, live) -> dict:
-        cur = dict(logW)
-        for pos in range(start_len, end_len):
-            nxt: dict = {}
-            for s, lw in cur.items():
-                for a in np.flatnonzero(graph[s[-1]]):
-                    a = int(a)
-                    if not live[a]:
-                        continue
-                    ns = (s + (a,))[-self.sdepth:]
-                    val = lw + self._append_factor(s, a, pos, N)
-                    nxt[ns] = np.logaddexp(nxt[ns], val) if ns in nxt else val
-            cur = nxt
-        return cur
-
-    def _entry_logs_cylinders(self, N: int, L0: int) -> tuple[dict, list]:
-        seeds_by_len: dict[int, dict] = {}
-        trie_words = []
+        m, L0 = N + self.r - 1, N + self.t - 1
+        logW = self._sweep(m) if m >= self._lmin \
+            else np.full(len(self.states), -np.inf)
+        for length in range(m + 1, L0 + 1):
+            logW = _log_matvec(logW, self._zero)
+            if length in self._seeds:
+                logW = np.logaddexp(logW, self._seeds[length][length - m])
+        roots: dict = {}
         for u in self.subset.words:
             if len(u) > L0:
-                trie_words.append(u)
-                continue
-            if len(u) >= self.sdepth:
-                starts = [u]
-            else:
-                starts = [u + ext[1:] for ext in
-                          iter_admissible_tuples(self.A, self.sdepth - len(u) + 1)
-                          if ext[0] == u[-1]]
-            for w in starts:
-                d = seeds_by_len.setdefault(len(w), {})
-                key = w[-self.sdepth:]
-                val = self._seed_log(w, N)
-                d[key] = np.logaddexp(d[key], val) if key in d else val
-        logW: dict = {}
-        if seeds_by_len:
-            cur: dict = {}
-            all_live = np.ones(self.system.alphabet_size, bool)
-            for pos in range(min(seeds_by_len), L0):
-                for key, val in seeds_by_len.get(pos, {}).items():
-                    cur[key] = np.logaddexp(cur[key], val) if key in cur else val
-                cur = self._advance(cur, pos, pos + 1, N, self.A, all_live)
-            for key, val in seeds_by_len.get(L0, {}).items():
-                cur[key] = np.logaddexp(cur[key], val) if key in cur else val
-            logW = cur
-        roots = {}
-        for u in trie_words:
-            v = u[:L0]
-            roots.setdefault(v, []).append(u)
-        trie = [(v, us) for v, us in roots.items()]
-        return logW, trie
+                roots.setdefault(u[:L0], []).append(u)
+        result = (logW, list(roots.items()))
+        self._entry_cache[N] = result
+        return result
 
     # -- fixed-length covering sum ------------------------------------------
 
@@ -318,62 +345,35 @@ class _StringCalculus:
         if self.subset.is_empty:
             return -math.inf
         logW, trie = self._entry_logs(N)
-        parts = list(logW.values())
-        parts.extend(self._seed_log(v, N) for v, _ in trie)
-        if not parts:
+        parts = np.concatenate([logW, [self._seed_log(v, N) for v, _ in trie]])
+        if not parts.size:
             return -math.inf
-        return float(np.logaddexp.reduce(np.array(parts)))
+        return float(np.logaddexp.reduce(parts))
 
     # -- variable-length covering infimum ------------------------------------
 
-    def _cfactors(self, alpha: float, depth: int, full_graph: bool):
+    def _cfactors(self, alpha: float, depth: int):
         """Per-remaining-depth cost of the optimal capped antichain below
         a node, per unit of the node's own weight, with the fraction of
         that cost carried by nodes sitting at the depth cap.
 
         Returns (c, f): lists indexed by remaining depth 0..depth, each a
-        vector over states.  Cached per (alpha, graph) and extended on
-        demand: c[0] = 1 and c[d] = min(1, sum over allowed next symbols
-        of exp(-alpha + window value) * c[d-1] at the successor state).
+        vector over states.  Cached for the latest alpha (callers sweep the
+        N-window at one alpha before moving on) and extended on demand:
+        c[0] = 1 and c[d] = min(1, R c[d-1]) with R = exp(v_string - alpha).
         """
-        if full_graph and self.subset.kind == SubsetSpec.CYLINDERS:
-            graph, live = self.A, np.ones(self.system.alphabet_size, bool)
-            states, state_id = self.full_states, self.full_state_id
-        else:
-            graph, live = self.graph, self.live
-            states, state_id = self.states, self.state_id
-        key = (alpha, full_graph)
-        if key not in self._cfactor_cache:
-            trans = []
-            for s in states:
-                row = []
-                for a in np.flatnonzero(graph[s[-1]]):
-                    a = int(a)
-                    if not live[a]:
-                        continue
-                    ns = (s + (a,))[-self.sdepth:]
-                    rho = math.exp(-alpha + self.potential.value(
-                        self._transition_window(s, a)))
-                    row.append((state_id[ns], rho))
-                trans.append(row)
-            n = len(states)
-            self._cfactor_cache[key] = (trans, [np.ones(n)], [np.ones(n)])
-        trans, cs, fs = self._cfactor_cache[key]
-        n = len(states)
+        if self._cfactor_cache[0] != alpha:
+            with np.errstate(over="raise"):
+                rates = np.exp(self.v_string - alpha)
+            ones = np.ones(len(self.states))
+            self._cfactor_cache = (alpha, rates, [ones], [ones])
+        _, rates, cs, fs = self._cfactor_cache
         while len(cs) <= depth:
-            c, f = cs[-1], fs[-1]
-            nc = np.empty(n)
-            nf = np.empty(n)
-            for i in range(n):
-                total = sum(rho * c[j] for j, rho in trans[i])
-                capped = sum(rho * c[j] * f[j] for j, rho in trans[i])
-                if 1.0 <= total:
-                    nc[i], nf[i] = 1.0, 0.0
-                else:
-                    nc[i] = total
-                    nf[i] = capped / total if total > 0 else 0.0
-            cs.append(nc)
-            fs.append(nf)
+            total = rates @ cs[-1]
+            capped = rates @ (cs[-1] * fs[-1])
+            cs.append(np.minimum(total, 1.0))
+            fs.append(np.divide(capped, total, out=np.zeros_like(total),
+                                where=(0.0 < total) & (total < 1.0)))
         return cs, fs
 
     def log_weight_m(self, alpha: float, N: int, cap: int) -> tuple[float, dict]:
@@ -396,35 +396,17 @@ class _StringCalculus:
             if cap < deepest:
                 cap = deepest
                 details["cap"] = cap
-        cs, fs = self._cfactors(alpha, cap - N, full_graph=False)
-        if self.subset.kind == SubsetSpec.CYLINDERS:
-            cs_full, fs_full = self._cfactors(alpha, cap - N, full_graph=True)
-            full_id = self.full_state_id
-        else:
-            cs_full, fs_full = cs, fs
-            full_id = self.state_id
-
-        shift = max(logW.values(), default=-math.inf)
-        if trie:
-            shift = max(shift, max(self._seed_log(v, N) for v, _ in trie))
+        cs, fs = self._cfactors(alpha, cap - N)
+        shift = max([logW.max(initial=-math.inf)]
+                    + [self._seed_log(v, N) for v, _ in trie])
         if shift == -math.inf:
             return -math.inf, details
-        total = 0.0
-        capped = 0.0
-        c_entry, f_entry = cs[cap - N], fs[cap - N]
-        for s, lw in logW.items():
-            idx = full_id[s] if self.subset.kind == SubsetSpec.CYLINDERS \
-                else self.state_id[s]
-            cvec = cs_full[cap - N] if self.subset.kind == SubsetSpec.CYLINDERS \
-                else c_entry
-            fvec = fs_full[cap - N] if self.subset.kind == SubsetSpec.CYLINDERS \
-                else f_entry
-            w = math.exp(lw - shift) * cvec[idx]
-            total += w
-            capped += w * fvec[idx]
+        weights = np.exp(logW - shift) * cs[cap - N]
+        total = float(weights.sum())
+        capped = float(weights @ fs[cap - N])
         for v, us in trie:
             cost, fcap = self._trie_cost(v, tuple(sorted(us)), alpha, N, cap,
-                                         cs_full, fs_full, full_id, shift)
+                                         cs, fs, shift)
             total += cost
             capped += cost * fcap
         if total <= 0.0:
@@ -433,7 +415,7 @@ class _StringCalculus:
         return math.log(total) + shift - alpha * N, details
 
     def _trie_cost(self, v: tuple, us: tuple, alpha: float, N: int, cap: int,
-                   cs_full, fs_full, full_id, shift: float) -> tuple[float, float]:
+                   cs, fs, shift: float) -> tuple[float, float]:
         """Explicit tree walk above listed cylinder words deeper than the
         entry level.  Costs are in units of exp(shift - alpha*N), matching
         the caller's normalization."""
@@ -442,8 +424,8 @@ class _StringCalculus:
         if any(len(u) == len(v) for u in us):
             # v is itself a listed word (antichain: then the only one
             # here); the subtree below it lies inside the subset
-            idx = full_id[v[-self.sdepth:]]
-            cvec, fvec = cs_full[cap - m], fs_full[cap - m]
+            idx = self.state_id[v[-self.sdepth:]]
+            cvec, fvec = cs[cap - m], fs[cap - m]
             return own * cvec[idx], (fvec[idx] if cvec[idx] < 1.0 else 0.0)
         children: dict[int, list] = {}
         for u in us:
@@ -452,7 +434,7 @@ class _StringCalculus:
         child_cap = 0.0
         for a, subus in children.items():
             cc, cf = self._trie_cost(v + (a,), tuple(subus), alpha, N, cap,
-                                     cs_full, fs_full, full_id, shift)
+                                     cs, fs, shift)
             child_cost += cc
             child_cap += cc * cf
         if own <= child_cost:

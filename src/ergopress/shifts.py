@@ -51,7 +51,7 @@ class ShiftSystem:
         self.adjacency.setflags(write=False)
         self.alphabet_size = k
         self.sidedness = sidedness
-        self.irreducible = _is_irreducible(A)
+        self.irreducible = strongly_connected(A)
 
     @property
     def is_full_shift(self) -> bool:
@@ -80,12 +80,19 @@ class ShiftSystem:
                 f"irreducible={self.irreducible})")
 
 
-def _is_irreducible(A: np.ndarray) -> bool:
-    # every state reaches every state: (I + A)^(k-1) has no zero entry
-    k = A.shape[0]
-    reach = np.eye(k, dtype=bool) | A.astype(bool)
-    power = np.linalg.matrix_power(reach.astype(np.int64), k)
-    return bool((power > 0).all())
+def strongly_connected(M) -> bool:
+    """True iff every index reaches every index along nonzero entries of M.
+
+    Squares the 0/1 reachability matrix of I + M, clipped back to 0/1
+    after each product so that no entry can grow (counting paths in
+    (I + M)^k overflows int64), until it covers every path of length
+    below the dimension.
+    """
+    M = np.asarray(M)
+    reach = ((M != 0) | np.eye(len(M), dtype=bool)).astype(float)
+    for _ in range((len(M) - 1).bit_length()):
+        reach = np.minimum(reach @ reach, 1.0)
+    return bool(reach.all())
 
 
 def make_full_shift(k: int, sidedness: str = ONE_SIDED) -> ShiftSystem:

@@ -27,6 +27,7 @@ from .shifts import (
     SubsetSpec,
     admissible_word_array,
     iter_admissible_tuples,
+    strongly_connected,
 )
 
 
@@ -82,13 +83,6 @@ class TransferMatrix:
         return len(self.states)
 
 
-def _support_irreducible(M: np.ndarray) -> bool:
-    k = M.shape[0]
-    reach = np.eye(k, dtype=bool) | (M > 0)
-    power = np.linalg.matrix_power(reach.astype(np.int64), k)
-    return bool((power > 0).all())
-
-
 def power_iteration(matrix, tol: float = 1e-14, budget: int = 100_000):
     """Perron eigenvalue and positive left/right eigenvectors.
 
@@ -107,7 +101,7 @@ def power_iteration(matrix, tol: float = 1e-14, budget: int = 100_000):
         raise ValueError("need a nonnegative matrix")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if not _support_irreducible(M):
+    if not strongly_connected(M):
         raise NoUniquePerronError("no-unique-perron: matrix support is reducible")
 
     shift = 0.5 * float(M.sum(axis=1).max())

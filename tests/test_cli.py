@@ -210,6 +210,44 @@ class TestMainEntry:
         assert code == 2
         assert "system.adjacency" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("task, overrides, field", [
+        ("pressure", {"system": {"kind": "line_doubling"}}, "system.kind"),
+        ("capacity", {"system": {"kind": "sft",
+                                 "adjacency": [[1, 1], [0, 0]]}},
+         "system.adjacency"),
+        ("pressure", {"potential": {"kind": "table", "depth": 1,
+                                    "table": {"0": 0.5}}},
+         "potential.table"),
+        ("pressure", {"budget": {"n_max": 3}}, "budget.n_max"),
+    ])
+    def test_malformed_config_exits_two_naming_field(
+            self, tmp_path, capsys, task, overrides, field):
+        raw = {"system": {"kind": "full_shift", "k": 2},
+               "potential": {"kind": "zero"}, "budget": {"n_max": 12}}
+        raw.update(overrides)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        code = main([task, "--config", str(cfg),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"'{field}'" in capsys.readouterr().err
+
+    def test_empty_sub_sft_passes_bracket_width(self, tmp_path, capsys):
+        # the sub-SFT reduces to the empty set: the bracket is exact at
+        # (-inf, -inf), so its width is 0 and not NaN
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "system": {"kind": "full_shift", "k": 2},
+            "potential": {"kind": "zero"},
+            "subset": {"kind": "sub_sft", "adjacency": [[0, 1], [0, 0]]},
+            "budget": {"n_max": 12, "tol": 1e-4},
+        }))
+        code = main(["pressure", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")])
+        assert code == 0
+        assert "[PASS] pressure: pressure bracket width" in \
+            capsys.readouterr().out
+
     def test_exit_two_on_bad_json(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{not json")

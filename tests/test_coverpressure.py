@@ -23,6 +23,7 @@ from ergopress import (
     transfer_pressure,
     weight_m,
 )
+from ergopress.coverpressure import _StringCalculus
 from ergopress.shifts import two_sided_cylinder_trace
 
 
@@ -329,6 +330,54 @@ class TestWeightM:
                                        subset_kind="cylinders",
                                        cylinder_words=words)
         assert value == pytest.approx(brute, rel=1e-10)
+
+
+class TestSweepCache:
+    """One calculator answers every N, in any order, as a fresh one would:
+    the forward sweep and the entry vectors are cached across calls."""
+
+    @staticmethod
+    def _cases(rng, system):
+        adj = system.adjacency
+        cases = [(SubsetSpec.whole(system), dict(subset_kind="whole"))]
+        sub_adj = adj * (rng.random(adj.shape) < 0.8)
+        cases.append((SubsetSpec.sub_sft(system, sub_adj),
+                      dict(subset_kind="sub_sft", sub_adjacency=sub_adj)))
+        # one word of length 1 (shorter than a state once t >= 3) and
+        # words of lengths 2..6 under other first symbols: some enter the
+        # sweep, some past N + r - 1 with clipped sums, some in the trie
+        first = int(rng.integers(system.alphabet_size))
+        words = [(first,)]
+        for n in range(2, 7):
+            pool = [w for w in oracles.enumerate_words(adj, n) if w[0] != first]
+            words.append(pool[int(rng.integers(len(pool)))])
+        cases.append((SubsetSpec.cylinders(system, words),
+                      dict(subset_kind="cylinders", cylinder_words=words)))
+        return cases
+
+    @pytest.mark.parametrize("extra", [0, 1, 2])
+    def test_shuffled_n_against_brute_force(self, extra):
+        rng = np.random.default_rng(61 + extra)
+        for _ in range(3):
+            dim = int(rng.integers(2, 4))
+            system = ShiftSystem(random_irreducible_adjacency(rng, dim))
+            depth = int(rng.integers(1, 3))
+            pot = random_potential(rng, system, depth)
+            t = depth + extra
+            for spec, kw in self._cases(rng, system):
+                calc = _StringCalculus(spec, pot, Cover(system, t))
+                for N in rng.permutation(np.arange(1, 5)).tolist():
+                    brute = oracles.lambda_brute(system.adjacency, pot.table,
+                                                 depth, t, N, **kw)
+                    assert math.exp(calc.log_lambda(N)) == pytest.approx(
+                        brute, rel=1e-10, abs=1e-12)
+                    alpha = float(rng.normal())
+                    logm, details = calc.log_weight_m(alpha, N, N + 2)
+                    brute = oracles.weight_m_brute(
+                        system.adjacency, pot.table, depth, t, alpha, N,
+                        details["cap"], **kw)
+                    assert math.exp(logm) == pytest.approx(brute, rel=1e-9,
+                                                           abs=1e-12)
 
 
 class TestCriticalAlpha:

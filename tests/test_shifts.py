@@ -15,7 +15,7 @@ from ergopress import (
     birkhoff_sup,
     make_full_shift,
 )
-from ergopress.shifts import two_sided_cylinder_trace
+from ergopress.shifts import strongly_connected, two_sided_cylinder_trace
 
 
 class TestShiftSystem:
@@ -37,6 +37,33 @@ class TestShiftSystem:
     def test_reducible_flagged(self):
         sys_r = ShiftSystem([[1, 1], [0, 1]])
         assert not sys_r.irreducible
+
+    def test_strongly_connected_matches_graph_search(self):
+        rng = np.random.default_rng(41)
+        for _ in range(40):
+            dim = int(rng.integers(1, 9))
+            M = (rng.random((dim, dim)) < 0.3).astype(np.int64)
+            reached = []
+            for start in range(dim):
+                seen, todo = {start}, [start]
+                while todo:
+                    a = todo.pop()
+                    for b in np.flatnonzero(M[a]):
+                        if int(b) not in seen:
+                            seen.add(int(b))
+                            todo.append(int(b))
+                reached.append(len(seen) == dim)
+            assert strongly_connected(M) == all(reached)
+
+    def test_long_cycle_irreducible(self):
+        # 100 states: the entries of (I + A)^k overflow int64 long before
+        # k reaches the dimension, so reachability must not count paths
+        adj = np.roll(np.eye(100, dtype=np.int64), 1, axis=1)
+        adj[0, 0] = 1
+        assert ShiftSystem(adj.copy()).irreducible
+        adj[99, 0] = 0
+        adj[99, 99] = 1
+        assert not ShiftSystem(adj).irreducible
 
     def test_non_01_rejected(self):
         with pytest.raises(ValueError):

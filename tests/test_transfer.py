@@ -129,6 +129,16 @@ class TestBlockRecode:
                 # length-n words of the original match length-(n-1) block words
                 assert system.word_count(n) == recoded.word_count(n - 1)
 
+    def test_deep_recode_irreducible(self, full2):
+        # 64 recoded states: counting paths in (I + A)^64 overflows int64
+        rng = np.random.default_rng(29)
+        pot = random_potential(rng, full2, 6)
+        recoded, rpot = block_recode(full2, pot)
+        assert recoded.alphabet_size == 64
+        assert recoded.irreducible
+        assert transfer_pressure(recoded, rpot) == pytest.approx(
+            transfer_pressure(full2, pot), abs=1e-9)
+
     def test_pressure_invariant(self):
         rng = np.random.default_rng(17)
         for _ in range(6):
