@@ -93,9 +93,8 @@ def t_curve(system: ShiftSystem, potential: Potential, q_grid) -> TQCurve:
     t_vals = np.empty_like(q_grid)
     a_vals = np.empty_like(q_grid)
     for i, q in enumerate(q_grid):
-        t_vals[i] = transfer_pressure(system, potential.scaled(q)) \
-            - q * base_pressure
         mu_q = equilibrium_markov(system, potential.scaled(q))
+        t_vals[i] = mu_q.pressure - q * base_pressure
         a_vals[i] = base_pressure - mu_q.integrate(potential)
     spec = t_vals + q_grid * a_vals
     return TQCurve(q_grid, t_vals, a_vals, spec, base_pressure, h_top)

@@ -44,3 +44,20 @@ def random_potential(rng, system, depth):
     table = {w: float(rng.normal())
              for w in iter_admissible_tuples(system.adjacency, depth)}
     return Potential(system, depth, table)
+
+
+@pytest.fixture
+def perron_solves(monkeypatch):
+    """Counts calls of ``transfer.power_iteration`` (one per Perron solve);
+    read the count as ``len(perron_solves)``."""
+    from ergopress import transfer
+
+    calls = []
+    original = transfer.power_iteration
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(transfer, "power_iteration", counting)
+    return calls

@@ -97,6 +97,11 @@ class TestTasks:
         report = run(make_config("vp_check", budget={"samples": 25}))
         assert report.passed
 
+    def test_vp_check_solves_pressure_once(self, perron_solves):
+        report = run(make_config("vp_check", budget={"samples": 200}))
+        assert report.passed
+        assert len(perron_solves) <= 3
+
     def test_inverse_vp_task(self):
         report = run(make_config("inverse_vp", budget={"n": 12}))
         assert report.passed
@@ -118,14 +123,6 @@ class TestTasks:
         report = run(make_config("property_suite", budget={"tol": 1e-4}))
         assert report.passed
         assert len(report.results[0].checks) == 7
-
-    def test_property_suite_parallel_matches_serial(self):
-        serial = run(make_config("property_suite", budget={"tol": 1e-4}))
-        parallel = run(make_config("property_suite",
-                                   budget={"tol": 1e-4, "jobs": 4}))
-        names = [c.name for c in serial.results[0].checks]
-        assert sorted(names) == sorted(c.name for c in
-                                       parallel.results[0].checks)
 
 
 class TestEmitTables:

@@ -33,6 +33,12 @@ class TestTCurve:
         exact = np.log(1 + 2.0 ** curve.q_grid) - curve.q_grid * math.log(3)
         assert np.abs(curve.t_values - exact).max() <= 1e-12
 
+    def test_one_solve_per_grid_point(self, full2, phi_log2, perron_solves):
+        # base pressure and topological entropy, then one equilibrium
+        # state per q
+        t_curve(full2, phi_log2, np.linspace(-2.0, 2.0, 9))
+        assert len(perron_solves) == 2 + 9
+
     def test_endpoints(self, curve):
         assert abs(curve.t_at(0.0) - math.log(2)) <= 1e-9
         assert abs(curve.t_at(1.0)) <= 1e-9

@@ -22,7 +22,7 @@ from ergopress import (
     transfer_pressure,
     vp_residual,
 )
-from ergopress.transfer import IncreaseDepthError, power_system
+from ergopress.transfer import ConvergenceError, IncreaseDepthError, power_system
 
 
 class TestPowerIteration:
@@ -63,6 +63,63 @@ class TestPowerIteration:
             lam, _, _ = power_iteration(M)
             expected = max(np.linalg.eigvals(M).real)
             assert lam == pytest.approx(expected, rel=1e-10)
+
+    @staticmethod
+    def _hard_supports(rng):
+        """Irreducible 0/1 supports: random ones of dimension 2-8 (with
+        and without self-loops) and permuted cycles of dimension 3-7,
+        which are periodic."""
+        for _ in range(60):
+            dim = int(rng.integers(2, 9))
+            yield random_irreducible_adjacency(rng, dim)
+            adj = (rng.random((dim, dim)) < 0.3).astype(np.int64)
+            np.fill_diagonal(adj, 0)
+            adj[np.arange(dim), (np.arange(dim) + 1) % dim] = 1
+            yield adj
+            dim = int(rng.integers(3, 8))
+            perm = rng.permutation(dim)
+            yield np.roll(np.eye(dim, dtype=np.int64), 1, axis=1)[perm][:, perm]
+
+    def test_hard_inputs_converge_or_raise_convergence_error(self):
+        rng = np.random.default_rng(11)
+        converged = 0
+        for adj in self._hard_supports(rng):
+            dim = adj.shape[0]
+            M = adj * np.exp(4.0 * rng.normal(size=(dim, dim)))
+            try:
+                lam, v, u = power_iteration(M)
+            except ConvergenceError:
+                continue
+            converged += 1
+            assert np.all(v > 0) and np.all(u > 0)
+            assert v.sum() == pytest.approx(1.0, abs=1e-14)
+            assert u @ v == pytest.approx(1.0, abs=1e-12)
+            assert np.abs(M @ v - lam * v).max() <= 1e-12 * lam
+            un = u / u.sum()
+            assert np.abs(un @ M - lam * un).max() <= 1e-10 * lam
+            assert lam == pytest.approx(max(np.linalg.eigvals(M).real),
+                                        rel=1e-10)
+        # of the 180 inputs, 143 converge; the others miss the final
+        # residual bound in floating point
+        assert converged >= 120
+
+    def test_hard_reducible_inputs_rejected(self):
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            dim = int(rng.integers(2, 9))
+            cut = int(rng.integers(1, dim))
+            M = np.exp(4.0 * rng.normal(size=(dim, dim)))
+            M[cut:, :cut] = 0.0  # block triangular
+            with pytest.raises(NoUniquePerronError):
+                power_iteration(M)
+
+    def test_eigensolver_failure_is_convergence_error(self, monkeypatch):
+        def failing_eig(mat):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eig", failing_eig)
+        with pytest.raises(ConvergenceError):
+            power_iteration(np.ones((2, 2)))
 
 
 class TestTransferMatrix:
@@ -193,6 +250,33 @@ class TestEquilibriumMarkov:
         words, logm = mu.sample_words(12, 50, rng)
         for w, lm in zip(words, logm):
             assert mu.log_cylinder_measure(tuple(w)) == pytest.approx(lm)
+
+    def test_sampled_words_match_per_state_search(self):
+        # six states, one forbidden transition: a zero in the chain
+        adj = np.ones((6, 6), dtype=np.int64)
+        adj[2, 4] = 0
+        system = ShiftSystem(adj)
+        rng = np.random.default_rng(5)
+        mu = equilibrium_markov(system, Potential.depth_one(
+            system, rng.normal(size=6)))
+        assert mu.transitions[2, 4] == 0.0
+        words, logm = mu.sample_words(30, 400, np.random.default_rng(9))
+
+        ref_rng = np.random.default_rng(9)
+        cum_P = np.cumsum(mu.transitions, axis=1)
+        state = np.searchsorted(np.cumsum(mu.stationary),
+                                ref_rng.random(400)).clip(0, 5)
+        ref_logm = np.log(mu.stationary[state])
+        path = [state]
+        for _ in range(29):
+            draws = ref_rng.random(400)
+            nxt = np.array([min(np.searchsorted(cum_P[s], x, side="left"), 5)
+                            for s, x in zip(state, draws)])
+            ref_logm += np.log(mu.transitions[state, nxt])
+            state = nxt
+            path.append(state)
+        np.testing.assert_array_equal(words, np.stack(path, axis=1))
+        np.testing.assert_array_equal(logm, ref_logm)
 
 
 class TestMarkovMeasure:
