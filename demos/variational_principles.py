@@ -58,9 +58,9 @@ def main():
                            [[1 - p1, p1], [1 - p1, p1]])
     zero = Potential.zero(full2)
     print(f"  chain entropy: {biased.entropy:.6f}")
-    for n in (8, 12, 16, 20):
+    for n in (20, 50, 100, 200, 400):
         value = inverse_vp_probe(full2, zero, biased, n, block_depth=1)
-        print(f"  depth {n:2d}: probe {value:.6f}")
+        print(f"  depth {n:3d}: probe {value:.6f}")
 
 
 if __name__ == "__main__":

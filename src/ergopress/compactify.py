@@ -31,7 +31,7 @@ closure while a single merged tail element has compact complement.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -137,32 +137,39 @@ def circle_cover_pressure(model: LineDoublingModel, phi=None,
     zero_phi = phi is zero_potential_angle
     phi_pole = 0.0 if zero_phi else float(np.asarray(phi(PI)).reshape(-1)[0])
 
-    loglam: dict[int, float] = {}
-    boundaries = grid.copy()
+    # partition points of every level at once: a point joins the partition
+    # for N at the first level (pullback step) it appears, and the
+    # partition for N is P[level < N], in sorted order
     points = [grid]
     for _ in range(n_hi - 1):
-        boundaries = model.inverse_angle(boundaries)
-        points.append(boundaries)
-    for N in range(n_lo - 1, n_hi + 1):
-        P = np.sort(np.unique(_wrap(np.concatenate(points[:N]))))
-        if zero_phi and subset_angle is None:
-            loglam[N] = math.log(len(P))  # every partition cell counts once
-            continue
-        sums = np.zeros(len(P))
-        th = P.copy()
-        for _ in range(N):
+        points.append(model.inverse_angle(points[-1]))
+    P, first = np.unique(_wrap(np.concatenate(points)), return_index=True)
+    level = first // len(grid)
+    a = None if subset_angle is None else _wrap(np.array([subset_angle]))[0]
+
+    count_only = zero_phi and subset_angle is None
+    loglam: dict[int, float] = {}
+    sums = np.zeros(len(P))
+    th = P.copy()
+    for N in range(1, n_hi + 1):
+        if not count_only:
             sums += phi(th)
             th = model.map_angle(th)
-        left = sums
-        right = np.roll(sums, -1)
+        if N < n_lo - 1:
+            continue
+        part = level < N
+        if count_only:  # every partition cell counts once
+            loglam[N] = math.log(np.count_nonzero(part))
+            continue
+        left = sums[part]
+        right = np.roll(left, -1)
         sup = np.maximum(left, right)
         # the cell wrapping past the last partition point contains the
         # pole whenever the pole is not itself a partition point; either
         # way its supremum is the full orbit sum at the fixed pole
         sup[-1] = max(sup[-1], N * phi_pole)
-        if subset_angle is not None:
-            a = _wrap(np.array([subset_angle]))[0]
-            idx = int(np.searchsorted(P, a, side="right") - 1) % len(P)
+        if a is not None:
+            idx = (np.searchsorted(P[part], a, side="right") - 1) % len(left)
             sup = sup[[idx]]
         m = sup.max()
         loglam[N] = float(m + np.log(np.exp(sup - m).sum()))
@@ -214,8 +221,7 @@ def invariant_measures(model: LineDoublingModel,
     On the line the only one is the point mass at the origin: for any
     invariant measure the mass of the annulus [-L, L] minus [-L/2, L/2]
     equals the mass of every halved copy, and those shrink to the empty
-    set, so the annuli all carry zero mass and everything sits at 0 (see
-    ``annulus_invariance_check`` for the numerical rendition).  On the
+    set, so the annuli all carry zero mass and everything sits at 0.  On the
     compactification the fixed point at infinity joins the inventory.
     Both fixed points carry zero entropy.
     """
@@ -225,26 +231,6 @@ def invariant_measures(model: LineDoublingModel,
         inventory.append(InvariantMeasureInfo("point mass at infinity", 0.0,
                                               model.phi_at_infinity))
     return inventory
-
-
-def annulus_invariance_check(steps: int = 40, levels: int = 60) -> float:
-    """Push a measure supported on dyadic annuli through the doubling map
-    and report how much mass remains on any fixed annulus range.
-
-    The annulus 2^j <= |x| < 2^(j+1) maps onto the annulus one level up,
-    so repeated pushforward drains every bounded window: the returned
-    remaining-mass figure tends to 0, which is the numerical face of the
-    uniqueness of the origin's point mass among invariant measures on
-    the line.
-    """
-    masses = np.zeros(2 * levels + 1)
-    masses[:] = 1.0 / len(masses)
-    window = slice(0, 2 * levels + 1)
-    for _ in range(steps):
-        shifted = np.zeros_like(masses)
-        shifted[1:] = masses[:-1]
-        masses = shifted  # mass beyond the top level escapes the window
-    return float(masses[window].sum())
 
 
 @dataclass
@@ -260,7 +246,6 @@ class GapCertificate:
     estimator: PressureEstimate
     entropy_estimate: float
     estimator_tolerance: float = 1e-2
-    diagnostics: dict = field(default_factory=dict)
 
     def holds(self) -> bool:
         return self.gap > 0 and \
@@ -297,7 +282,6 @@ def gap_example(arc_count: int = 64, n_range: tuple = (16, 40)) -> GapCertificat
         compactified_inventory=comp_inv,
         estimator=est,
         entropy_estimate=ent.bracket[0],
-        diagnostics={"annulus_residual_mass": annulus_invariance_check()},
     )
 
 

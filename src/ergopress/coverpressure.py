@@ -89,10 +89,9 @@ class CoverString:
 
     The domain is the set of points whose first m iterates visit the
     chosen elements in order; on a cylinder partition it is itself a
-    cylinder (of depth m + t - 1) or empty.  The three weights of the
+    cylinder (of depth m + t - 1) or empty.  The two weights of the
     underlying dimension structure are exp of the Birkhoff supremum over
-    the domain (zero for an empty domain), exp(-m), and 1/m; the last is
-    carried for completeness but no computed quantity consumes it.
+    the domain (zero for an empty domain) and exp(-m).
 
     Bulk computations never materialize these objects (there are
     exponentially many); the class exists for inspection and testing.
@@ -131,10 +130,6 @@ class CoverString:
     @property
     def eta(self) -> float:
         return math.exp(-self.length)
-
-    @property
-    def psi(self) -> float:
-        return 1.0 / self.length
 
     def weight(self, alpha: float) -> float:
         """xi * eta**alpha, the summand of the covering weight."""

@@ -192,9 +192,15 @@ def measure_power_sum_brute(adjacency, log_measure, q, n):
 
 
 def typical_cylinder_sum(adjacency, table, depth, block_depth, target_freq,
-                         tol, n):
+                         tol, n, tails="sup"):
     """Covering sum over frequency-typical depth-n cylinders: enumerate,
-    filter by empirical block frequencies, add exp of Birkhoff sups."""
+    filter by empirical block frequencies, add exp of Birkhoff sups.
+
+    With ``tails="sum"`` each cylinder adds exp of the n-term window sum
+    over every admissible completion to length n + depth - 1 instead of
+    the largest one: one term per string of depth-``depth`` cover
+    elements whose domain lies in the cylinder.
+    """
     A = np.asarray(adjacency)
     total = 0.0
     count = 0
@@ -208,5 +214,11 @@ def typical_cylinder_sum(adjacency, table, depth, block_depth, target_freq,
                 break
         if ok:
             count += 1
-            total += math.exp(birkhoff_sup_brute(A, table, depth, w, n))
+            if tails == "sup":
+                total += math.exp(birkhoff_sup_brute(A, table, depth, w, n))
+                continue
+            for tail in itertools.product(range(A.shape[0]), repeat=depth - 1):
+                full = w + tail
+                if all(A[full[i], full[i + 1]] for i in range(len(full) - 1)):
+                    total += math.exp(window_sum(table, depth, full, n))
     return total, count

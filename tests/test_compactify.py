@@ -14,7 +14,7 @@ from ergopress import (
     invariant_measures,
     lebesgue_number,
 )
-from ergopress.compactify import annulus_invariance_check, zero_potential_angle
+from ergopress.compactify import _wrap, zero_potential_angle
 
 PI = math.pi
 
@@ -159,6 +159,49 @@ class TestCoverPressure:
                     # sampling can only undershoot the exact supremum
                     assert -1e-9 <= mine[N] - ref <= 0.05
 
+    @staticmethod
+    def _rebuilt_log_lambda(model, phi, arc_count, style, subset_angle, N):
+        """The covering sum for one N from its own partition and orbit:
+        points of the first N pullback levels, each followed N steps."""
+        grid = -PI + 2 * PI / arc_count * np.arange(arc_count)
+        if style == "line":
+            grid = grid[1:]
+        points = [grid]
+        for _ in range(N - 1):
+            points.append(model.inverse_angle(points[-1]))
+        P = np.sort(np.unique(_wrap(np.concatenate(points))))
+        if phi is zero_potential_angle and subset_angle is None:
+            return math.log(len(P))
+        sums = np.zeros(len(P))
+        th = P.copy()
+        for _ in range(N):
+            sums += phi(th)
+            th = model.map_angle(th)
+        sup = np.maximum(sums, np.roll(sums, -1))
+        pole = 0.0 if phi is zero_potential_angle else float(phi(PI))
+        sup[-1] = max(sup[-1], N * pole)
+        if subset_angle is not None:
+            a = _wrap(np.array([subset_angle]))[0]
+            sup = sup[[int(np.searchsorted(P, a, side="right") - 1) % len(P)]]
+        m = sup.max()
+        return float(m + np.log(np.exp(sup - m).sum()))
+
+    @pytest.mark.parametrize("style", ["circle", "line"])
+    @pytest.mark.parametrize("subset_angle", [None, 0.3, PI - 1e-3])
+    def test_rows_equal_per_n_rebuild(self, style, subset_angle):
+        # one orbit sweep over all levels gives bit-identical covering sums
+        model = LineDoublingModel()
+        for phi in (model.phi_angle, zero_potential_angle, np.cos):
+            est = circle_cover_pressure(model, phi=phi, arc_count=16,
+                                        n_range=(6, 14), style=style,
+                                        subset_angle=subset_angle)
+            loglam = {N: self._rebuilt_log_lambda(model, phi, 16, style,
+                                                  subset_angle, N)
+                      for N in range(5, 15)}
+            assert est.diagnostics["rows"] == [
+                (N, loglam[N], loglam[N] - loglam[N - 1])
+                for N in range(6, 15)]
+
 
 class TestInvariantMeasures:
     def test_line_inventory(self):
@@ -171,12 +214,6 @@ class TestInvariantMeasures:
         inv = invariant_measures(LineDoublingModel(), on_compactification=True)
         assert len(inv) == 2
         assert inv[1].phi_integral == pytest.approx(PI)
-
-    def test_annulus_mass_drains(self):
-        assert annulus_invariance_check(steps=200, levels=60) == 0.0
-        shallow = annulus_invariance_check(steps=10, levels=60)
-        deep = annulus_invariance_check(steps=100, levels=60)
-        assert deep < shallow
 
 
 @pytest.fixture(scope="module")

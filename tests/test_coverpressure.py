@@ -60,7 +60,6 @@ class TestCoverString:
         s = CoverString(cover, [1, 0, 1], phi_log2)
         assert s.xi == pytest.approx(math.exp(2 * math.log(2)))
         assert s.eta == pytest.approx(math.exp(-3))
-        assert s.psi == pytest.approx(1 / 3)
         assert s.weight(2.0) == pytest.approx(s.xi * math.exp(-6))
 
     def test_string_sum_reproduces_covering_sum(self, full2, phi_log2):

@@ -15,6 +15,7 @@ from ergopress import (
     delta_measure,
     equilibrium_markov,
     inverse_vp_probe,
+    make_full_shift,
     perturbed_invariant_measures,
     power_iteration,
     power_pressure_check,
@@ -418,6 +419,93 @@ class TestInverseVpProbe:
             golden.adjacency, zero.table, 1, 2, blocks, 1 / math.sqrt(n), n)
         assert count > 0
         assert value == pytest.approx(math.log(total) / n)
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_random_systems_match_oracle(self, r):
+        # block depths below and above the potential depth, three
+        # tolerances; for r >= 2 the last windows run into the tails
+        rng = np.random.default_rng(40 + r)
+        for b in sorted({max(r - 1, 1), r + 1}):
+            for tol in (None, 0.1, 0.5):
+                k = int(rng.integers(2, 5))
+                n = 8 if k < 4 else 7
+                system = ShiftSystem(random_irreducible_adjacency(rng, k))
+                phi = random_potential(rng, system, r)
+                mu = next(iter(perturbed_invariant_measures(
+                    equilibrium_markov(system, phi), 1, rng)))
+                words = oracles.enumerate_words(system.adjacency, b)
+                blocks = {w: math.exp(mu.log_cylinder_measure(w))
+                          for w in words}
+                total, count = oracles.typical_cylinder_sum(
+                    system.adjacency, phi.table, r, b, blocks,
+                    tol if tol is not None else 1 / math.sqrt(n), n,
+                    tails="sum")
+                if count == 0:
+                    with pytest.raises(IncreaseDepthError):
+                        inverse_vp_probe(system, phi, mu, n, block_depth=b,
+                                         freq_tol=tol)
+                    continue
+                value = inverse_vp_probe(system, phi, mu, n, block_depth=b,
+                                         freq_tol=tol)
+                assert value == pytest.approx(math.log(total) / n, rel=1e-12)
+
+    @staticmethod
+    def _coin(full2, p1=3 / 4):
+        return MarkovMeasure(full2, [(0,), (1,)], [1 - p1, p1],
+                             [[1 - p1, p1], [1 - p1, p1]])
+
+    def test_binomial_reference_at_n_200(self, full2):
+        n, p1 = 200, 3 / 4
+        tol = 1 / math.sqrt(n)
+        count = sum(math.comb(n, k) for k in range(n + 1)
+                    if abs(k / n - p1) <= tol
+                    and abs((n - k) / n - (1 - p1)) <= tol)
+        value = inverse_vp_probe(full2, Potential.zero(full2),
+                                 self._coin(full2), n, block_depth=1)
+        assert value == pytest.approx(math.log(count) / n, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [16, 50])
+    def test_extreme_potential_stays_finite(self, full2, n):
+        phi = Potential.depth_one(full2, [0.0, 800.0])
+        tol = 1 / math.sqrt(n)
+        logs = [math.log(math.comb(n, k)) + 800.0 * k for k in range(n + 1)
+                if abs(k / n - 3 / 4) <= tol
+                and abs((n - k) / n - 1 / 4) <= tol]
+        top = max(logs)
+        expected = top + math.log(sum(math.exp(v - top) for v in logs))
+        value = inverse_vp_probe(full2, phi, self._coin(full2), n,
+                                 block_depth=1)
+        assert math.isfinite(value)
+        assert value == pytest.approx(expected / n, rel=1e-12)
+
+    def test_family_empties_partway(self, golden, monkeypatch):
+        # a full-shift measure puts 1/4 on each golden-mean pair block, so
+        # with tol 0.05 each of the three counts must stay <= 29 of 99, so
+        # no word of length 89 (88 blocks) is left in the family
+        merges = []
+        lexsort = np.lexsort
+        monkeypatch.setattr(np, "lexsort",
+                            lambda keys: merges.append(0) or lexsort(keys))
+        mu = MarkovMeasure(make_full_shift(2), [(0,), (1,)], [0.5, 0.5],
+                           [[0.5, 0.5], [0.5, 0.5]])
+        with pytest.raises(IncreaseDepthError, match="at depth 100"):
+            inverse_vp_probe(golden, Potential.zero(golden), mu, 100,
+                             block_depth=2, freq_tol=0.05)
+        assert len(merges) == 87  # word lengths 2..88 of 100
+
+    def test_biased_coin_decays_towards_entropy(self, full2):
+        mu = self._coin(full2)
+        zero = Potential.zero(full2)
+        values = [inverse_vp_probe(full2, zero, mu, n, block_depth=1)
+                  for n in (50, 100, 200)]
+        assert values[0] > values[1] > values[2] >= mu.entropy
+
+    def test_equilibrium_state_approaches_from_below(self, full2, phi_log2):
+        mu = equilibrium_markov(full2, phi_log2)
+        pressure = transfer_pressure(full2, phi_log2)
+        values = [inverse_vp_probe(full2, phi_log2, mu, n)
+                  for n in (50, 100, 200)]
+        assert values[0] < values[1] < values[2] < pressure
 
 
 class TestTopologicalEntropy:
