@@ -8,6 +8,7 @@ concrete proper map on the line with its one-point compactification.
 """
 
 from .shifts import (
+    BlockGraph,
     CylinderSet,
     Potential,
     ShiftSystem,

@@ -97,31 +97,65 @@ class ExperimentConfig:
         if pkind == "named":
             _require(potential.get("name") == "arccot",
                      "potential.name", "only 'arccot' is available")
+        if pkind == "constant":
+            _require(_finite(potential.get("value")), "potential.value",
+                     "must be a finite number")
+        depth = potential["depth"] if pkind == "table" else 1
         subset = raw.get("subset")
         if subset is not None:
             _require(isinstance(subset, dict) and subset.get("kind") in
                      ("whole", "sub_sft", "cylinders"),
                      "subset.kind", "must be whole | sub_sft | cylinders")
+            _require(subset["kind"] != "sub_sft"
+                     or isinstance(subset.get("adjacency"), list),
+                     "subset.adjacency", "must be a square 0/1 matrix")
         budget = raw.get("budget", {})
         _require(isinstance(budget, dict), "budget", "must be an object")
-        for key in ("tol",):
-            if key in budget:
-                _require(budget[key] > 0, f"budget.{key}", "must be positive")
+        if "tol" in budget:
+            _require(_finite(budget["tol"]) and budget["tol"] > 0,
+                     "budget.tol", "must be a positive number")
         if "n_max" in budget:
-            _require(isinstance(budget["n_max"], int) and budget["n_max"] >= 8,
+            _require(_int_at_least(budget["n_max"], 8),
                      "budget.n_max", "must be an integer >= 8")
+        if "depths" in budget:
+            d = budget["depths"]
+            _require(isinstance(d, list) and d
+                     and all(_int_at_least(t, depth) for t in d)
+                     and d == sorted(d),
+                     "budget.depths", "must be an increasing list of "
+                     f"integers >= the potential depth {depth}")
+        # inverse_vp needs a block depth max(depth, 2) below n
+        least_n = {"correlation": 10, "inverse_vp": max(4, depth + 1)}
+        if "n" in budget and task in least_n:
+            _require(_int_at_least(budget["n"], least_n[task]), "budget.n",
+                     f"must be an integer >= {least_n[task]}")
+        if "samples" in budget:
+            _require(_int_at_least(budget["samples"], 1), "budget.samples",
+                     "must be an integer >= 1")
+        if "arc_count" in budget:
+            a = budget["arc_count"]
+            _require(_int_at_least(a, 8) and a % 2 == 0, "budget.arc_count",
+                     "must be an even integer >= 8")
+        if "n_range" in budget:
+            nr = budget["n_range"]
+            _require(isinstance(nr, list) and len(nr) == 2
+                     and _int_at_least(nr[0], 2) and _int_at_least(nr[1], 2)
+                     and nr[0] < nr[1],
+                     "budget.n_range", "must be [lo, hi] with 2 <= lo < hi")
         if "q_grid" in budget:
             q = budget["q_grid"]
-            ok = (isinstance(q, list) and q) or \
-                 (isinstance(q, dict) and {"lo", "hi", "step"} <= set(q))
-            _require(ok, "budget.q_grid",
-                     "must be a list or {lo, hi, step}")
+            ok = (isinstance(q, list) and q and all(map(_finite, q))) or \
+                 (isinstance(q, dict) and {"lo", "hi", "step"} <= set(q)
+                  and all(_finite(q[key]) for key in ("lo", "hi", "step"))
+                  and q["step"] > 0 and q["lo"] <= q["hi"])
+            _require(ok, "budget.q_grid", "must be a list of numbers or "
+                     "{lo, hi, step} with lo <= hi and step > 0")
             if task == "correlation":
                 grid = _q_grid(budget)
                 _require(not np.isclose(grid, 1.0).any(), "budget.q_grid",
                          "must exclude q = 1 for correlation tasks")
         seed = raw.get("seed", 0)
-        _require(isinstance(seed, int), "seed", "must be an integer")
+        _require(_int_at_least(seed, 0), "seed", "must be an integer >= 0")
         return cls(task, system, potential, subset, budget, seed)
 
     # -- builders ----------------------------------------------------------
@@ -159,9 +193,22 @@ class ExperimentConfig:
         kind = self.subset_spec["kind"]
         if kind == "whole":
             return SubsetSpec.whole(system)
-        if kind == "sub_sft":
-            return SubsetSpec.sub_sft(system, self.subset_spec["adjacency"])
-        return SubsetSpec.cylinders(system, self.subset_spec["words"])
+        key = "adjacency" if kind == "sub_sft" else "words"
+        try:
+            if kind == "sub_sft":
+                return SubsetSpec.sub_sft(system, self.subset_spec[key])
+            return SubsetSpec.cylinders(system, self.subset_spec.get(key))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"config-error at 'subset.{key}': {exc}")
+
+
+def _finite(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) \
+        and math.isfinite(value)
+
+
+def _int_at_least(value, least: int) -> bool:
+    return isinstance(value, int) and value >= least
 
 
 def _q_grid(budget: dict) -> np.ndarray:

@@ -45,6 +45,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .shifts import (
+    BlockGraph,
     CylinderSet,
     Potential,
     ShiftSystem,
@@ -52,7 +53,6 @@ from .shifts import (
     Word,
     admissible_words,
     birkhoff_sup,
-    iter_admissible_tuples,
 )
 
 
@@ -157,27 +157,15 @@ def _log_matvec(logv: np.ndarray, logm: np.ndarray) -> np.ndarray:
     return np.logaddexp.reduce(logv[:, None] + logm, axis=0)
 
 
-def _forward_live(B: np.ndarray) -> np.ndarray:
-    """Symbols from which an infinite admissible path exists (greatest
-    fixed point of 'has an allowed successor that is itself live')."""
-    live = np.ones(B.shape[0], dtype=bool)
-    while True:
-        nxt = (B[:, live].sum(axis=1) > 0) if live.any() else live & False
-        if (nxt == live).all():
-            return live
-        live = nxt
-
-
 class _StringCalculus:
     """Shared state-space machinery for both covering sums.
 
-    States are the admissible sdepth-words of the working graph (the
-    reduced sub-adjacency for a sub-SFT, the parent adjacency otherwise)
-    whose symbols can all continue indefinitely.  Two dense matrices over
-    the states hold window values, -inf where state j cannot follow state
-    i: ``v_append[i, j]`` is the window a word ending in i completes when
-    it grows into j (its last r symbols), ``v_string[i, j]`` the window
-    that one string-length increment completes.
+    States are the sdepth-blocks of ``graph``, a ``BlockGraph`` of the
+    reduced sub-adjacency for a sub-SFT, of the parent adjacency otherwise.
+    Two dense matrices over the states hold window values on its arcs,
+    -inf elsewhere: ``v_append[i, j]`` is the window a word ending in i
+    completes when it grows into j (the arc word's last r symbols),
+    ``v_string[i, j]`` the window one string-length increment completes.
     """
 
     def __init__(self, subset: SubsetSpec, potential: Potential, cover: Cover):
@@ -197,32 +185,17 @@ class _StringCalculus:
         self.potential = potential
         self.r, self.t = r, t
         self.sdepth = sd = max(t - 1, 1)
-        if subset.kind == SubsetSpec.SUB_SFT:
-            graph = subset.sub_adjacency
-            live = _forward_live(graph)
-        else:
-            graph = system.adjacency
-            live = np.ones(system.alphabet_size, dtype=bool)
-
-        self.states = [s for s in iter_admissible_tuples(graph, sd)
-                       if all(live[a] for a in s)]
-        self.state_id = {s: i for i, s in enumerate(self.states)}
-        n = len(self.states)
-        st = np.array(self.states, dtype=np.int64).reshape(n, sd)
-        self._state_codes = self._codes(st)  # ascending: states are sorted
-        keys = np.array(list(potential.table), dtype=np.int64).reshape(-1, r)
-        self._window_value = np.zeros(system.alphabet_size ** r)
-        self._window_value[self._codes(keys)] = list(potential.table.values())
-
+        working = subset.sub_adjacency if subset.kind == SubsetSpec.SUB_SFT \
+            else system.adjacency
+        self.graph = BlockGraph(working, sd)
+        st = self.graph.words
+        n = len(st)
+        src, dst, arc_words = self.graph.arcs
         self.v_append = np.full((n, n), -np.inf)
         self.v_string = np.full((n, n), -np.inf)
         lo = sd + 1 - t
-        for a in range(system.alphabet_size):
-            rows = np.flatnonzero(graph[st[:, -1], a] * live[a])
-            joint = np.column_stack([st[rows], np.full(len(rows), a)])
-            cols = self._state_index(joint[:, -sd:])
-            self.v_append[rows, cols] = self._values(joint[:, -r:])
-            self.v_string[rows, cols] = self._values(joint[:, lo:lo + r])
+        self.v_append[src, dst] = potential.values(arc_words[:, -r:])
+        self.v_string[src, dst] = potential.values(arc_words[:, lo:lo + r])
         self._zero = np.where(self.v_append > -np.inf, 0.0, -np.inf)
 
         # seed words: the states themselves, or the listed cylinder words
@@ -242,20 +215,6 @@ class _StringCalculus:
         self._entry_cache: dict = {}
         self._cfactor_cache: tuple = (None,)
 
-    # -- window bookkeeping -------------------------------------------------
-
-    def _codes(self, blocks: np.ndarray) -> np.ndarray:
-        """Base-k codes of the symbol blocks along the last axis."""
-        width = blocks.shape[-1]
-        return blocks.astype(np.int64) @ \
-            self.system.alphabet_size ** np.arange(width - 1, -1, -1)
-
-    def _state_index(self, blocks: np.ndarray) -> np.ndarray:
-        return np.searchsorted(self._state_codes, self._codes(blocks))
-
-    def _values(self, windows: np.ndarray) -> np.ndarray:
-        return self._window_value[self._codes(windows)]
-
     def _seed_log(self, word: tuple, n_target: int) -> float:
         """Sum of the complete Birkhoff windows of a seed word, clipped to
         window positions < n_target."""
@@ -270,13 +229,13 @@ class _StringCalculus:
         still counts when the word enters j steps past N + r - 1)."""
         if not len(words):
             return
-        length, n = words.shape[1], len(self.states)
-        end = self._state_index(words[:, -self.sdepth:])
+        length, n = words.shape[1], len(self.graph.words)
+        end = self.graph.index(words[:, -self.sdepth:])
         count = max(length - self.r + 1, 0)
         sums = np.zeros((len(words), count + 1))
         if count:
             windows = sliding_window_view(words, self.r, axis=1)
-            np.cumsum(self._values(windows), axis=1, out=sums[:, 1:])
+            np.cumsum(self.potential.values(windows), axis=1, out=sums[:, 1:])
         rows = np.empty((self.t - self.r + 1, n))
         for j in range(len(rows)):
             v = sums[:, count - j]
@@ -319,7 +278,7 @@ class _StringCalculus:
             return self._entry_cache[N]
         m, L0 = N + self.r - 1, N + self.t - 1
         logW = self._sweep(m) if m >= self._lmin \
-            else np.full(len(self.states), -np.inf)
+            else np.full(len(self.graph.words), -np.inf)
         for length in range(m + 1, L0 + 1):
             logW = _log_matvec(logW, self._zero)
             if length in self._seeds:
@@ -360,7 +319,7 @@ class _StringCalculus:
         if self._cfactor_cache[0] != alpha:
             with np.errstate(over="raise"):
                 rates = np.exp(self.v_string - alpha)
-            ones = np.ones(len(self.states))
+            ones = np.ones(len(self.graph.words))
             self._cfactor_cache = (alpha, rates, [ones], [ones])
         _, rates, cs, fs = self._cfactor_cache
         while len(cs) <= depth:
@@ -419,7 +378,7 @@ class _StringCalculus:
         if any(len(u) == len(v) for u in us):
             # v is itself a listed word (antichain: then the only one
             # here); the subtree below it lies inside the subset
-            idx = self.state_id[v[-self.sdepth:]]
+            idx = self.graph.index(v[-self.sdepth:])
             cvec, fvec = cs[cap - m], fs[cap - m]
             return own * cvec[idx], (fvec[idx] if cvec[idx] < 1.0 else 0.0)
         children: dict[int, list] = {}

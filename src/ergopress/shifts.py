@@ -15,6 +15,7 @@ have exact suprema (plain table sums once the word is long enough).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -166,57 +167,79 @@ class CylinderSet:
 
 def admissible_words(system: ShiftSystem, n: int) -> list[Word]:
     """All admissible words of length n, lexicographic order."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
     return [Word(s, system) for s in iter_admissible_tuples(system.adjacency, n)]
 
 
 def iter_admissible_tuples(adjacency: np.ndarray, n: int) -> Iterable[tuple]:
-    """Yield raw symbol tuples of length n admissible for the 0/1 matrix."""
-    k = adjacency.shape[0]
-    follow = [tuple(np.flatnonzero(adjacency[a]).tolist()) for a in range(k)]
-
-    def extend(prefix):
-        if len(prefix) == n:
-            yield prefix
-            return
-        for b in follow[prefix[-1]]:
-            yield from extend(prefix + (b,))
-
-    for a in range(k):
-        yield from extend((a,))
+    """Raw symbol tuples of the admissible n-words of the 0/1 matrix, in
+    lexicographic order, over the symbols that have a successor (all of a
+    ``ShiftSystem``'s); built as one array, so n < 1 raises at the call."""
+    return map(tuple, _grow_words(adjacency, n).tolist())
 
 
 def admissible_word_array(system: ShiftSystem, n: int,
                           max_words: int = 5_000_000) -> np.ndarray:
     """All admissible words of length n as one integer array (rows in
-    lexicographic order), grown level by level; raises when the count
-    would exceed ``max_words``."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    lexicographic order); raises when the count would exceed
+    ``max_words``."""
     if system.word_count(n) > max_words:
         raise ValueError(f"more than {max_words} admissible words at depth {n}")
-    k = system.alphabet_size
-    dtype = np.int8 if k < 128 else np.int16
-    words = np.arange(k, dtype=dtype)[:, None]
+    return _grow_words(system.adjacency, n)
+
+
+def _grow_words(adjacency, n: int) -> np.ndarray:
+    """Admissible n-words of a 0/1 matrix over the symbols that have a
+    successor (on a ``_reduce_to_live`` matrix: that continue forever), as
+    rows in lexicographic order: appending each row's successors in symbol
+    order keeps the rows sorted."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    A = np.asarray(adjacency) != 0
+    live = A.any(axis=1)
+    dtype = np.int8 if len(A) < 128 else np.int16
+    words = np.flatnonzero(live).astype(dtype)[:, None]
     for _ in range(n - 1):
-        pieces = []
-        for b in range(k):
-            allowed = system.adjacency[:, b].astype(bool)
-            rows = words[allowed[words[:, -1]]]
-            pieces.append(np.hstack([rows,
-                                     np.full((len(rows), 1), b, dtype=dtype)]))
-        words = np.concatenate(pieces)
-        order = np.lexsort(words.T[::-1])
-        words = words[order]
+        rows, symbols = np.nonzero(A[words[:, -1]] & live)
+        words = np.column_stack([words[rows], symbols.astype(dtype)])
     return words
+
+
+class BlockGraph:
+    """The admissible d-blocks of a 0/1 matrix, one arc per appended symbol.
+
+    ``words`` are the blocks (``_grow_words``), ``codes`` their base-k
+    codes, which ``index`` searches.  ``arcs`` is (src, dst, arc_words),
+    sorted by source and then appended symbol: block src plus one symbol
+    is the (d+1)-word in arc_words, whose last d symbols are block dst.
+    """
+
+    def __init__(self, adjacency, depth: int):
+        A = np.asarray(adjacency) != 0
+        if len(A) ** depth >= 1 << 63:
+            raise ValueError(f"{depth}-block codes overflow int64")
+        self.adjacency = A
+        self.words = _grow_words(A, depth)
+        self._place = len(A) ** np.arange(depth - 1, -1, -1, dtype=np.int64)
+        self.codes = self.words @ self._place
+
+    def index(self, blocks) -> np.ndarray:
+        """Rows of ``words`` holding the given blocks (along the last axis)."""
+        return np.searchsorted(self.codes, np.asarray(blocks) @ self._place)
+
+    @cached_property
+    def arcs(self) -> tuple:
+        A, words = self.adjacency, self.words
+        src, symbols = np.nonzero(A[words[:, -1]] & A.any(axis=1))
+        arc_words = np.column_stack([words[src], symbols.astype(words.dtype)])
+        return src, self.index(arc_words[:, 1:]), arc_words
 
 
 class Potential:
     """Locally constant potential of depth r >= 1.
 
     ``table`` maps every admissible r-word (tuple of symbols) to a real
-    value; evaluation at a point only reads coordinates 0..r-1.
+    value; evaluation at a point only reads coordinates 0..r-1.  ``values``
+    looks arrays of r-blocks up in a copy aligned with ``graph.words``.
     """
 
     def __init__(self, system: ShiftSystem, depth: int,
@@ -237,10 +260,14 @@ class Potential:
             if not np.isfinite(val):
                 raise ValueError("potential values must be finite")
             tab[key] = val
-        for s in iter_admissible_tuples(system.adjacency, depth):
-            if s not in tab:
-                raise ValueError(f"table misses admissible word {s}")
+        self.graph = BlockGraph(system.adjacency, self.depth)
+        try:
+            vector = [tab[s] for s in map(tuple, self.graph.words.tolist())]
+        except KeyError as exc:
+            raise ValueError(f"table misses admissible word {exc.args[0]}") \
+                from None
         self.table = tab
+        self._vector = np.array(vector)
 
     @classmethod
     def zero(cls, system: ShiftSystem) -> "Potential":
@@ -261,6 +288,10 @@ class Potential:
     def value(self, block) -> float:
         return self.table[tuple(block)]
 
+    def values(self, blocks) -> np.ndarray:
+        """Values of an array of admissible r-blocks (along the last axis)."""
+        return self._vector[self.graph.index(blocks)]
+
     def sup_norm(self) -> float:
         return max(abs(v) for v in self.table.values())
 
@@ -269,12 +300,11 @@ class Potential:
         if other.system is not self.system and \
                 not np.array_equal(other.system.adjacency, self.system.adjacency):
             raise ValueError("potentials live on different systems")
-        r = max(self.depth, other.depth)
-        best = 0.0
-        for s in iter_admissible_tuples(self.system.adjacency, r):
-            best = max(best, abs(self.value(s[:self.depth])
-                                 - other.value(s[:other.depth])))
-        return best
+        words = BlockGraph(self.system.adjacency,
+                           max(self.depth, other.depth)).words
+        gaps = np.abs(self.values(words[:, :self.depth])
+                      - other.values(words[:, :other.depth]))
+        return float(gaps.max(initial=0.0))
 
     def scaled(self, q: float) -> "Potential":
         return Potential(self.system, self.depth,
@@ -320,16 +350,9 @@ def birkhoff_sup(potential: Potential, word: Word, n: int) -> float:
     need = n + r - 1
     if len(s) >= need:
         return potential.word_sum(s, n)
-    A = word.system.adjacency
-    missing = need - len(s)
-    best = -np.inf
-    for tail in iter_admissible_tuples(A, missing + 1):
-        if tail[0] != s[-1]:
-            continue
-        best = max(best, potential.word_sum(s + tail[1:], n))
-    if best == -np.inf:  # dead-symbol-free systems always extend
-        raise RuntimeError("no admissible extension found")
-    return best
+    tails = _grow_words(word.system.adjacency, need - len(s) + 1)
+    tails = tails[tails[:, 0] == s[-1], 1:].tolist()
+    return max(potential.word_sum(s + tuple(tail), n) for tail in tails)
 
 
 class SubsetSpec:

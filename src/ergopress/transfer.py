@@ -20,8 +20,10 @@ import math
 from typing import Iterable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .shifts import (
+    BlockGraph,
     Potential,
     ShiftSystem,
     iter_admissible_tuples,
@@ -59,20 +61,11 @@ class TransferMatrix:
         self.system = system
         self.potential = potential
         r = potential.depth
-        if r == 1:
-            states = [(a,) for a in range(system.alphabet_size)]
-        else:
-            states = list(iter_admissible_tuples(system.adjacency, r - 1))
-        index = {s: i for i, s in enumerate(states)}
-        dim = len(states)
-        M = np.zeros((dim, dim))
-        A = system.adjacency
-        for s in states:
-            for b in np.flatnonzero(A[s[-1]]):
-                window = s + (int(b),) if r > 1 else s
-                target = s[1:] + (int(b),) if r > 1 else (int(b),)
-                M[index[s], index[target]] = math.exp(potential.value(window[:r]))
-        self.states = tuple(states)
+        graph = BlockGraph(system.adjacency, max(r - 1, 1))
+        src, dst, arc_words = graph.arcs
+        M = np.zeros((len(graph.words),) * 2)
+        M[src, dst] = [math.exp(v) for v in potential.values(arc_words[:, :r])]
+        self.states = tuple(map(tuple, graph.words.tolist()))
         self.matrix = M
         self.matrix.setflags(write=False)
 
@@ -174,15 +167,12 @@ def block_recode(system: ShiftSystem, potential: Potential):
     r = potential.depth
     if r == 1:
         return system, potential
-    blocks = list(iter_admissible_tuples(system.adjacency, r))
-    index = {b: i for i, b in enumerate(blocks)}
-    B = np.zeros((len(blocks), len(blocks)), dtype=np.int64)
-    for b in blocks:
-        for a in np.flatnonzero(system.adjacency[b[-1]]):
-            target = b[1:] + (int(a),)
-            B[index[b], index[target]] = 1
+    graph = BlockGraph(system.adjacency, r)
+    src, dst, _ = graph.arcs
+    B = np.zeros((len(graph.words),) * 2, dtype=np.int64)
+    B[src, dst] = 1
     recoded = ShiftSystem(B, system.sidedness)
-    values = [potential.value(b) for b in blocks]
+    values = potential.values(graph.words).tolist()
     return recoded, Potential.depth_one(recoded, values,
                                         name=f"recode[{potential.name}]")
 
@@ -388,11 +378,9 @@ def power_system(system: ShiftSystem, k: int) -> tuple:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    blocks = list(iter_admissible_tuples(system.adjacency, k))
-    B = np.zeros((len(blocks), len(blocks)), dtype=np.int64)
-    for i, u in enumerate(blocks):
-        for j, w in enumerate(blocks):
-            B[i, j] = system.adjacency[u[-1], w[0]]
+    words = BlockGraph(system.adjacency, k).words
+    B = system.adjacency[np.ix_(words[:, -1], words[:, 0])]
+    blocks = list(map(tuple, words.tolist()))
     return ShiftSystem(B, system.sidedness), blocks
 
 
@@ -404,11 +392,14 @@ def power_sum_potential(system: ShiftSystem, potential: Potential, k: int,
     r = potential.depth
     if r > k + 1:
         raise ValueError("potential depth too large for this power")
-    table = {}
-    for i, u in enumerate(blocks):
-        for j in np.flatnonzero(power.adjacency[i]):
-            w = u + blocks[int(j)]
-            table[(i, int(j))] = sum(potential.value(w[p:p + r]) for p in range(k))
+    src, dst = np.nonzero(power.adjacency)
+    words = np.array(blocks, dtype=np.int64).reshape(len(blocks), k)
+    joined = np.hstack([words[src], words[dst]])
+    windows = potential.values(sliding_window_view(joined, r, axis=1)[:, :k])
+    sums = np.zeros(len(src))
+    for p in range(k):  # in window order, as the Birkhoff sum runs
+        sums += windows[:, p]
+    table = dict(zip(zip(src.tolist(), dst.tolist()), sums.tolist()))
     return Potential(power, 2, table, name=f"S_{k}[{potential.name}]")
 
 
@@ -475,23 +466,18 @@ def inverse_vp_probe(system: ShiftSystem, potential: Potential,
             not np.array_equal(potential.system.adjacency, system.adjacency):
         raise ValueError("potential does not match the system")
 
-    A = system.adjacency
     r = potential.depth
-    blocks = list(iter_admissible_tuples(A, b))
-    target = np.array([math.exp(measure.log_cylinder_measure(w)) for w in blocks])
-    block_id = {w: i for i, w in enumerate(blocks)}
+    blocks = BlockGraph(system.adjacency, b)
+    target = np.array([math.exp(measure.log_cylinder_measure(w))
+                       for w in blocks.words.tolist()])
     m = n - b + 1  # block positions in an n-word
 
     sd = max(b, r, 2) - 1
-    states = list(iter_admissible_tuples(A, sd))
-    state_id = {s: i for i, s in enumerate(states)}
-    arcs = [(i, state_id[w[1:]], block_id[w[-b:]], potential.value(w[-r:]))
-            for i, s in enumerate(states)
-            for w in (s + (int(a),) for a in np.flatnonzero(A[s[-1]]))]
-    *ids, values = zip(*arcs)
-    src, dst, blk = np.array(ids, dtype=np.int64)
-    val = np.array(values)
-    degree = np.bincount(src, minlength=len(states))
+    states = BlockGraph(system.adjacency, sd)
+    src, dst, arc_words = states.arcs
+    blk = blocks.index(arc_words[:, -b:])
+    val = potential.values(arc_words[:, -r:])
+    degree = np.bincount(src, minlength=len(states.words))
     first = np.cumsum(degree) - degree
 
     # the keep test |count/m - target| <= tol as integer bounds per block:
@@ -508,7 +494,7 @@ def inverse_vp_probe(system: ShiftSystem, potential: Potential,
     def merged(state, counts, logs):
         """One row per distinct (state, counts), log-sum-exp of their logs."""
         keys = [state]
-        for j in range(0, len(blocks), per_key):
+        for j in range(0, len(target), per_key):
             chunk = counts[:, j:j + per_key].astype(np.int64)
             keys.append(chunk @ weights[:chunk.shape[1]])
         order = np.lexsort(keys)
@@ -526,14 +512,14 @@ def inverse_vp_probe(system: ShiftSystem, potential: Potential,
     # seeds: each state with the blocks and windows lying inside it
     # (blocks inside the first n symbols, windows starting before n)
     counted = min(sd, n)
-    state = np.arange(len(states))
-    counts = np.zeros((len(states), len(blocks)), dtype=np.min_scalar_type(n))
-    logs = np.zeros(len(states))
-    for i, s in enumerate(states):
-        for p in range(counted - b + 1):
-            counts[i, block_id[s[p:p + b]]] += 1
-        logs[i] = sum(potential.value(s[p:p + r])
-                      for p in range(min(sd - r, n - 1) + 1))
+    words = states.words
+    state = np.arange(len(words))
+    counts = np.zeros((len(words), len(target)), dtype=np.min_scalar_type(n))
+    logs = np.zeros(len(words))
+    for p in range(counted - b + 1):
+        counts[state, blocks.index(words[:, p:p + b])] += 1
+    for p in range(min(sd - r, n - 1) + 1):
+        logs += potential.values(words[:, p:p + r])
     keep = (counts <= hi).all(axis=1)
     for length in range(counted, n + 1):
         if length > counted:  # append one symbol along every arc
@@ -561,10 +547,10 @@ def inverse_vp_probe(system: ShiftSystem, potential: Potential,
     if not keep.any():
         raise IncreaseDepthError("increase-n: no frequency-typical cylinder "
                                  f"at depth {n}")
-    per_state = np.full(len(states), -np.inf)
+    per_state = np.full(len(words), -np.inf)
     np.logaddexp.at(per_state, state[keep], logs[keep])
     # the last windows run past the word into every admissible tail
-    step = np.full((len(states), len(states)), -np.inf)
+    step = np.full((len(words),) * 2, -np.inf)
     step[src, dst] = val
     for _ in range(n + r - 1 - max(sd, n)):
         per_state = np.logaddexp.reduce(per_state[:, None] + step, axis=0)

@@ -216,6 +216,31 @@ class TestMainEntry:
                                     "table": {"0": 0.5}}},
          "potential.table"),
         ("pressure", {"budget": {"n_max": 3}}, "budget.n_max"),
+        ("pressure", {"potential": {"kind": "table", "depth": 2, "table": {
+            "0,0": 0.0, "0,1": 0.5, "1,0": 0.25, "1,1": 1.0}},
+            "budget": {"n_max": 12, "depths": [1]}}, "budget.depths"),
+        ("pressure", {"budget": {"n_max": 12, "depths": [3, 2]}},
+         "budget.depths"),
+        ("pressure", {"budget": {"n_max": 12, "tol": "x"}}, "budget.tol"),
+        ("inverse-vp", {"budget": {"n": 3}}, "budget.n"),
+        ("correlation", {"budget": {"n": 2.5}}, "budget.n"),
+        ("gap-example", {"budget": {"arc_count": 7}}, "budget.arc_count"),
+        ("transfer-check", {"budget": {"n_range": [40, 16]}},
+         "budget.n_range"),
+        ("vp-check", {"budget": {"samples": 0}}, "budget.samples"),
+        ("spectrum", {"budget": {"q_grid": {"lo": -1.0, "hi": 1.0,
+                                            "step": 0}}}, "budget.q_grid"),
+        ("pressure", {"potential": {"kind": "constant"}}, "potential.value"),
+        ("pressure", {"system": {"kind": "sft",
+                                 "adjacency": [[1, 1], [1, 0]]},
+                      "subset": {"kind": "sub_sft",
+                                 "adjacency": [[1, 1], [1, 1]]}},
+         "subset.adjacency"),
+        ("pressure", {"system": {"kind": "sft",
+                                 "adjacency": [[1, 1], [1, 0]]},
+                      "subset": {"kind": "cylinders", "words": [[1, 1]]}},
+         "subset.words"),
+        ("vp-check", {"seed": -1}, "seed"),
     ])
     def test_malformed_config_exits_two_naming_field(
             self, tmp_path, capsys, task, overrides, field):

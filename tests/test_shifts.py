@@ -15,7 +15,16 @@ from ergopress import (
     birkhoff_sup,
     make_full_shift,
 )
-from ergopress.shifts import strongly_connected, two_sided_cylinder_trace
+from ergopress.shifts import (
+    BlockGraph,
+    iter_admissible_tuples,
+    strongly_connected,
+    two_sided_cylinder_trace,
+)
+
+
+def _rows(array):
+    return [tuple(row) for row in array.tolist()]
 
 
 class TestShiftSystem:
@@ -124,6 +133,82 @@ class TestWordAndCylinder:
         assert CylinderSet(w, start_index=0).diameter() == 2.0 ** (-1)
         # block strictly in the past: coordinate 0 free
         assert CylinderSet(w, start_index=-5).diameter() == 1.0
+
+
+class TestBlockGraph:
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_words_match_oracle(self, k):
+        rng = np.random.default_rng(k)
+        for _ in range(4):
+            adj = random_irreducible_adjacency(rng, k)
+            for d in range(1, 5):
+                graph = BlockGraph(adj, d)
+                assert _rows(graph.words) == oracles.enumerate_words(adj, d)
+                assert (graph.index(graph.words) == np.arange(len(
+                    graph.words))).all()
+
+    @staticmethod
+    def _reduced_cases():
+        rng = np.random.default_rng(11)
+        yield [[0, 1], [0, 0]]  # reduces to the empty sub-SFT
+        yield [[0, 1], [0, 1]]  # 0 has no predecessor but continues
+        for k in (2, 3, 4, 5):
+            for _ in range(6):
+                yield (random_irreducible_adjacency(rng, k)
+                       * (rng.random((k, k)) < 0.5)).tolist()
+
+    def test_reduced_sub_sft_words_are_the_live_words(self):
+        for sub in self._reduced_cases():
+            k = len(sub)
+            reduced = SubsetSpec.sub_sft(make_full_shift(k), sub).sub_adjacency
+            live = oracles.forward_live_symbols(sub)
+            for d in range(1, 4):
+                expected = [w for w in oracles.enumerate_words(sub, d)
+                            if set(w) <= live]
+                assert _rows(BlockGraph(reduced, d).words) == expected
+
+    def test_arcs_are_the_one_symbol_extensions(self):
+        rng = np.random.default_rng(5)
+        adjs = [random_irreducible_adjacency(rng, k) for k in (2, 3, 4)]
+        adjs += [SubsetSpec.sub_sft(make_full_shift(len(sub)),
+                                    sub).sub_adjacency
+                 for sub in self._reduced_cases()]
+        for adj in adjs:
+            A = np.asarray(adj)
+            for d in (1, 2, 3):
+                graph = BlockGraph(A, d)
+                src, dst, arc_words = graph.arcs
+                words = _rows(graph.words)
+                found = [(words[i], words[j], w) for i, j, w in
+                         zip(src, dst, _rows(arc_words))]
+                brute = [(w, w[1:] + (a,), w + (a,)) for w in words
+                         for a in range(len(A)) if A[w[-1], a]]
+                assert found == brute  # sorted by source, then symbol
+
+    def test_potential_values_are_table_lookups(self):
+        rng = np.random.default_rng(9)
+        for k in (2, 3, 4):
+            system = ShiftSystem(random_irreducible_adjacency(rng, k))
+            for r in (1, 2, 3):
+                pot = random_potential(rng, system, r)
+                words = BlockGraph(system.adjacency, r + 3).words
+                windows = np.stack([words[:, p:p + r] for p in range(4)],
+                                   axis=1)
+                expected = [[pot.table[w] for w in _rows(row)]
+                            for row in windows]
+                assert pot.values(windows).tolist() == expected
+
+    def test_lengths_below_one_raise(self, full2):
+        with pytest.raises(ValueError):
+            iter_admissible_tuples(full2.adjacency, 0)
+        with pytest.raises(ValueError):
+            BlockGraph(full2.adjacency, 0)
+
+    def test_codes_that_overflow_int64_are_refused(self):
+        cycle = np.roll(np.eye(3, dtype=np.int64), 1, axis=1)
+        assert len(BlockGraph(cycle, 39).words) == 3
+        with pytest.raises(ValueError, match="overflow"):
+            BlockGraph(cycle, 40)
 
 
 class TestPotential:

@@ -141,6 +141,21 @@ class TestTransferMatrix:
         tm = TransferMatrix(golden, Potential.zero(golden))
         assert tm.matrix[1, 1] == 0.0
 
+    def test_entries_are_exp_of_table_values(self):
+        rng = np.random.default_rng(4)
+        for k in (2, 3, 4):
+            system = ShiftSystem(random_irreducible_adjacency(rng, k))
+            for r in (1, 2, 3):
+                pot = random_potential(rng, system, r)
+                tm = TransferMatrix(system, pot)
+                expected = np.zeros((tm.dimension,) * 2)
+                for i, s in enumerate(tm.states):
+                    for j, u in enumerate(tm.states):
+                        if s[1:] == u[:-1] and system.allows(s[-1], u[-1]):
+                            window = (s + u[-1:])[:r]
+                            expected[i, j] = math.exp(pot.table[window])
+                assert (tm.matrix == expected).all()
+
 
 class TestTransferPressure:
     def test_full_shift_entropy(self, full2):
