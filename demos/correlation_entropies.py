@@ -1,8 +1,9 @@
 """Correlation entropies of an equilibrium state, two ways.
 
 The formula side is -T(q)/(q-1); the direct side sums q-th powers of
-cylinder measures at a fixed depth (on a shift space the dynamical balls
-of small radius are exactly the cylinders).  For the Bernoulli measure
+cylinder measures at depths n and n + 1 and takes the growth between
+them (on a shift space the dynamical balls of small radius are exactly
+the cylinders).  For the Bernoulli measure
 of the full shift the two coincide at every depth.
 """
 

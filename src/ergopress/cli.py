@@ -370,10 +370,9 @@ def _task_vp_check(cfg: ExperimentConfig) -> TaskResult:
     count = cfg.budget.get("samples", 200)
     rng = np.random.default_rng(cfg.seed)
     mu = equilibrium_markov(system, potential)
-    pressure = transfer_pressure(system, potential)
 
     def residual(m):  # vp_residual without re-solving the pressure
-        return pressure - (m.entropy + m.integrate(potential))
+        return mu.pressure - (m.entropy + m.integrate(potential))
 
     worst = min(residual(m)
                 for m in perturbed_invariant_measures(mu, count, rng))
@@ -395,7 +394,7 @@ def _task_inverse_vp(cfg: ExperimentConfig) -> TaskResult:
     mu = equilibrium_markov(system, potential)
     value = inverse_vp_probe(system, potential, mu, n)
     target = mu.entropy + mu.integrate(potential)
-    ceiling = transfer_pressure(system, potential)
+    ceiling = mu.pressure
     slack = cfg.budget.get("tol", 3.0 / math.sqrt(n))
     checks = [
         Check("probe within the variational sandwich",

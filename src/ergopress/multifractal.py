@@ -159,8 +159,10 @@ class CorrelationEntropyCurve:
         return float(np.abs(self.formula_values - self.direct_values).max())
 
 
-def _log_measure_power_sum(state: EquilibriumState, q: float, n: int) -> float:
-    """log of the sum over admissible n-words of (cylinder measure)**q.
+def _log_measure_power_sums(state: EquilibriumState, q: float,
+                            n: int) -> tuple[float, float]:
+    """log of the sums over admissible n-words and over admissible
+    (n+1)-words of (cylinder measure)**q.
 
     Evaluated by an entrywise-power matrix product over the measure's
     block chain; identical to brute-force enumeration (cross-checked in
@@ -169,25 +171,32 @@ def _log_measure_power_sum(state: EquilibriumState, q: float, n: int) -> float:
     d = state.state_depth
     if n < d:
         raise ValueError(f"need n >= {d} for this measure")
-    with np.errstate(divide="ignore"):
-        logpi = np.where(state.stationary > 0, np.log(state.stationary), -np.inf)
-        logP = np.where(state.transitions > 0, np.log(state.transitions), -np.inf)
-    vec = q * logpi
-    mat = q * logP
+    pi, P = state.stationary, state.transitions
+    with np.errstate(divide="ignore", invalid="ignore"):  # q * log(0)
+        vec = np.where(pi > 0, q * np.log(pi), -np.inf)
+        mat = np.where(P > 0, q * np.log(P), -np.inf)
     for _ in range(n - d):
-        stacked = vec[:, None] + mat
-        vec = np.logaddexp.reduce(stacked, axis=0)
-    return float(np.logaddexp.reduce(vec))
+        vec = np.logaddexp.reduce(vec[:, None] + mat, axis=0)
+    nxt = np.logaddexp.reduce(vec[:, None] + mat, axis=0)
+    return float(np.logaddexp.reduce(vec)), float(np.logaddexp.reduce(nxt))
+
+
+def _log_measure_power_sum(state: EquilibriumState, q: float, n: int) -> float:
+    """log of the sum over admissible n-words of (cylinder measure)**q."""
+    return _log_measure_power_sums(state, q, n)[0]
 
 
 def correlation_entropy(system: ShiftSystem, potential: Potential, q_grid,
                         n: int, limit_offset: float = 1e-3) -> CorrelationEntropyCurve:
     """Correlation entropies of the equilibrium state along a q-grid.
 
-    The formula side is -T(q)/(q-1); the direct side is the normalized
-    log of the cylinder-measure power sum at depth n.  q = 1 is excluded
-    from the grid; the limit there is estimated from the formula side at
-    1 +/- limit_offset and reported separately.
+    The formula side is -T(q)/(q-1).  The direct side is
+    -(log S(n+1) - log S(n))/(q-1) for the cylinder-measure power sums S:
+    S(n) grows like a constant times exp(-(q-1) h_q n), and the
+    difference drops the constant that (1/n) log S(n) would carry as an
+    O(1/n) bias.  q = 1 is excluded from the grid; the limit there is
+    estimated from the formula side at 1 +/- limit_offset and reported
+    separately.
     """
     q_grid = np.asarray(sorted(float(q) for q in q_grid))
     if (q_grid == 1.0).any():
@@ -201,8 +210,8 @@ def correlation_entropy(system: ShiftSystem, potential: Potential, q_grid,
         return transfer_pressure(system, potential.scaled(q)) - q * base_pressure
 
     formula = np.array([-t_of(q) / (q - 1.0) for q in q_grid])
-    direct = np.array([-_log_measure_power_sum(state, q, n) / (n * (q - 1.0))
-                       for q in q_grid])
+    direct = np.array([np.subtract(*_log_measure_power_sums(state, q, n))
+                       / (q - 1.0) for q in q_grid])
     limit = 0.5 * (-t_of(1.0 + limit_offset) / limit_offset
                    + t_of(1.0 - limit_offset) / limit_offset)
     return CorrelationEntropyCurve(q_grid, formula, direct, n, limit)

@@ -36,7 +36,7 @@ class NoUniquePerronError(RuntimeError):
 
 
 class ConvergenceError(RuntimeError):
-    """Raised when the iteration budget is exhausted."""
+    """Raised when the Perron data cannot be certified."""
 
 
 class IncreaseDepthError(RuntimeError):
@@ -44,6 +44,7 @@ class IncreaseDepthError(RuntimeError):
 
 
 GIBBS_TOL = 1e-9
+MAX_POWER_STEPS = 100_000
 
 
 class TransferMatrix:
@@ -74,24 +75,21 @@ class TransferMatrix:
         return len(self.states)
 
 
-def power_iteration(matrix, tol: float = 1e-14, budget: int = 100_000):
+def power_iteration(matrix, tol: float = 1e-14):
     """Perron eigenvalue and positive left/right eigenvectors.
 
-    Iterates the diagonally shifted matrix M + cI (same eigenvectors,
-    eigenvalues shifted by c) so that periodic irreducible matrices
-    converge too.  The iterations for v (on M + cI) and for u (on its
-    transpose) each start from the LAPACK eigenvector (``np.linalg.eig``)
-    of the largest real eigenvalue, taken in absolute value, so they
-    usually accept after the 10 steady steps; the start changes nothing
-    in what is accepted.  An iteration accepts once the relative
-    eigenvalue change has stayed below tol for 10 consecutive steps and
-    its eigen-residual is below max(tol, 1e-13) times its eigenvalue.
-    Raises ConvergenceError after ``budget`` steps, when the final
-    residual |Mv - lam v| exceeds max(tol, 1e-12) * lam, or when LAPACK
-    fails.
+    Each of v (on M) and u (on its transpose) starts from the LAPACK
+    eigenvector (``np.linalg.eig``) of the largest real eigenvalue lam0,
+    taken in absolute value, and iterates x <- Mx + lam0 x (lam0 clipped
+    at 0, so periodic matrices converge too), normalized to unit 1-norm.
+    It accepts once x > 0 and the Collatz-Wielandt bracket
+    [lo, hi] = [min, max] of (Mx)_i / x_i, which holds rho(M) for every
+    positive x (Seneta, Non-negative Matrices and Markov Chains, ch. 1),
+    has hi - lo <= max(tol, 1e-13) * hi.  Raises ConvergenceError when
+    LAPACK fails or no bracket closes in MAX_POWER_STEPS steps.
 
-    Returns (lam, v, u) with Mv = lam v, uM = lam u, everything positive,
-    v normalized to unit 1-norm and u scaled so that u . v = 1.
+    Returns (lam, v, u): lam is the midpoint of the intersection of the
+    two brackets, v > 0 has unit 1-norm, u > 0 is scaled so u . v = 1.
     """
     M = matrix.matrix if isinstance(matrix, TransferMatrix) else np.asarray(matrix, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -102,47 +100,33 @@ def power_iteration(matrix, tol: float = 1e-14, budget: int = 100_000):
         raise ValueError("tol must be positive")
     if not strongly_connected(M):
         raise NoUniquePerronError("no-unique-perron: matrix support is reducible")
+    width = max(tol, 1e-13)
 
-    shift = 0.5 * float(M.sum(axis=1).max())
-    shifted = M + shift * np.eye(M.shape[0])
-
-    def dominant(mat):
+    def bracket(mat):
         try:
             values, vectors = np.linalg.eig(mat)
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(
                 f"no-convergence: eigensolver failed: {exc}") from exc
-        vec = np.abs(vectors[:, values.real.argmax()])
-        vec = vec / vec.sum()
-        lam_prev = np.inf
-        steady = 0
-        for _ in range(budget):
-            img = mat @ vec
-            lam = img.sum()  # positive vector: 1-norm of the image
-            vec = img / lam
-            if lam_prev < np.inf and abs(lam - lam_prev) <= tol * lam:
-                steady += 1
-                # the eigenvalue estimate can stabilize before the vector
-                # does (equal column sums make it constant outright), so
-                # only accept once the eigen-residual is small too
-                if steady >= 10:
-                    if np.abs(mat @ vec - lam * vec).max() <= \
-                            max(tol, 1e-13) * lam:
-                        return lam - shift, vec
-                    steady = 0
-            else:
-                steady = 0
-            lam_prev = lam
-        raise ConvergenceError("no-convergence: power iteration budget exceeded")
+        top = values.real.argmax()
+        shift = max(float(values.real[top]), 0.0)
+        x = np.abs(vectors[:, top])
+        x = x / x.sum()
+        for _ in range(MAX_POWER_STEPS):
+            img = mat @ x
+            if (x > 0).all():
+                ratio = img / x
+                lo, hi = ratio.min(), ratio.max()
+                if hi - lo <= width * hi:
+                    return lo, hi, x
+            x = img + shift * x
+            x = x / x.sum()
+        raise ConvergenceError("no-convergence: Perron bracket did not close")
 
-    lam, v = dominant(shifted)
-    lam_left, u = dominant(shifted.T)
-    lam = 0.5 * (lam + lam_left)
-    residual = np.abs(M @ v - lam * v).max()
-    if residual > max(tol * lam, 1e-12 * lam):
-        raise ConvergenceError("no-convergence: residual above tolerance")
-    u = u / float(u @ v)
-    return float(lam), v, u
+    lo, hi, v = bracket(M)
+    lo_left, hi_left, u = bracket(M.T)
+    lam = 0.5 * (max(lo, lo_left) + min(hi, hi_left))
+    return float(lam), v, u / float(u @ v)
 
 
 def transfer_pressure(system: ShiftSystem, potential: Potential) -> float:
@@ -300,24 +284,19 @@ def equilibrium_markov(system: ShiftSystem, potential: Potential) -> Equilibrium
 
     Transition probabilities are M[a,b] v[b] / (lambda v[a]) and the
     stationary vector is proportional to u*v, for right/left Perron
-    vectors v, u.  Rows are renormalized and the stationary vector is
-    polished by damped iteration so the chain identities hold to machine
-    precision rather than to power-iteration tolerance.
+    vectors v, u.  Rows are renormalized, which makes them sum to 1 to
+    rounding; the stationary identity |pi P - pi| is of the order of the
+    Perron bracket's relative width (at most 1e-13), far inside the 1e-9
+    that ``MarkovMeasure`` checks.
     """
     if not system.irreducible:
         raise NoUniquePerronError("no-unique-perron: system is reducible")
     tm = TransferMatrix(system, potential)
-    lam, v, u = power_iteration(tm, tol=1e-15)
+    lam, v, u = power_iteration(tm)
     P = tm.matrix * v[None, :] / (lam * v[:, None])
     P = P / P.sum(axis=1, keepdims=True)
     pi = u * v
     pi = pi / pi.sum()
-    for _ in range(10_000):
-        nxt = 0.5 * (pi @ P + pi)  # damped so periodic chains settle too
-        if np.abs(nxt - pi).max() < 1e-16:
-            pi = nxt
-            break
-        pi = nxt
     return EquilibriumState(system, tm.states, pi, P, lam, potential)
 
 

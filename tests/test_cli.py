@@ -106,6 +106,11 @@ class TestTasks:
         report = run(make_config("inverse_vp", budget={"n": 12}))
         assert report.passed
 
+    def test_inverse_vp_solves_pressure_once(self, perron_solves):
+        report = run(make_config("inverse_vp", budget={"n": 12}))
+        assert report.passed
+        assert len(perron_solves) == 1
+
     def test_gap_example_task(self):
         report = run(make_config("gap_example",
                                  system={"kind": "line_doubling"},

@@ -39,6 +39,17 @@ class TestTCurve:
         t_curve(full2, phi_log2, np.linspace(-2.0, 2.0, 9))
         assert len(perron_solves) == 2 + 9
 
+    @pytest.mark.parametrize("q", [-300.0, -100.0, 100.0, 300.0])
+    def test_golden_mean_extreme_q_closed_form(self, golden, q):
+        # the weighted matrix [[1, 1], [e^q, 0]] has Perron root
+        # (1 + sqrt(1 + 4 e^q)) / 2; at q = 300 its rows differ by e^300
+        phi = Potential.depth_one(golden, [0.0, 1.0])
+        curve = t_curve(golden, phi, [q])
+        pressure = math.log((1 + math.sqrt(1 + 4 * math.e)) / 2)
+        exact = math.log((1 + math.sqrt(1 + 4 * math.exp(q))) / 2) \
+            - q * pressure
+        assert abs(curve.t_at(q) - exact) <= 1e-12 * max(1.0, abs(exact))
+
     def test_endpoints(self, curve):
         assert abs(curve.t_at(0.0) - math.log(2)) <= 1e-9
         assert abs(curve.t_at(1.0)) <= 1e-9
@@ -160,6 +171,15 @@ class TestCorrelationEntropy:
     def test_grid_excludes_one(self, full2, phi_log2):
         with pytest.raises(ValueError):
             correlation_entropy(full2, phi_log2, [0.5, 1.0], 12)
+
+    def test_direct_side_unbiased_on_a_markov_measure(self, golden):
+        # (1/n) log S(n) would miss by O(1/n), 2.5e-3 here; the
+        # differenced side converges geometrically, also at q <= 0, where
+        # forbidden transitions must stay forbidden
+        phi = Potential.depth_one(golden, [0.0, 1.0])
+        ce = correlation_entropy(golden, phi, [-2.0, -1.0, 0.0, 0.5, 2.0, 3.0],
+                                 100)
+        assert ce.max_mismatch() <= 1e-9
 
     def test_power_sum_matches_enumeration(self, golden):
         mu = equilibrium_markov(golden, Potential.zero(golden))

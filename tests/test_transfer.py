@@ -100,9 +100,34 @@ class TestPowerIteration:
             assert np.abs(un @ M - lam * un).max() <= 1e-10 * lam
             assert lam == pytest.approx(max(np.linalg.eigvals(M).real),
                                         rel=1e-10)
-        # of the 180 inputs, 143 converge; the others miss the final
-        # residual bound in floating point
+        # all 180 inputs close the Collatz-Wielandt bracket
         assert converged >= 120
+
+    def test_row_sums_far_above_the_perron_root(self):
+        # the largest row sum is 46,344 times the Perron root
+        M = np.array([[0.0, 1e4, 0.0], [0.0, 0.0, 1e-6], [1.0, 0.0, 1e-3]])
+        lam, v, u = power_iteration(M)
+        assert M.sum(axis=1).max() > 1e4 * lam
+        assert np.all(v > 0) and np.all(u > 0)
+        assert np.abs(M @ v - lam * v).max() <= 1e-12 * lam
+        un = u / u.sum()
+        assert np.abs(un @ M - lam * un).max() <= 1e-10 * lam
+        assert lam == pytest.approx(max(np.linalg.eigvals(M).real), rel=1e-10)
+
+    def test_converges_from_a_flat_start(self, monkeypatch):
+        # with the LAPACK vectors replaced by constants the shifted
+        # iteration alone must close the bracket, periodic inputs included
+        eig = np.linalg.eig
+        monkeypatch.setattr(np.linalg, "eig", lambda mat: (
+            eig(mat)[0], np.ones(mat.shape, dtype=complex)))
+        rng = np.random.default_rng(13)
+        for adj in self._hard_supports(rng):
+            dim = adj.shape[0]
+            M = adj * np.exp(rng.normal(size=(dim, dim)))
+            lam, v, u = power_iteration(M)
+            for x, image in ((v, M @ v), (u, u @ M)):
+                assert (image / x).min() <= lam <= (image / x).max()
+            assert lam == pytest.approx(max(eig(M)[0].real), rel=1e-12)
 
     def test_hard_reducible_inputs_rejected(self):
         rng = np.random.default_rng(12)
@@ -252,6 +277,19 @@ class TestEquilibriumMarkov:
             mu = equilibrium_markov(system, pot)
             gap = math.log(mu.eigenvalue) - mu.entropy - mu.potential_integral
             assert abs(gap) <= 1e-9
+
+    def test_periodic_systems_stationary_and_gibbs(self):
+        rng = np.random.default_rng(31)
+        for dim in range(3, 8):
+            perm = rng.permutation(dim)
+            cycle = np.roll(np.eye(dim, dtype=np.int64), 1, axis=1)[perm][:, perm]
+            system = ShiftSystem(cycle)
+            for _ in range(4):
+                mu = equilibrium_markov(system, random_potential(rng, system, 1))
+                pi, P = mu.stationary, mu.transitions
+                assert np.abs(pi @ P - pi).max() <= 1e-12
+                gap = math.log(mu.eigenvalue) - mu.entropy - mu.potential_integral
+                assert abs(gap) <= 1e-12
 
     def test_cylinder_measure_brute(self, golden):
         mu = equilibrium_markov(golden, Potential.zero(golden))
