@@ -154,6 +154,7 @@ class CorrelationEntropyCurve:
     direct_values: np.ndarray
     n_used: int
     limit_at_one: float
+    entropy: float  # of the equilibrium state, the limit's target
 
     def max_mismatch(self) -> float:
         return float(np.abs(self.formula_values - self.direct_values).max())
@@ -214,7 +215,8 @@ def correlation_entropy(system: ShiftSystem, potential: Potential, q_grid,
                        / (q - 1.0) for q in q_grid])
     limit = 0.5 * (-t_of(1.0 + limit_offset) / limit_offset
                    + t_of(1.0 - limit_offset) / limit_offset)
-    return CorrelationEntropyCurve(q_grid, formula, direct, n, limit)
+    return CorrelationEntropyCurve(q_grid, formula, direct, n, limit,
+                                   state.entropy)
 
 
 def local_entropy_check(system: ShiftSystem, potential: Potential,
@@ -234,6 +236,8 @@ def local_entropy_check(system: ShiftSystem, potential: Potential,
     if sample_count < 1 or n < 1:
         raise ValueError("sample_count and n must be positive")
     state = equilibrium_markov(system, potential)
+    if n < state.state_depth:
+        raise ValueError(f"need n >= {state.state_depth} for this measure")
     if tol is None:
         P, pi = state.transitions, state.stationary
         logs = np.where(P > 0, np.log(np.where(P > 0, P, 1.0)), 0.0)

@@ -53,6 +53,15 @@ class ShiftSystem:
         self.alphabet_size = k
         self.sidedness = sidedness
         self.irreducible = strongly_connected(A)
+        self._graphs: dict[int, BlockGraph] = {}
+
+    def block_graph(self, depth: int) -> "BlockGraph":
+        """The ``BlockGraph`` of the admissible depth-blocks, built once per
+        depth (the adjacency and the graph's arrays are read-only)."""
+        graph = self._graphs.get(depth)
+        if graph is None:
+            graph = self._graphs[depth] = BlockGraph(self.adjacency, depth)
+        return graph
 
     @property
     def is_full_shift(self) -> bool:
@@ -221,6 +230,8 @@ class BlockGraph:
         self.words = _grow_words(A, depth)
         self._place = len(A) ** np.arange(depth - 1, -1, -1, dtype=np.int64)
         self.codes = self.words @ self._place
+        for array in (A, self.words, self.codes):
+            array.setflags(write=False)
 
     def index(self, blocks) -> np.ndarray:
         """Rows of ``words`` holding the given blocks (along the last axis)."""
@@ -238,8 +249,9 @@ class Potential:
     """Locally constant potential of depth r >= 1.
 
     ``table`` maps every admissible r-word (tuple of symbols) to a real
-    value; evaluation at a point only reads coordinates 0..r-1.  ``values``
-    looks arrays of r-blocks up in a copy aligned with ``graph.words``.
+    value; evaluation at a point only reads coordinates 0..r-1.  ``vector``
+    holds the same values aligned with ``graph.words`` (the system's cached
+    r-block graph), and ``values`` looks arrays of r-blocks up in it.
     """
 
     def __init__(self, system: ShiftSystem, depth: int,
@@ -260,14 +272,14 @@ class Potential:
             if not np.isfinite(val):
                 raise ValueError("potential values must be finite")
             tab[key] = val
-        self.graph = BlockGraph(system.adjacency, self.depth)
+        self.graph = system.block_graph(self.depth)
         try:
             vector = [tab[s] for s in map(tuple, self.graph.words.tolist())]
         except KeyError as exc:
             raise ValueError(f"table misses admissible word {exc.args[0]}") \
                 from None
         self.table = tab
-        self._vector = np.array(vector)
+        self.vector = np.array(vector)
 
     @classmethod
     def zero(cls, system: ShiftSystem) -> "Potential":
@@ -290,7 +302,7 @@ class Potential:
 
     def values(self, blocks) -> np.ndarray:
         """Values of an array of admissible r-blocks (along the last axis)."""
-        return self._vector[self.graph.index(blocks)]
+        return self.vector[self.graph.index(blocks)]
 
     def sup_norm(self) -> float:
         return max(abs(v) for v in self.table.values())
@@ -300,16 +312,25 @@ class Potential:
         if other.system is not self.system and \
                 not np.array_equal(other.system.adjacency, self.system.adjacency):
             raise ValueError("potentials live on different systems")
-        words = BlockGraph(self.system.adjacency,
-                           max(self.depth, other.depth)).words
+        words = self.system.block_graph(max(self.depth, other.depth)).words
         gaps = np.abs(self.values(words[:, :self.depth])
                       - other.values(words[:, :other.depth]))
         return float(gaps.max(initial=0.0))
 
     def scaled(self, q: float) -> "Potential":
-        return Potential(self.system, self.depth,
-                         {k: q * v for k, v in self.table.items()},
-                         name=f"{q}*{self.name}" if self.name else "")
+        """q times the potential, on the same graph; the table is built
+        from the vector only when read."""
+        scaled = Potential.__new__(Potential)
+        scaled.system, scaled.depth, scaled.graph = \
+            self.system, self.depth, self.graph
+        scaled.name = f"{q}*{self.name}" if self.name else ""
+        scaled.vector = q * self.vector
+        return scaled
+
+    @cached_property
+    def table(self) -> dict:
+        return dict(zip(map(tuple, self.graph.words.tolist()),
+                        self.vector.tolist()))
 
     def word_sum(self, symbols, n: int) -> float:
         """Sum of the first n depth-r windows of ``symbols`` (needs len >= n+r-1)."""

@@ -17,16 +17,15 @@ which every cover-based estimate in this package is validated.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .shifts import (
-    BlockGraph,
     Potential,
     ShiftSystem,
-    iter_admissible_tuples,
     strongly_connected,
 )
 
@@ -62,17 +61,20 @@ class TransferMatrix:
         self.system = system
         self.potential = potential
         r = potential.depth
-        graph = BlockGraph(system.adjacency, max(r - 1, 1))
-        src, dst, arc_words = graph.arcs
-        M = np.zeros((len(graph.words),) * 2)
+        self.graph = system.block_graph(max(r - 1, 1))
+        src, dst, arc_words = self.graph.arcs
+        M = np.zeros((len(self.graph.words),) * 2)
         M[src, dst] = [math.exp(v) for v in potential.values(arc_words[:, :r])]
-        self.states = tuple(map(tuple, graph.words.tolist()))
         self.matrix = M
         self.matrix.setflags(write=False)
 
+    @cached_property
+    def states(self) -> tuple:
+        return tuple(map(tuple, self.graph.words.tolist()))
+
     @property
     def dimension(self) -> int:
-        return len(self.states)
+        return len(self.graph.words)
 
 
 def power_iteration(matrix, tol: float = 1e-14):
@@ -151,7 +153,7 @@ def block_recode(system: ShiftSystem, potential: Potential):
     r = potential.depth
     if r == 1:
         return system, potential
-    graph = BlockGraph(system.adjacency, r)
+    graph = system.block_graph(r)
     src, dst, _ = graph.arcs
     B = np.zeros((len(graph.words),) * 2, dtype=np.int64)
     B[src, dst] = 1
@@ -164,100 +166,171 @@ def block_recode(system: ShiftSystem, potential: Potential):
 class MarkovMeasure:
     """Shift-invariant Markov measure presented on block states.
 
-    ``states`` are admissible d-blocks of the underlying system,
-    ``stationary`` is the stationary probability vector and
-    ``transitions`` the row-stochastic transition matrix on those states.
+    ``states`` is an integer array whose rows are admissible d-blocks of
+    the underlying system, ``stationary`` the stationary probability
+    vector and ``transitions`` the row-stochastic transition matrix on
+    those states.  The states are found by their sorted base-k codes.
     """
 
     def __init__(self, system: ShiftSystem, states, stationary, transitions):
         self.system = system
-        self.states = tuple(tuple(s) for s in states)
-        self.state_depth = len(self.states[0])
-        self._index = {s: i for i, s in enumerate(self.states)}
+        self.states = np.asarray(states)
+        k = system.alphabet_size
+        if self.states.ndim != 2 or not self.states.size or \
+                self.states.min() < 0 or self.states.max() >= k:
+            raise ValueError("states must be a nonempty array of blocks")
+        self.state_depth = d = self.states.shape[1]
+        if k ** d >= 1 << 63:
+            raise ValueError(f"{d}-block codes overflow int64")
+        codes = self.states.astype(np.int64) @ _place(k, d)
+        self._rows = np.argsort(codes, kind="stable")
+        self._codes = codes[self._rows]
+        if (np.diff(self._codes) == 0).any():
+            raise ValueError("states must be distinct")
+        n = len(self.states)
         pi = np.asarray(stationary, dtype=float)
         P = np.asarray(transitions, dtype=float)
-        if pi.shape != (len(self.states),) or P.shape != (len(self.states),) * 2:
+        if pi.shape != (n,) or P.shape != (n, n):
             raise ValueError("shape mismatch between states and chain data")
-        if (pi < -1e-12).any() or abs(pi.sum() - 1.0) > 1e-9:
-            raise ValueError("stationary vector must be a probability vector")
-        if np.abs(P.sum(axis=1) - 1.0).max() > 1e-9:
-            raise ValueError("transition rows must sum to 1")
-        if np.abs(pi @ P - pi).max() > 1e-9:
-            raise ValueError("vector is not stationary for the transitions")
-        self.stationary = np.clip(pi, 0.0, None)
-        self.stationary = self.stationary / self.stationary.sum()
-        self.transitions = P
-        self.entropy = self._entropy()
+        stationary, entropy = _checked_chains(pi, P)
+        self.stationary, self.transitions = stationary, P
+        self.entropy = float(entropy)
 
-    def _entropy(self) -> float:
-        P = self.transitions
-        with np.errstate(divide="ignore", invalid="ignore"):
-            plogp = np.where(P > 0, P * np.log(np.where(P > 0, P, 1.0)), 0.0)
-        return float(-(self.stationary @ plogp.sum(axis=1)))
+    def _with_chains(self, stationary, transitions) -> Iterable["MarkovMeasure"]:
+        """Measures on these states for a stack of chains, checked at once."""
+        stationary, entropy = _checked_chains(stationary, transitions)
+        shared = {name: self.__dict__[name] for name in
+                  ("system", "states", "state_depth", "_rows", "_codes")}
+        for pi, P, h in zip(stationary, transitions, entropy.tolist()):
+            measure = MarkovMeasure.__new__(MarkovMeasure)
+            measure.__dict__.update(shared, stationary=pi, transitions=P,
+                                    entropy=h)
+            yield measure
+
+    @cached_property
+    def _logs(self) -> tuple:
+        """(log stationary, log transitions), -inf where zero."""
+        with np.errstate(divide="ignore"):
+            return np.log(self.stationary), np.log(self.transitions)
+
+    def log_masses(self, words) -> np.ndarray:
+        """log of the measure of the cylinder of each row of an (m, L)
+        array of symbols (each in range(k)), -inf off the support.
+
+        For L >= d it is log pi of the first d-block plus the log
+        transition probabilities between consecutive d-blocks; for L < d
+        it is the log of the summed pi of the states with that prefix.
+        """
+        words = np.asarray(words, dtype=np.int64)
+        k, d = self.system.alphabet_size, self.state_depth
+        length = words.shape[1]
+        if length < d:
+            prefixes, group = np.unique(self._codes // k ** (d - length),
+                                        return_inverse=True)
+            mass = np.bincount(group, weights=self.stationary[self._rows])
+            with np.errstate(divide="ignore"):
+                log_mass = np.log(mass)
+            codes = words @ _place(k, length)
+            at = np.minimum(np.searchsorted(prefixes, codes), len(prefixes) - 1)
+            return np.where(prefixes[at] == codes, log_mass[at], -np.inf)
+        steps = length - d + 1  # d-blocks in each word
+        codes = words[:, :steps] * k ** (d - 1)
+        for j in range(1, d):
+            codes += words[:, j:j + steps] * k ** (d - 1 - j)
+        at = np.minimum(np.searchsorted(self._codes, codes), len(self._codes) - 1)
+        found = (self._codes[at] == codes).all(axis=1)
+        rows = self._rows[at]
+        log_pi, log_P = self._logs
+        total = log_pi[rows[:, 0]] + log_P[rows[:, :-1], rows[:, 1:]].sum(axis=1)
+        return np.where(found, total, -np.inf)
 
     def log_cylinder_measure(self, symbols) -> float:
         """log of the measure of the cylinder of a symbol word."""
-        w = tuple(int(a) for a in symbols)
-        d = self.state_depth
-        if len(w) < d:
-            mass = sum(self.stationary[self._index[s]]
-                       for s in self._index if s[:len(w)] == w)
-            return math.log(mass) if mass > 0 else -math.inf
-        total = 0.0
-        s = w[:d]
-        if s not in self._index:
+        word = [int(a) for a in symbols]
+        if not all(0 <= a < self.system.alphabet_size for a in word):
             return -math.inf
-        total += math.log(self.stationary[self._index[s]]) \
-            if self.stationary[self._index[s]] > 0 else -math.inf
-        for i in range(len(w) - d):
-            t = w[i + 1:i + 1 + d]
-            p = self.transitions[self._index[s], self._index[t]] \
-                if t in self._index else 0.0
-            if p <= 0:
-                return -math.inf
-            total += math.log(p)
-            s = t
-        return total
+        return float(self.log_masses(np.array(word, dtype=np.int64)[None, :])[0])
 
     def integrate(self, potential: Potential) -> float:
-        """Integral of a locally constant potential against the measure."""
-        r = potential.depth
-        total = 0.0
-        for w in iter_admissible_tuples(self.system.adjacency, r):
-            logm = self.log_cylinder_measure(w)
-            if logm > -math.inf:
-                total += math.exp(logm) * potential.value(w)
-        return total
+        """Integral of a locally constant potential against the measure:
+        the cylinder masses of the potential's admissible r-words dotted
+        with its values."""
+        if potential.system is not self.system and not np.array_equal(
+                potential.system.adjacency, self.system.adjacency):
+            raise ValueError("potential does not match the system")
+        masses = np.exp(self.log_masses(potential.graph.words))
+        return float(masses @ potential.vector)
 
     def sample_words(self, length: int, count: int, rng) -> tuple:
         """Sample symbol words of the given length; also return the
         per-sample log cylinder measures.
 
-        Vectorized over samples: one categorical draw per time step, the
-        next state being the first whose cumulative transition
-        probability reaches the draw.
+        Vectorized over samples: one uniform draw u per sample and time
+        step, the next state being the first whose cumulative transition
+        probability reaches u.  That search goes through a rank table:
+        with cuts the distinct cumulative probabilities, cum_P[s, c] < u
+        holds iff rank(cum_P[s, c]) < rank(u) (rank = position among the
+        cuts), so table[s, j] = #{c : rank(cum_P[s, c]) < j} answers it
+        for every u of rank j.  A step costs one draw, one search among
+        the cuts and one table lookup, whatever the number of states; the
+        table holds n_states * (cuts + 1) entries of the smallest integer
+        type that holds a state, as does the path.  Draws are made step
+        by step, so memory follows the path, not count * length floats.
+        Raises ValueError when the length is below the state depth d.
         """
         d = self.state_depth
+        if length < d:
+            raise ValueError(f"need length >= {d} for this measure")
         n_states = len(self.states)
-        cum_pi = np.cumsum(self.stationary)
+        log_pi, log_P = self._logs
         cum_P = np.cumsum(self.transitions, axis=1)
-        state = np.searchsorted(cum_pi, rng.random(count)).clip(0, n_states - 1)
-        logm = np.log(self.stationary[state])
-        steps = length - d
-        path = np.empty((count, steps + 1), dtype=np.int64)
+        cuts = np.unique(cum_P)
+        stride = len(cuts) + 1  # a table row: one entry per rank
+        rows = np.arange(n_states)[:, None] * stride
+        table = np.bincount((rows + np.searchsorted(cuts, cum_P) + 1).ravel(),
+                            minlength=n_states * stride)
+        dtype = np.min_scalar_type(n_states - 1)
+        table = np.minimum(table.reshape(n_states, stride).cumsum(axis=1),
+                           n_states - 1).astype(dtype).ravel()
+        state = np.minimum(np.searchsorted(np.cumsum(self.stationary),
+                                           rng.random(count)), n_states - 1)
+        logm = log_pi[state]
+        path = np.empty((count, length - d + 1), dtype=dtype)
         path[:, 0] = state
-        for t in range(steps):
-            draws = rng.random(count)
-            nxt = (cum_P[state] < draws[:, None]).sum(axis=1).clip(0, n_states - 1)
-            logm += np.log(self.transitions[state, nxt])
-            state = nxt
-            path[:, t + 1] = state
-        state_arr = np.asarray(self.states, dtype=np.int64)
-        words = np.empty((count, length), dtype=np.int64)
-        words[:, :d] = state_arr[path[:, 0]]
-        if steps > 0:
-            words[:, d:] = state_arr[path[:, 1:], -1]
+        log_P = log_P.ravel()
+        for t in range(1, length - d + 1):
+            nxt = table.take(state * stride
+                             + np.searchsorted(cuts, rng.random(count)))
+            logm += log_P.take(state * n_states + nxt)
+            path[:, t] = nxt
+            state = nxt.astype(np.intp)
+        words = np.empty((count, length), dtype=self.states.dtype)
+        words[:, :d] = self.states[path[:, 0]]
+        words[:, d:] = self.states[path[:, 1:], -1]
         return words, logm
+
+
+def _place(k: int, d: int) -> np.ndarray:
+    """Base-k place values of d-symbol words, most significant first."""
+    return k ** np.arange(d - 1, -1, -1, dtype=np.int64)
+
+
+def _checked_chains(stationary, transitions) -> tuple:
+    """Validate one chain (pi, P), or a stack of them along leading axes,
+    and return (pi clipped at 0 and renormalized, entropy rate)."""
+    pi, P = stationary, transitions
+    if (pi < -1e-12).any() or (np.abs(pi.sum(axis=-1) - 1.0) > 1e-9).any():
+        raise ValueError("stationary vector must be a probability vector")
+    if (np.abs(P.sum(axis=-1) - 1.0) > 1e-9).any():
+        raise ValueError("transition rows must sum to 1")
+    if (np.abs((pi[..., None, :] @ P)[..., 0, :] - pi) > 1e-9).any():
+        raise ValueError("vector is not stationary for the transitions")
+    pi = np.maximum(pi, 0.0)
+    pi = pi / pi.sum(axis=-1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        plogp = np.where(P > 0, P * np.log(np.where(P > 0, P, 1.0)), 0.0)
+    entropy = -(pi[..., None, :] @ plogp.sum(axis=-1)[..., :, None])[..., 0, 0]
+    return pi, entropy
 
 
 class EquilibriumState(MarkovMeasure):
@@ -297,7 +370,7 @@ def equilibrium_markov(system: ShiftSystem, potential: Potential) -> Equilibrium
     P = P / P.sum(axis=1, keepdims=True)
     pi = u * v
     pi = pi / pi.sum()
-    return EquilibriumState(system, tm.states, pi, P, lam, potential)
+    return EquilibriumState(system, tm.graph.words, pi, P, lam, potential)
 
 
 def vp_residual(system: ShiftSystem, potential: Potential,
@@ -316,26 +389,34 @@ def perturbed_invariant_measures(base: MarkovMeasure, count: int, rng,
     """Random invariant Markov measures near a base chain.
 
     Rows of the transition matrix are reweighted by exp of Gaussian noise
-    (support preserved), renormalized, and the stationary vector re-solved,
-    so every sample is genuinely shift-invariant.
+    (support preserved) and renormalized, and the stationary vectors are
+    re-solved, so every sample is genuinely shift-invariant.  The noise of
+    all ``count`` chains is drawn up front, in one call that gives the
+    same stream as ``count`` draws of one matrix each: the rng advances by
+    ``count`` matrices even if the caller stops early.  The chains are
+    solved and checked as one stack and yielded as measures sharing the
+    base's states.
     """
     P0 = base.transitions
-    for _ in range(count):
-        noise = rng.normal(0.0, scale, size=P0.shape)
-        P = np.where(P0 > 0, P0 * np.exp(noise), 0.0)
-        P = P / P.sum(axis=1, keepdims=True)
-        pi = _stationary_vector(P)
-        yield MarkovMeasure(base.system, base.states, pi, P)
+    noise = rng.normal(0.0, scale, size=(count,) + P0.shape)
+    P = np.where(P0 > 0, P0 * np.exp(noise), 0.0)
+    P = P / P.sum(axis=-1, keepdims=True)
+    return base._with_chains(_stationary_vector(P), P)
 
 
 def _stationary_vector(P: np.ndarray) -> np.ndarray:
-    dim = P.shape[0]
-    lhs = np.vstack([P.T - np.eye(dim), np.ones(dim)])
-    rhs = np.zeros(dim + 1)
-    rhs[-1] = 1.0
-    pi, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
-    pi = np.clip(pi, 0.0, None)
-    return pi / pi.sum()
+    """Stationary vectors of a row-stochastic matrix, or of a stack of
+    them along leading axes: the minimum-norm least-squares solutions of
+    pi (P - I) = 0, sum(pi) = 1, by one batched pseudo-inverse with
+    ``lstsq``'s cutoff (a reducible chain, such as ``delta_measure``'s
+    identity, yields the uniform vector), clipped at 0 and renormalized.
+    """
+    dim = P.shape[-1]
+    lhs = np.concatenate([np.swapaxes(P, -1, -2) - np.eye(dim),
+                          np.ones(P.shape[:-2] + (1, dim))], axis=-2)
+    pi = np.linalg.pinv(lhs, (dim + 1) * np.finfo(float).eps)[..., -1]
+    pi = np.maximum(pi, 0.0)
+    return pi / pi.sum(axis=-1, keepdims=True)
 
 
 def delta_measure(system: ShiftSystem, symbol: int) -> MarkovMeasure:
@@ -357,7 +438,7 @@ def power_system(system: ShiftSystem, k: int) -> tuple:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    words = BlockGraph(system.adjacency, k).words
+    words = system.block_graph(k).words
     B = system.adjacency[np.ix_(words[:, -1], words[:, 0])]
     blocks = list(map(tuple, words.tolist()))
     return ShiftSystem(B, system.sidedness), blocks
@@ -446,13 +527,12 @@ def inverse_vp_probe(system: ShiftSystem, potential: Potential,
         raise ValueError("potential does not match the system")
 
     r = potential.depth
-    blocks = BlockGraph(system.adjacency, b)
-    target = np.array([math.exp(measure.log_cylinder_measure(w))
-                       for w in blocks.words.tolist()])
+    blocks = system.block_graph(b)
+    target = np.exp(measure.log_masses(blocks.words))
     m = n - b + 1  # block positions in an n-word
 
     sd = max(b, r, 2) - 1
-    states = BlockGraph(system.adjacency, sd)
+    states = system.block_graph(sd)
     src, dst, arc_words = states.arcs
     blk = blocks.index(arc_words[:, -b:])
     val = potential.values(arc_words[:, -r:])

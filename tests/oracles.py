@@ -180,6 +180,27 @@ def lebesgue_brute(distances, cover):
     return 0.0
 
 
+def markov_log_mass(states, stationary, transitions, word):
+    """log of the cylinder measure of ``word`` under a Markov chain on the
+    block ``states`` (tuples of one length d), by walking the word block by
+    block; shorter words add up the stationary mass of the states they
+    begin.  -inf off the support."""
+    index = {tuple(s): i for i, s in enumerate(states)}
+    d = len(states[0])
+    word = tuple(word)
+    if len(word) < d:
+        mass = sum(stationary[i] for s, i in index.items()
+                   if s[:len(word)] == word)
+        return math.log(mass) if mass > 0 else -math.inf
+    blocks = [word[i:i + d] for i in range(len(word) - d + 1)]
+    if any(b not in index for b in blocks):
+        return -math.inf
+    mass = stationary[index[blocks[0]]]
+    for a, b in zip(blocks, blocks[1:]):
+        mass *= transitions[index[a], index[b]]
+    return math.log(mass) if mass > 0 else -math.inf
+
+
 def measure_power_sum_brute(adjacency, log_measure, q, n):
     """Sum over admissible n-words of (cylinder measure)**q via explicit
     enumeration; ``log_measure`` maps a word tuple to its log measure."""

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
+from conftest import random_potential
 from ergopress import (
     Cover,
     Potential,
@@ -168,6 +169,11 @@ class TestCorrelationEntropy:
         mu = equilibrium_markov(full2, phi_log2)
         assert abs(ce.limit_at_one - mu.entropy) <= 1e-3
 
+    def test_curve_carries_the_measure_entropy(self, golden):
+        phi = Potential.depth_one(golden, [0.0, 1.0])
+        ce = correlation_entropy(golden, phi, [0.5, 2.0], 12)
+        assert ce.entropy == equilibrium_markov(golden, phi).entropy
+
     def test_grid_excludes_one(self, full2, phi_log2):
         with pytest.raises(ValueError):
             correlation_entropy(full2, phi_log2, [0.5, 1.0], 12)
@@ -223,6 +229,13 @@ class TestLocalEntropy:
         frac = local_entropy_check(cycle, Potential.zero(cycle), 20, 1000,
                                    tol=1e-3, seed=5)
         assert frac == 1.0
+
+    def test_n_below_state_depth_raises(self, full2):
+        # a depth-3 potential has an equilibrium state on 2-blocks
+        pot = random_potential(np.random.default_rng(4), full2, 3)
+        with pytest.raises(ValueError, match="need n >= 2"):
+            local_entropy_check(full2, pot, 10, 1)
+        assert 0.0 <= local_entropy_check(full2, pot, 10, 2) <= 1.0
 
     def test_default_tolerance_is_clt_scaled(self, full2, phi_log2):
         # 3 sigma / sqrt(n): roughly the 99.7% band

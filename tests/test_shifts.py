@@ -237,6 +237,27 @@ class TestPotential:
         zero = Potential.zero(full2)
         assert phi_log2.sup_minus(zero) == math.log(2)
 
+    def test_graph_is_cached_per_system_and_depth(self, golden):
+        pot = random_potential(np.random.default_rng(2), golden, 3)
+        assert pot.graph is golden.block_graph(3)
+        assert Potential.zero(golden).graph is golden.block_graph(1)
+        assert golden.block_graph(2) is not golden.block_graph(3)
+        with pytest.raises(ValueError):
+            golden.block_graph(3).words[0, 0] = 1  # shared, so read-only
+
+    def test_scaled_shares_graph_and_scales_values(self, golden):
+        pot = random_potential(np.random.default_rng(3), golden, 2)
+        for q in (-2.5, 0.0, 0.75, 3.0):
+            scaled = pot.scaled(q)
+            assert scaled.graph is pot.graph
+            assert scaled.depth == pot.depth and scaled.system is golden
+            assert scaled.table.keys() == pot.table.keys()
+            assert all(scaled.table[w] == q * v for w, v in pot.table.items())
+            words = pot.graph.words
+            np.testing.assert_array_equal(
+                scaled.values(words),
+                [q * pot.table[w] for w in _rows(words)])
+
 
 class TestBirkhoffSup:
     def test_exact_regime_plain_sum(self, full2, phi_log2):

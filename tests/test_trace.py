@@ -66,3 +66,28 @@ def test_tracer_installs_records_and_uninstalls():
     assert tracer.counts["shifts.potentials_built"] > 0
     after = _bindings(spans)
     assert all(after.get(key) is value for key, value in before.items())
+
+
+def test_measure_spans_are_recorded():
+    # one vp_check run and one local_entropy_check call reach the
+    # sampling, measure and integration spans of the array measure layer
+    spans = _load_spans()
+    before = _bindings(spans)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        start = time.perf_counter()
+        cli.run(_config("vp_check", {"samples": 20}))
+        system = shifts.golden_mean_shift()
+        multifractal.local_entropy_check(
+            system, shifts.Potential.depth_one(system, [0.0, 1.0]), 50, 30)
+        pass_s = time.perf_counter() - start
+    finally:
+        tracer.uninstall()
+    assert tracer.problems(pass_s) == []
+    names = {span[0] for span in tracer.spans}
+    assert {"transfer.sample", "transfer.measure", "transfer.integrate",
+            "multifractal.local_entropy"} <= names
+    assert tracer.counts["transfer.samples_drawn"] == 50
+    after = _bindings(spans)
+    assert all(after.get(key) is value for key, value in before.items())

@@ -315,22 +315,160 @@ class TestEquilibriumMarkov:
             system, rng.normal(size=6)))
         assert mu.transitions[2, 4] == 0.0
         words, logm = mu.sample_words(30, 400, np.random.default_rng(9))
-
-        ref_rng = np.random.default_rng(9)
-        cum_P = np.cumsum(mu.transitions, axis=1)
-        state = np.searchsorted(np.cumsum(mu.stationary),
-                                ref_rng.random(400)).clip(0, 5)
-        ref_logm = np.log(mu.stationary[state])
-        path = [state]
-        for _ in range(29):
-            draws = ref_rng.random(400)
-            nxt = np.array([min(np.searchsorted(cum_P[s], x, side="left"), 5)
-                            for s, x in zip(state, draws)])
-            ref_logm += np.log(mu.transitions[state, nxt])
-            state = nxt
-            path.append(state)
-        np.testing.assert_array_equal(words, np.stack(path, axis=1))
+        ref_words, ref_logm = _per_state_sample(mu, 30, 400, 9)
+        np.testing.assert_array_equal(words, ref_words)
         np.testing.assert_array_equal(logm, ref_logm)
+
+
+def _per_state_sample(mu, length, count, seed):
+    """Depth-1 reference sampler: each next state by its own search of
+    its row's cumulative transition probabilities."""
+    n = len(mu.transitions)
+    ref_rng = np.random.default_rng(seed)
+    cum_P = np.cumsum(mu.transitions, axis=1)
+    state = np.searchsorted(np.cumsum(mu.stationary),
+                            ref_rng.random(count)).clip(0, n - 1)
+    ref_logm = np.log(mu.stationary[state])
+    path = [state]
+    for _ in range(length - 1):
+        draws = ref_rng.random(count)
+        nxt = np.array([min(np.searchsorted(cum_P[s], x, side="left"), n - 1)
+                        for s, x in zip(state, draws)])
+        ref_logm += np.log(mu.transitions[state, nxt])
+        state = nxt
+        path.append(state)
+    return np.stack(path, axis=1), ref_logm
+
+
+class TestArrayMeasure:
+    """The array-backed cylinder masses, integrals, perturbed stacks and
+    sampler against plain per-word and per-measure references."""
+
+    @staticmethod
+    def _random_measure(seed, d):
+        # an equilibrium state of a random depth-(d + 1) potential lives
+        # on the d-blocks of a random system
+        rng = np.random.default_rng(seed)
+        system = ShiftSystem(random_irreducible_adjacency(
+            rng, int(rng.integers(2, 4))))
+        mu = equilibrium_markov(system, random_potential(rng, system, d + 1))
+        assert mu.state_depth == d
+        return rng, system, mu
+
+    @staticmethod
+    def _brute(mu, word):
+        return oracles.markov_log_mass([tuple(s) for s in mu.states.tolist()],
+                                       mu.stationary, mu.transitions, word)
+
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    def test_masses_and_integrals_against_enumeration(self, seed):
+        d = 2
+        rng, system, mu = self._random_measure(seed, d)
+        for r in (d - 1, d, d + 1, d + 3):
+            words = oracles.enumerate_words(system.adjacency, r)
+            brute = np.array([self._brute(mu, w) for w in words])
+            got = mu.log_masses(np.array(words))
+            np.testing.assert_array_equal(np.isinf(got), np.isinf(brute))
+            live = np.isfinite(brute)
+            np.testing.assert_allclose(got[live], brute[live], rtol=1e-12)
+            assert [mu.log_cylinder_measure(w) for w in words] == \
+                pytest.approx(got.tolist(), rel=1e-12)
+            pot = random_potential(rng, system, r)
+            expected = sum(math.exp(mu.log_cylinder_measure(w)) * pot.value(w)
+                           for w in words)
+            assert mu.integrate(pot) == pytest.approx(expected, rel=1e-12)
+
+    def test_words_off_the_support(self, golden):
+        mu = equilibrium_markov(golden, random_potential(
+            np.random.default_rng(6), golden, 3))
+        got = mu.log_masses(np.array([[1, 1, 0], [0, 1, 1], [0, 1, 0]]))
+        assert got[0] == got[1] == -math.inf and got[2] > -math.inf
+        assert mu.log_masses(np.array([[1]]))[0] == pytest.approx(
+            math.log(mu.stationary[mu.states[:, 0] == 1].sum()), rel=1e-12)
+        assert mu.log_cylinder_measure((2, 0)) == -math.inf  # no symbol 2
+        assert mu.log_cylinder_measure(()) == pytest.approx(0.0, abs=1e-15)
+
+    def test_states_in_permuted_order(self):
+        rng, system, mu = self._random_measure(7, 2)
+        perm = rng.permutation(len(mu.states))
+        shuffled = MarkovMeasure(system, mu.states[perm], mu.stationary[perm],
+                                 mu.transitions[np.ix_(perm, perm)])
+        for r in (1, 2, 3, 5):
+            words = np.array(oracles.enumerate_words(system.adjacency, r))
+            np.testing.assert_allclose(shuffled.log_masses(words),
+                                       mu.log_masses(words), rtol=1e-12)
+            pot = random_potential(rng, system, r)
+            assert shuffled.integrate(pot) == pytest.approx(mu.integrate(pot),
+                                                            rel=1e-12)
+        assert shuffled.entropy == pytest.approx(mu.entropy, rel=1e-12)
+
+    def test_malformed_states_rejected(self, full2):
+        chain = ([0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]])
+        for states in ([(0,), (0,)], [(0,), (2,)], [(0,), (-1,)], [0, 1]):
+            with pytest.raises(ValueError, match="states"):
+                MarkovMeasure(full2, states, *chain)
+
+    def test_delta_measure_masses(self, full2, golden):
+        delta = delta_measure(full2, 1)
+        got = delta.log_masses(np.array([[1, 1, 1], [1, 0, 1], [0, 0, 0]]))
+        np.testing.assert_array_equal(got, [0.0, -math.inf, -math.inf])
+        pot = random_potential(np.random.default_rng(8), full2, 3)
+        assert delta.integrate(pot) == pot.value((1, 1, 1))
+        with pytest.raises(ValueError, match="does not match"):
+            delta.integrate(Potential.zero(golden))
+
+    def test_perturbed_stack_matches_one_at_a_time(self):
+        _, system, mu = self._random_measure(9, 1)
+        stack = list(perturbed_invariant_measures(
+            mu, 40, np.random.default_rng(11), scale=0.5))
+        rng = np.random.default_rng(11)
+        for got in stack:
+            # the chain drawn, normalized and solved as one matrix
+            noise = rng.normal(0.0, 0.5, size=mu.transitions.shape)
+            P = np.where(mu.transitions > 0, mu.transitions * np.exp(noise), 0)
+            P = P / P.sum(axis=1, keepdims=True)
+            dim = len(P)
+            pi, *_ = np.linalg.lstsq(np.vstack([P.T - np.eye(dim),
+                                                np.ones(dim)]),
+                                     np.eye(dim + 1)[-1], rcond=None)
+            one = MarkovMeasure(system, mu.states, pi, P)
+            np.testing.assert_allclose(got.transitions, one.transitions,
+                                       rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(got.stationary, one.stationary,
+                                       rtol=1e-12, atol=1e-15)
+            assert got.entropy == pytest.approx(one.entropy, rel=1e-12)
+            pi, P = got.stationary, got.transitions
+            assert np.abs(pi @ P - pi).max() <= 1e-12
+            assert got.states is mu.states
+
+    def test_perturbed_delta_base_is_accepted(self, full2):
+        # P = I is reducible: the minimum-norm solution is uniform
+        for m in perturbed_invariant_measures(delta_measure(full2, 1), 5,
+                                              np.random.default_rng(12)):
+            np.testing.assert_array_equal(m.transitions, np.eye(2))
+            np.testing.assert_allclose(m.stationary, [0.5, 0.5], rtol=1e-12)
+            assert m.entropy == 0.0
+
+    def test_sampler_matches_per_state_search_on_40_states(self):
+        rng = np.random.default_rng(13)
+        adj = random_irreducible_adjacency(rng, 40)
+        system = ShiftSystem(adj)
+        mu = equilibrium_markov(system, Potential.depth_one(
+            system, rng.normal(size=40)))
+        assert (mu.transitions == 0).any()
+        words, logm = mu.sample_words(25, 300, np.random.default_rng(14))
+        ref_words, ref_logm = _per_state_sample(mu, 25, 300, 14)
+        np.testing.assert_array_equal(words, ref_words)
+        np.testing.assert_array_equal(logm, ref_logm)
+
+    def test_sampling_shorter_than_the_states_raises(self, full2):
+        mu = equilibrium_markov(full2, random_potential(
+            np.random.default_rng(15), full2, 3))
+        with pytest.raises(ValueError, match="need length >= 2"):
+            mu.sample_words(1, 10, np.random.default_rng(0))
+        words, logm = mu.sample_words(2, 10, np.random.default_rng(0))
+        assert words.shape == (10, 2)
+        np.testing.assert_allclose(logm, mu.log_masses(words), rtol=1e-12)
 
 
 class TestMarkovMeasure:
