@@ -18,7 +18,6 @@ from ergopress import (
     critical_alpha,
     golden_mean_shift,
     make_full_shift,
-    pressure_refined,
     transfer_pressure,
 )
 
@@ -48,12 +47,13 @@ def main():
          "Full 2-shift, potential (0, log 2)", "log 3")
 
     print("\nRefining the cover depth leaves the estimate fixed once the")
-    print("cover is at least as deep as the potential (zero oscillation):")
+    print("cover is at least as deep as the potential (the potential is")
+    print("constant on every cover element):")
     phi = Potential.depth_one(full2, [0.0, math.log(2)])
-    est = pressure_refined(SubsetSpec.whole(full2), phi, [1, 2, 3],
-                           N_max=16, tol=1e-5)
-    for depth, value, gamma in est.diagnostics["per_depth"]:
-        print(f"  depth {depth}: estimate {value:.9f}, oscillation {gamma:g}")
+    for depth in (1, 2, 3):
+        est = critical_alpha(SubsetSpec.whole(full2), phi, Cover(full2, depth),
+                             tol=1e-5, n_range=(8, 16))
+        print(f"  depth {depth}: estimate {est.value:.9f}")
 
 
 if __name__ == "__main__":

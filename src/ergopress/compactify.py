@@ -57,9 +57,6 @@ class LineDoublingModel:
     phi_at_infinity = PI
     fixed_angles = (0.0, PI)
 
-    def map_line(self, x):
-        return 2.0 * np.asarray(x, dtype=float)
-
     def angle_from_x(self, x):
         return 2.0 * np.arctan(np.asarray(x, dtype=float))
 
@@ -182,8 +179,6 @@ def circle_cover_pressure(model: LineDoublingModel, phi=None,
         "rows": rows,
         "style": style,
         "arc_count": arc_count,
-        "slope_bracket": (min(slopes[N] for N in top),
-                          max(slopes[N] for N in top)),
     }
     return PressureEstimate(value, arc_count, (n_lo, n_hi),
                             (min(slopes[N] for N in top),
@@ -245,7 +240,6 @@ class GapCertificate:
     compactified_inventory: list
     estimator: PressureEstimate
     entropy_estimate: float
-    estimator_tolerance: float = 1e-2
 
     def holds(self) -> bool:
         return self.gap > 0 and \

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,10 +77,6 @@ class Cover:
 
     def elements(self) -> list[CylinderSet]:
         return [CylinderSet(w) for w in admissible_words(self.system, self.depth)]
-
-    def oscillation(self, potential: Potential) -> float:
-        """Largest variation of the potential inside one cover element."""
-        return potential.oscillation(self.depth)
 
 
 class CoverString:
@@ -439,10 +434,10 @@ def capacity_pressures(subset: SubsetSpec, potential: Potential, cover: Cover,
     """Lower/upper capacity pressure estimates from the covering sums.
 
     The limit values are bracketed by the extremes of the successive
-    differences of log Lambda over the window [N_max/2, N_max]; the raw
-    sequence (1/N) log Lambda and its least-squares slope are kept in the
-    diagnostics (the raw sequence converges only at rate 1/N, which is
-    why the differenced estimator is the reported value).
+    differences of log Lambda over the window [N_max/2, N_max] (the raw
+    sequence (1/N) log Lambda converges only at rate 1/N, which is why
+    the differenced estimator is the reported value); the diagnostics
+    keep the (N, log Lambda, difference) rows.
     """
     if N_max < 8:
         raise ValueError("N_max must be >= 8")
@@ -461,15 +456,7 @@ def capacity_pressures(subset: SubsetSpec, potential: Potential, cover: Cover,
     window = [N for N in slopes if N >= n_half]
     svals = [slopes[N] for N in window]
     rows = [(N, loglam[N], slopes[N]) for N in window]
-    raw = [loglam[N] / N for N in window]
-    top = window[len(window) // 2:]
-    fit = np.polyfit(top, [loglam[N] for N in top], 1)[0] if len(top) > 1 \
-        else svals[-1]
-    diag = {
-        "rows": rows,
-        "raw_over_N": (min(raw), max(raw)),
-        "cesaro_slope": float(fit),
-    }
+    diag = {"rows": rows}
     lo = PressureEstimate(min(svals), cover.depth, (n_half, N_max),
                           (min(svals), max(svals)), "CP_lower", dict(diag))
     hi = PressureEstimate(max(svals), cover.depth, (n_half, N_max),
@@ -555,38 +542,16 @@ def critical_alpha(subset: SubsetSpec, potential: Potential, cover: Cover,
 
 def pressure_refined(subset: SubsetSpec, potential: Potential, depths,
                      N_max: int, tol: float) -> PressureEstimate:
-    """Pressure across a refining sequence of cover depths.
+    """Pressure on the cover of the deepest of the increasing ``depths``.
 
-    For locally constant potentials the per-depth estimates are constant
-    once the cover depth reaches the potential depth (the oscillation
-    within cover elements, the refinement error term, is then zero); the
-    diagnostics record the per-depth values, their deltas and the
-    oscillation bound, and a non-Cauchy sequence raises a warning flag.
+    For locally constant potentials every cover depth t >= r is already
+    exact (the potential does not vary inside a cover element), so one
+    bisection at the deepest depth gives the value and bracket that every
+    such depth would; a refinement with error envelopes for potentials
+    that are not locally constant is not implemented.
     """
     depths = list(depths)
     if depths != sorted(depths):
         raise ValueError("depths must be increasing")
-    system = subset.system
-    n_range = (max(4, N_max // 2), N_max)
-    per_depth = []
-    last = None
-    for t in depths:
-        cover = Cover(system, t)
-        last = critical_alpha(subset, potential, cover, tol, n_range=n_range)
-        per_depth.append((t, last.value, cover.oscillation(potential)))
-    deltas = [abs(b[1] - a[1]) for a, b in zip(per_depth, per_depth[1:])]
-    gammas = [g for _, _, g in per_depth]
-    converged = all(d <= g + 2 * tol for d, g in zip(deltas, gammas))
-    if not converged:
-        warnings.warn("pressure_refined: per-depth estimates are not Cauchy "
-                      "within the oscillation bounds", RuntimeWarning)
-    diag = {
-        "per_depth": per_depth,
-        "deltas": deltas,
-        "oscillation_bounds": gammas,
-        "convergence_warning": not converged,
-    }
-    diag.update({k: v for k, v in last.diagnostics.items()
-                 if k in ("classification_threshold", "weak_classifications")})
-    return PressureEstimate(last.value, per_depth[-1][0], n_range,
-                            last.bracket, "P", diag)
+    return critical_alpha(subset, potential, Cover(subset.system, depths[-1]),
+                          tol, n_range=(max(4, N_max // 2), N_max))

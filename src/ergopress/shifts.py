@@ -63,10 +63,6 @@ class ShiftSystem:
             graph = self._graphs[depth] = BlockGraph(self.adjacency, depth)
         return graph
 
-    @property
-    def is_full_shift(self) -> bool:
-        return bool((self.adjacency == 1).all())
-
     def allows(self, a: int, b: int) -> bool:
         return bool(self.adjacency[a, b])
 
@@ -339,20 +335,6 @@ class Potential:
         if len(s) < n + r - 1:
             raise ValueError("word too short for an exact Birkhoff sum")
         return sum(self.table[s[j:j + r]] for j in range(n))
-
-    def oscillation(self, cover_depth: int) -> float:
-        """Largest variation of the potential over a depth-t cylinder.
-
-        Zero as soon as cover_depth >= depth; otherwise group table rows by
-        their length-t prefix and take the worst max-min spread.
-        """
-        t = cover_depth
-        if t >= self.depth:
-            return 0.0
-        spread: dict[tuple, list] = {}
-        for key, val in self.table.items():
-            spread.setdefault(key[:t], []).append(val)
-        return max(max(vs) - min(vs) for vs in spread.values())
 
 
 def birkhoff_sup(potential: Potential, word: Word, n: int) -> float:

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from ergopress import Cover, Potential, SubsetSpec
 from ergopress.cli import (
     Check,
     ConfigError,
@@ -49,6 +50,15 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="budget.tol"):
             make_config("pressure", budget={"tol": -1.0})
 
+    @pytest.mark.parametrize("q_grid", [
+        [0.0, 2.0, 2.0, 3.0],
+        {"lo": 0.0, "hi": 1e-12, "step": 1e-13},  # rounds to repeats
+    ])
+    @pytest.mark.parametrize("task", ["spectrum", "correlation"])
+    def test_repeated_q_rejected(self, task, q_grid):
+        with pytest.raises(ConfigError, match="budget.q_grid"):
+            make_config(task, budget={"q_grid": q_grid})
+
     def test_correlation_grid_excludes_one(self):
         with pytest.raises(ConfigError, match="q_grid"):
             make_config("correlation", budget={"q_grid": [0.5, 1.0, 2.0]})
@@ -86,6 +96,38 @@ class TestTasks:
         header, rows = report.results[0].tables["spectrum"]
         assert header == ("q", "T", "alpha", "E")
         assert len(rows) == 41
+
+    def test_spectrum_on_unequal_steps(self):
+        # T decreases, so where a step of 1 follows a step of 0.5 the plain
+        # second difference is negative; the convexity test must not fire
+        report = run(make_config(
+            "spectrum", potential={"kind": "table", "depth": 1,
+                                   "table": {"0": 0.0, "1": 0.7}},
+            budget={"q_grid": [-1.0, 0.0, 0.5, 1.0, 2.0]}))
+        assert report.passed
+        assert len(report.results[0].tables["spectrum"][1]) == 5
+
+    def test_pressure_task_one_bisection(self, monkeypatch):
+        from ergopress import coverpressure
+
+        calls = []
+        original = coverpressure.critical_alpha
+
+        def counting(*args, **kwargs):
+            calls.append(args[2].depth)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(coverpressure, "critical_alpha", counting)
+        report = run(make_config("pressure", budget={
+            "tol": 1e-4, "n_max": 16, "depths": [1, 2, 3]}))
+        assert calls == [3]
+        system = make_config("pressure").build_system()
+        direct = original(SubsetSpec.whole(system),
+                          Potential.depth_one(system, [0.0, math.log(2)]),
+                          Cover(system, 3), 1e-4, n_range=(8, 16))
+        values = report.results[0].values
+        assert values["pressure"] == direct.value
+        assert values["bracket"] == list(direct.bracket)
 
     def test_correlation_task(self):
         report = run(make_config("correlation", budget={"n": 14}))
@@ -134,7 +176,7 @@ class TestTasks:
     def test_property_suite(self):
         report = run(make_config("property_suite", budget={"tol": 1e-4}))
         assert report.passed
-        assert len(report.results[0].checks) == 7
+        assert len(report.results[0].checks) == 6
 
 
 class TestEmitTables:
@@ -281,6 +323,41 @@ class TestMainEntry:
         assert code == 0
         assert "[PASS] pressure: pressure bracket width" in \
             capsys.readouterr().out
+
+    def test_failing_t0_check_exits_one(self, tmp_path, capsys,
+                                        monkeypatch):
+        from ergopress import multifractal
+
+        entropy = multifractal.topological_entropy
+        monkeypatch.setattr(multifractal, "topological_entropy",
+                            lambda system: entropy(system) + 1e-6)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "system": {"kind": "full_shift", "k": 2},
+            "potential": {"kind": "table", "depth": 1,
+                          "table": {"0": 0.0, "1": 0.7}},
+            "budget": {"q_grid": [-1.0, 0.0, 1.0, 2.0]},
+        }))
+        code = main(["spectrum", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "[FAIL] spectrum: T(0) equals topological entropy" in \
+            capsys.readouterr().out
+
+    def test_named_error_exits_three(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "system": {"kind": "sft", "adjacency": [[1, 1], [0, 1]]},
+            "potential": {"kind": "zero"},
+            "budget": {"q_grid": [0.0, 1.0, 2.0]},
+        }))
+        code = main(["spectrum", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("NoUniquePerronError: ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_exit_two_on_bad_json(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -33,12 +33,6 @@ class TestCover:
         assert len(cover.elements()) == 5
         assert cover.diameter() == 0.125
 
-    def test_oscillation(self, full2):
-        pot = Potential(full2, 2, {(a, b): float(b)
-                                   for a in range(2) for b in range(2)})
-        assert Cover(full2, 1).oscillation(pot) == 1.0
-        assert Cover(full2, 2).oscillation(pot) == 0.0
-
 
 class TestCoverString:
     def test_domain_assembles_overlapping_windows(self, golden):
@@ -424,16 +418,14 @@ class TestCriticalAlpha:
 
 
 class TestPressureRefined:
-    def test_constant_across_depths(self, full2, phi_log2):
-        est = pressure_refined(SubsetSpec.whole(full2), phi_log2, [1, 2, 3],
-                               N_max=16, tol=1e-5)
-        per_depth = est.diagnostics["per_depth"]
-        values = [v for _, v, _ in per_depth]
-        assert est.value == pytest.approx(math.log(3), abs=1e-5)
-        for v in values:
-            assert v == pytest.approx(math.log(3), abs=1e-5)
-        assert est.diagnostics["oscillation_bounds"] == [0.0, 0.0, 0.0]
-        assert not est.diagnostics["convergence_warning"]
+    def test_exact_at_every_depth(self, full2, phi_log2):
+        # a depth-1 potential is constant on every cover element of depth
+        # t >= 1, so each depth gives the exact pressure
+        whole = SubsetSpec.whole(full2)
+        for t in (1, 2, 3):
+            est = critical_alpha(whole, phi_log2, Cover(full2, t), 1e-5,
+                                 n_range=(8, 16))
+            assert est.value == pytest.approx(math.log(3), abs=1e-5)
 
     def test_golden_mean(self, golden):
         zero = Potential.zero(golden)

@@ -71,6 +71,10 @@ class TestTCurve:
         assert np.diff(curve.t_values, 2).min() >= -1e-9
         assert np.diff(curve.alpha_values).max() <= 1e-9
 
+    def test_repeated_q_rejected(self, full2, phi_log2):
+        with pytest.raises(ValueError, match="distinct"):
+            t_curve(full2, phi_log2, [0.0, 1.0, 1.0, 2.0])
+
     def test_alpha_matches_central_difference(self, full2, phi_log2):
         h = 1e-3
         base = transfer_pressure(full2, phi_log2)

@@ -225,13 +225,6 @@ class TestPotential:
         with pytest.raises(ValueError):
             Potential.depth_one(full2, [0.0, math.inf])
 
-    def test_oscillation_vanishes_at_depth(self, full2):
-        pot = Potential(full2, 2, {(a, b): a + 2 * b
-                                   for a in range(2) for b in range(2)})
-        assert pot.oscillation(2) == 0.0
-        assert pot.oscillation(3) == 0.0
-        assert pot.oscillation(1) == 2.0  # value varies with the 2nd symbol
-
     def test_sup_norm_and_distance(self, full2, phi_log2):
         assert phi_log2.sup_norm() == math.log(2)
         zero = Potential.zero(full2)
