@@ -55,6 +55,9 @@ from .shifts import (
 )
 
 
+DEPTH_MARGIN = 8  # string lengths a bisection weight may add beyond N
+
+
 class InconclusiveError(RuntimeError):
     """Growth classification failed within the computational budget."""
 
@@ -175,7 +178,6 @@ class _StringCalculus:
         if t < r:
             raise ValueError("cover depth must be >= potential depth "
                              "(exactness regime)")
-        self.system = system
         self.subset = subset
         self.potential = potential
         self.r, self.t = r, t
@@ -202,9 +204,8 @@ class _StringCalculus:
             if length < sd:
                 self._fold_seeds(np.concatenate(
                     [st[(st[:, :length] == u).all(axis=1)] for u in group]))
-                continue
-            while chunk := list(itertools.islice(group, 4096)):
-                self._fold_seeds(np.array(chunk, dtype=np.int64))
+            else:
+                self._fold_seeds(np.array(list(group), dtype=np.int64))
         self._lmin = min(self._seeds, default=sd)
         self._forward: list[np.ndarray] = []
         self._entry_cache: dict = {}
@@ -213,9 +214,8 @@ class _StringCalculus:
     def _seed_log(self, word: tuple, n_target: int) -> float:
         """Sum of the complete Birkhoff windows of a seed word, clipped to
         window positions < n_target."""
-        r = self.r
-        top = min(len(word) - r, n_target - 1)
-        return sum(self.potential.value(word[p:p + r]) for p in range(top + 1))
+        return self.potential.word_sum(word, min(len(word) - self.r + 1,
+                                                 n_target))
 
     def _fold_seeds(self, words: np.ndarray):
         """Fold equal-length seed words into ``_seeds[length]``: row j holds,
@@ -310,10 +310,17 @@ class _StringCalculus:
         vector over states.  Cached for the latest alpha (callers sweep the
         N-window at one alpha before moving on) and extended on demand:
         c[0] = 1 and c[d] = min(1, R c[d-1]) with R = exp(v_string - alpha).
+        Raises InconclusiveError when R overflows.
         """
         if self._cfactor_cache[0] != alpha:
-            with np.errstate(over="raise"):
-                rates = np.exp(self.v_string - alpha)
+            try:
+                with np.errstate(over="raise"):
+                    rates = np.exp(self.v_string - alpha)
+            except FloatingPointError:
+                raise InconclusiveError(
+                    f"inconclusive: exp(window - alpha) overflows at alpha "
+                    f"{alpha:.6g}, windows up to {self.v_string.max():.6g}") \
+                    from None
             ones = np.ones(len(self.graph.words))
             self._cfactor_cache = (alpha, rates, [ones], [ones])
         _, rates, cs, fs = self._cfactor_cache
@@ -420,7 +427,7 @@ def weight_m(subset: SubsetSpec, alpha: float, potential: Potential,
     (and reported in the details), since the covering structure below
     the entry level is pinned by those words anyway.
     """
-    cap = depth_cap if depth_cap is not None else N + 8
+    cap = depth_cap if depth_cap is not None else N + DEPTH_MARGIN
     calc = _StringCalculus(subset, potential, cover)
     logm, details = calc.log_weight_m(alpha, N, cap)
     value = math.exp(logm)
@@ -446,17 +453,13 @@ def capacity_pressures(subset: SubsetSpec, potential: Potential, cover: Cover,
     ns = list(range(n_half - 1, N_max + 1))
     loglam = {N: calc.log_lambda(N) for N in ns}
     if all(v == -math.inf for v in loglam.values()):
+        svals = [-math.inf]
         diag = {"degenerate": True, "rows": []}
-        lo = PressureEstimate(-math.inf, cover.depth, (n_half, N_max),
-                              (-math.inf, -math.inf), "CP_lower", dict(diag))
-        hi = PressureEstimate(-math.inf, cover.depth, (n_half, N_max),
-                              (-math.inf, -math.inf), "CP_upper", dict(diag))
-        return lo, hi
-    slopes = {N: loglam[N] - loglam[N - 1] for N in ns[1:]}
-    window = [N for N in slopes if N >= n_half]
-    svals = [slopes[N] for N in window]
-    rows = [(N, loglam[N], slopes[N]) for N in window]
-    diag = {"rows": rows}
+    else:
+        slopes = {N: loglam[N] - loglam[N - 1] for N in ns[1:]}
+        window = [N for N in slopes if N >= n_half]
+        svals = [slopes[N] for N in window]
+        diag = {"rows": [(N, loglam[N], slopes[N]) for N in window]}
     lo = PressureEstimate(min(svals), cover.depth, (n_half, N_max),
                           (min(svals), max(svals)), "CP_lower", dict(diag))
     hi = PressureEstimate(max(svals), cover.depth, (n_half, N_max),
@@ -465,19 +468,21 @@ def capacity_pressures(subset: SubsetSpec, potential: Potential, cover: Cover,
 
 
 def _slope(ns, values) -> float:
-    return float(np.polyfit(ns, values, 1)[0])
+    """Least-squares slope of values against ns, in closed form."""
+    x = np.asarray(ns, dtype=float)
+    x = x - x.mean()
+    return float(x @ np.asarray(values, dtype=float) / (x @ x))
 
 
 def critical_alpha(subset: SubsetSpec, potential: Potential, cover: Cover,
-                   tol: float, n_range: tuple = (8, 20),
-                   depth_margin: int = 8) -> PressureEstimate:
+                   tol: float, n_range: tuple = (8, 20)) -> PressureEstimate:
     """Topological pressure of the subset: bisection on the exponent.
 
-    For each candidate alpha the covering weight is computed across the
-    N-window and classified by the least-squares slope of its log over
-    the top half: positive slope means the weight diverges (alpha below
-    the critical value), negative means it vanishes.  The bracket is
-    narrowed until its width is at most tol.
+    For each candidate alpha the covering weight (depth cap N +
+    DEPTH_MARGIN) is computed over the top half of the N-window and
+    classified by the ``_slope`` of its log: positive slope means the
+    weight diverges (alpha below the critical value), negative means it
+    vanishes.  The bracket is narrowed until its width is at most tol.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -500,7 +505,7 @@ def critical_alpha(subset: SubsetSpec, potential: Potential, cover: Cover,
     def classify(alpha: float) -> float:
         logs = []
         for N in top:
-            lm, _ = calc.log_weight_m(alpha, N, N + depth_margin)
+            lm, _ = calc.log_weight_m(alpha, N, N + DEPTH_MARGIN)
             if lm == -math.inf:
                 raise InconclusiveError("inconclusive-at-depth: covering "
                                         "weight vanished identically")
@@ -534,7 +539,6 @@ def critical_alpha(subset: SubsetSpec, potential: Potential, cover: Cover,
         "classification_threshold": threshold,
         "weak_classifications": weak,
         "trace": trace,
-        "depth_margin": depth_margin,
     }
     return PressureEstimate(value, cover.depth, (n_lo, n_hi),
                             (alpha_lo, alpha_hi), "P", diag)

@@ -21,7 +21,7 @@ ball-measure integral is a plain power sum over admissible words).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,6 +34,9 @@ from .transfer import (
 )
 
 CURVE_TOL = 1e-9
+GRID_ATOL = 1e-12  # how far a q may sit from a grid point it names
+DEGENERACY_FACTOR = 10.0  # flat spectrum: alpha-range <= this * 1e-3 steps
+LIMIT_OFFSET = 1e-3  # q = 1 +/- this brackets the correlation limit at 1
 
 
 @dataclass
@@ -46,7 +49,6 @@ class TQCurve:
     spectrum_values: np.ndarray
     pressure: float
     entropy_top: float  # topological entropy, equals T(0)
-    diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
         q = self.q_grid
@@ -60,22 +62,22 @@ class TQCurve:
         if np.diff(self.alpha_values).max(initial=-np.inf) > CURVE_TOL:
             raise RuntimeError("alpha(q) is not nonincreasing")
 
-    def index_of(self, q0: float, atol: float = 1e-12) -> int | None:
-        """Grid index of the point closest to q0, if within atol."""
+    def index_of(self, q0: float) -> int | None:
+        """Grid index of the point closest to q0, if within GRID_ATOL."""
         i = int(np.abs(self.q_grid - q0).argmin())
-        return i if abs(self.q_grid[i] - q0) <= atol else None
+        return i if abs(self.q_grid[i] - q0) <= GRID_ATOL else None
+
+    def _at(self, values: np.ndarray, q0: float) -> float:
+        i = self.index_of(q0)
+        if i is None:
+            raise KeyError(f"{q0} is not on the grid")
+        return float(values[i])
 
     def t_at(self, q0: float) -> float:
-        i = self.index_of(q0)
-        if i is None:
-            raise KeyError(f"{q0} is not on the grid")
-        return float(self.t_values[i])
+        return self._at(self.t_values, q0)
 
     def alpha_at(self, q0: float) -> float:
-        i = self.index_of(q0)
-        if i is None:
-            raise KeyError(f"{q0} is not on the grid")
-        return float(self.alpha_values[i])
+        return self._at(self.alpha_values, q0)
 
     @property
     def alpha_range(self) -> float:
@@ -110,28 +112,26 @@ class LegendreCheck:
     forward_defect: float
     reverse_defect: float
     skipped: bool = False
-    reason: str = ""
 
     @property
     def max_defect(self) -> float:
         return max(self.forward_defect, self.reverse_defect)
 
 
-def legendre_check(curve: TQCurve, degeneracy_factor: float = 10.0) -> LegendreCheck:
+def legendre_check(curve: TQCurve) -> LegendreCheck:
     """Duality defect between the spectrum and T on the curve's grid.
 
     Forward: spectrum(alpha*) against the grid infimum of T(q) + q*alpha*.
     Reverse: T(q) against the grid supremum of spectrum - q*alpha.  A
-    spectrum whose alpha-range is below ``degeneracy_factor`` grid steps
-    is degenerate (the equilibrium state is maximal-entropy) and the
-    check is skipped with a flag.
+    spectrum whose alpha-range is at most DEGENERACY_FACTOR thousandths
+    of the grid step is degenerate (the potential is equivalent to a
+    constant, so the equilibrium state is maximal-entropy) and the check
+    is skipped with a flag.
     """
     q = curve.q_grid
     step = float(np.diff(q).min()) if len(q) > 1 else 1.0
-    if curve.alpha_range <= degeneracy_factor * step * 1e-3 or len(q) < 3:
-        return LegendreCheck(math.nan, math.nan, skipped=True,
-                             reason="degenerate spectrum: potential is "
-                                    "equivalent to a constant")
+    if curve.alpha_range <= DEGENERACY_FACTOR * step * 1e-3 or len(q) < 3:
+        return LegendreCheck(math.nan, math.nan, skipped=True)
     alpha = curve.alpha_values
     t = curve.t_values
     spec = curve.spectrum_values
@@ -151,7 +151,6 @@ class CorrelationEntropyCurve:
     q_grid: np.ndarray
     formula_values: np.ndarray
     direct_values: np.ndarray
-    n_used: int
     limit_at_one: float
     entropy: float  # of the equilibrium state, the limit's target
 
@@ -181,13 +180,8 @@ def _log_measure_power_sums(state: EquilibriumState, q: float,
     return float(np.logaddexp.reduce(vec)), float(np.logaddexp.reduce(nxt))
 
 
-def _log_measure_power_sum(state: EquilibriumState, q: float, n: int) -> float:
-    """log of the sum over admissible n-words of (cylinder measure)**q."""
-    return _log_measure_power_sums(state, q, n)[0]
-
-
 def correlation_entropy(system: ShiftSystem, potential: Potential, q_grid,
-                        n: int, limit_offset: float = 1e-3) -> CorrelationEntropyCurve:
+                        n: int) -> CorrelationEntropyCurve:
     """Correlation entropies of the equilibrium state along a q-grid.
 
     The formula side is -T(q)/(q-1).  The direct side is
@@ -195,7 +189,7 @@ def correlation_entropy(system: ShiftSystem, potential: Potential, q_grid,
     S(n) grows like a constant times exp(-(q-1) h_q n), and the
     difference drops the constant that (1/n) log S(n) would carry as an
     O(1/n) bias.  q = 1 is excluded from the grid; the limit there is
-    estimated from the formula side at 1 +/- limit_offset and reported
+    estimated from the formula side at 1 +/- LIMIT_OFFSET and reported
     separately.
     """
     q_grid = np.asarray(sorted(float(q) for q in q_grid))
@@ -212,9 +206,9 @@ def correlation_entropy(system: ShiftSystem, potential: Potential, q_grid,
     formula = np.array([-t_of(q) / (q - 1.0) for q in q_grid])
     direct = np.array([np.subtract(*_log_measure_power_sums(state, q, n))
                        / (q - 1.0) for q in q_grid])
-    limit = 0.5 * (-t_of(1.0 + limit_offset) / limit_offset
-                   + t_of(1.0 - limit_offset) / limit_offset)
-    return CorrelationEntropyCurve(q_grid, formula, direct, n, limit,
+    limit = 0.5 * (-t_of(1.0 + LIMIT_OFFSET) / LIMIT_OFFSET
+                   + t_of(1.0 - LIMIT_OFFSET) / LIMIT_OFFSET)
+    return CorrelationEntropyCurve(q_grid, formula, direct, limit,
                                    state.entropy)
 
 

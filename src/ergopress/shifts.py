@@ -293,9 +293,6 @@ class Potential:
             raise ValueError("need one value per symbol")
         return cls(system, 1, {(a,): v for a, v in enumerate(values)}, name)
 
-    def value(self, block) -> float:
-        return self.table[tuple(block)]
-
     def values(self, blocks) -> np.ndarray:
         """Values of an array of admissible r-blocks (along the last axis)."""
         return self.vector[self.graph.index(blocks)]

@@ -77,7 +77,7 @@ class TransferMatrix:
         return len(self.graph.words)
 
 
-def power_iteration(matrix, tol: float = 1e-14):
+def power_iteration(matrix):
     """Perron eigenvalue and positive left/right eigenvectors.
 
     Each of v (on M) and u (on its transpose) starts from the LAPACK
@@ -87,7 +87,7 @@ def power_iteration(matrix, tol: float = 1e-14):
     It accepts once x > 0 and the Collatz-Wielandt bracket
     [lo, hi] = [min, max] of (Mx)_i / x_i, which holds rho(M) for every
     positive x (Seneta, Non-negative Matrices and Markov Chains, ch. 1),
-    has hi - lo <= max(tol, 1e-13) * hi.  Raises ConvergenceError when
+    has hi - lo <= 1e-13 * hi.  Raises ConvergenceError when
     LAPACK fails or no bracket closes in MAX_POWER_STEPS steps.
 
     Returns (lam, v, u): lam is the midpoint of the intersection of the
@@ -98,11 +98,8 @@ def power_iteration(matrix, tol: float = 1e-14):
         raise ValueError("need a square matrix")
     if (M < 0).any():
         raise ValueError("need a nonnegative matrix")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     if not strongly_connected(M):
         raise NoUniquePerronError("no-unique-perron: matrix support is reducible")
-    width = max(tol, 1e-13)
 
     def bracket(mat):
         try:
@@ -119,7 +116,7 @@ def power_iteration(matrix, tol: float = 1e-14):
             if (x > 0).all():
                 ratio = img / x
                 lo, hi = ratio.min(), ratio.max()
-                if hi - lo <= width * hi:
+                if hi - lo <= 1e-13 * hi:
                     return lo, hi, x
             x = img + shift * x
             x = x / x.sum()
@@ -132,9 +129,8 @@ def power_iteration(matrix, tol: float = 1e-14):
 
 
 def transfer_pressure(system: ShiftSystem, potential: Potential) -> float:
-    """Classical pressure log(Perron eigenvalue) of the weighted matrix."""
-    if not system.irreducible:
-        raise NoUniquePerronError("no-unique-perron: system is reducible")
+    """Classical pressure log(Perron eigenvalue) of the weighted matrix;
+    ``power_iteration`` raises NoUniquePerronError on a reducible system."""
     lam, _, _ = power_iteration(TransferMatrix(system, potential))
     return math.log(lam)
 
@@ -360,10 +356,9 @@ def equilibrium_markov(system: ShiftSystem, potential: Potential) -> Equilibrium
     vectors v, u.  Rows are renormalized, which makes them sum to 1 to
     rounding; the stationary identity |pi P - pi| is of the order of the
     Perron bracket's relative width (at most 1e-13), far inside the 1e-9
-    that ``MarkovMeasure`` checks.
+    that ``MarkovMeasure`` checks.  A reducible system has a reducible
+    matrix support, on which ``power_iteration`` raises NoUniquePerronError.
     """
-    if not system.irreducible:
-        raise NoUniquePerronError("no-unique-perron: system is reducible")
     tm = TransferMatrix(system, potential)
     lam, v, u = power_iteration(tm)
     P = tm.matrix * v[None, :] / (lam * v[:, None])

@@ -63,6 +63,12 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="q_grid"):
             make_config("correlation", budget={"q_grid": [0.5, 1.0, 2.0]})
 
+    def test_correlation_grid_band_around_one(self):
+        with pytest.raises(ConfigError, match=r"\|q - 1\| > 1e-5"):
+            make_config("correlation", budget={"q_grid": [0.5, 1 + 5e-6]})
+        cfg = make_config("correlation", budget={"q_grid": [0.5, 1 + 2e-5]})
+        assert cfg.budget["q_grid"] == [0.5, 1 + 2e-5]
+
     def test_bad_potential_kind(self):
         with pytest.raises(ConfigError, match="potential.kind"):
             make_config("pressure", potential={"kind": "wavelet"})
@@ -356,6 +362,21 @@ class TestMainEntry:
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith("NoUniquePerronError: ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_cover_overflow_exits_three(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "system": {"kind": "full_shift", "k": 2},
+            "potential": {"kind": "table", "depth": 1,
+                          "table": {"0": 0, "1": 800}},
+        }))
+        code = main(["pressure", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("InconclusiveError: ") and "alpha" in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 

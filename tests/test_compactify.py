@@ -54,6 +54,24 @@ class TestModel:
         assert model.map_angle(0.0) == pytest.approx(0.0)
         assert abs(model.map_angle(PI)) == pytest.approx(PI)
 
+    def test_pole_is_fixed_exactly(self):
+        model = LineDoublingModel()
+        for f in (model.map_angle, model.inverse_angle):
+            assert f(PI) == PI and f(-PI) == -PI
+            np.testing.assert_array_equal(f(np.array([-PI, PI])), [-PI, PI])
+
+    def test_near_pole_follows_the_conjugate(self):
+        # an angle 1e-5 short of the pole is not the pole: its image
+        # under x -> 2x (x -> x/2) is nearer to (farther from) it
+        model = LineDoublingModel()
+        theta = PI - 1e-5
+        x = math.tan(theta / 2)
+        assert model.map_angle(theta) == \
+            pytest.approx(2 * math.atan(2 * x), abs=1e-12)
+        assert model.inverse_angle(theta) == \
+            pytest.approx(2 * math.atan(x / 2), abs=1e-12)
+        assert model.map_angle(theta) < PI
+
     def test_properness_on_intervals(self):
         model = LineDoublingModel()
         assert model.is_proper_on_interval(-3.0, 5.0)

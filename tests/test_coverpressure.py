@@ -23,7 +23,7 @@ from ergopress import (
     transfer_pressure,
     weight_m,
 )
-from ergopress.coverpressure import _StringCalculus
+from ergopress.coverpressure import InconclusiveError, _slope, _StringCalculus
 from ergopress.shifts import two_sided_cylinder_trace
 
 
@@ -415,6 +415,23 @@ class TestCriticalAlpha:
             weight_m(whole, 1.0, zero, Cover(full2, 1), 4, depth_cap=3)
         with pytest.raises(ValueError):
             lambda_n(whole, zero, Cover(full2, 1), 0)
+
+    def test_slope_is_least_squares(self):
+        rng = np.random.default_rng(21)
+        for _ in range(50):
+            lo = int(rng.integers(-20, 40))
+            ns = list(range(lo, lo + int(rng.integers(2, 30))))
+            noise = rng.normal(scale=10.0 ** rng.uniform(-3, 3), size=len(ns))
+            values = noise + rng.normal() * np.array(ns)
+            assert _slope(ns, values) == \
+                pytest.approx(np.polyfit(ns, values, 1)[0], rel=1e-12)
+
+    def test_overflowing_rates_are_inconclusive(self, full2):
+        # exp(800 - alpha) overflows on the initial bracket's low end
+        phi = Potential.depth_one(full2, [0.0, 800.0])
+        with pytest.raises(InconclusiveError, match="alpha -1.69315"):
+            critical_alpha(SubsetSpec.whole(full2), phi, Cover(full2, 1),
+                           tol=1e-4)
 
 
 class TestPressureRefined:

@@ -18,7 +18,7 @@ from ergopress import (
     t_curve,
     transfer_pressure,
 )
-from ergopress.multifractal import _log_measure_power_sum
+from ergopress.multifractal import _log_measure_power_sums
 from ergopress.shifts import ShiftSystem
 
 Q_GRID = np.round(np.arange(-5.0, 5.0001, 0.05), 10)
@@ -195,7 +195,7 @@ class TestCorrelationEntropy:
         mu = equilibrium_markov(golden, Potential.zero(golden))
         for q in (0.5, 2.0, 3.0):
             for n in (6, 10):
-                got = _log_measure_power_sum(mu, q, n)
+                got = _log_measure_power_sums(mu, q, n)[0]
                 brute = oracles.measure_power_sum_brute(
                     golden.adjacency, mu.log_cylinder_measure, q, n)
                 assert got == pytest.approx(math.log(brute), abs=1e-10)

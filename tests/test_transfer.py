@@ -43,7 +43,7 @@ class TestPowerIteration:
 
     def test_residual_bound(self):
         M = np.array([[1.0, 1.0], [2.0, 2.0]])
-        lam, v, u = power_iteration(M, tol=1e-13)
+        lam, v, u = power_iteration(M)
         assert np.abs(M @ v - lam * v).max() <= 1e-12 * lam
         assert np.abs(u @ M - lam * u).max() <= 1e-10 * lam
 
@@ -248,6 +248,12 @@ class TestBlockRecode:
 
 
 class TestEquilibriumMarkov:
+    def test_reducible_rejected(self):
+        # the support check in power_iteration is the only gate
+        sys_r = ShiftSystem([[1, 1], [0, 1]])
+        with pytest.raises(NoUniquePerronError):
+            equilibrium_markov(sys_r, Potential.zero(sys_r))
+
     def test_maximal_entropy_bernoulli(self, full2):
         mu = equilibrium_markov(full2, Potential.zero(full2))
         assert mu.stationary == pytest.approx([0.5, 0.5], abs=1e-12)
@@ -374,7 +380,7 @@ class TestArrayMeasure:
             assert [mu.log_cylinder_measure(w) for w in words] == \
                 pytest.approx(got.tolist(), rel=1e-12)
             pot = random_potential(rng, system, r)
-            expected = sum(math.exp(mu.log_cylinder_measure(w)) * pot.value(w)
+            expected = sum(math.exp(mu.log_cylinder_measure(w)) * pot.table[w]
                            for w in words)
             assert mu.integrate(pot) == pytest.approx(expected, rel=1e-12)
 
@@ -413,7 +419,7 @@ class TestArrayMeasure:
         got = delta.log_masses(np.array([[1, 1, 1], [1, 0, 1], [0, 0, 0]]))
         np.testing.assert_array_equal(got, [0.0, -math.inf, -math.inf])
         pot = random_potential(np.random.default_rng(8), full2, 3)
-        assert delta.integrate(pot) == pot.value((1, 1, 1))
+        assert delta.integrate(pot) == pot.table[(1, 1, 1)]
         with pytest.raises(ValueError, match="does not match"):
             delta.integrate(Potential.zero(golden))
 
