@@ -29,6 +29,7 @@ from .shifts import Potential, ShiftSystem
 from .transfer import (
     EquilibriumState,
     equilibrium_markov,
+    scaled_equilibria,
     topological_entropy,
     transfer_pressure,
 )
@@ -85,18 +86,17 @@ class TQCurve:
 
 
 def t_curve(system: ShiftSystem, potential: Potential, q_grid) -> TQCurve:
-    """Exact T, alpha and spectrum values on a grid of distinct exponents q."""
+    """Exact T, alpha and spectrum values on a grid of distinct exponents
+    q, from three Perron solves: the pressure, the topological entropy (its
+    own, so that T(0) = entropy stays a check) and one grid stack."""
     q_grid = np.asarray(sorted(float(q) for q in q_grid))
     if (np.diff(q_grid) == 0).any():
         raise ValueError("q values must be distinct")
     base_pressure = transfer_pressure(system, potential)
     h_top = topological_entropy(system)
-    t_vals = np.empty_like(q_grid)
-    a_vals = np.empty_like(q_grid)
-    for i, q in enumerate(q_grid):
-        mu_q = equilibrium_markov(system, potential.scaled(q))
-        t_vals[i] = mu_q.pressure - q * base_pressure
-        a_vals[i] = base_pressure - mu_q.integrate(potential)
+    pressures, integrals = scaled_equilibria(system, potential, q_grid)
+    t_vals = pressures - q_grid * base_pressure
+    a_vals = base_pressure - integrals
     spec = t_vals + q_grid * a_vals
     return TQCurve(q_grid, t_vals, a_vals, spec, base_pressure, h_top)
 
@@ -132,18 +132,10 @@ def legendre_check(curve: TQCurve) -> LegendreCheck:
     step = float(np.diff(q).min()) if len(q) > 1 else 1.0
     if curve.alpha_range <= DEGENERACY_FACTOR * step * 1e-3 or len(q) < 3:
         return LegendreCheck(math.nan, math.nan, skipped=True)
-    alpha = curve.alpha_values
-    t = curve.t_values
-    spec = curve.spectrum_values
-    forward = 0.0
-    for astar, estar in zip(alpha, spec):
-        inf_grid = float((t + q * astar).min())
-        forward = max(forward, abs(inf_grid - estar))
-    reverse = 0.0
-    for qstar, tstar in zip(q, t):
-        sup_grid = float((spec - qstar * alpha).max())
-        reverse = max(reverse, abs(sup_grid - tstar))
-    return LegendreCheck(forward, reverse)
+    alpha, t, spec = curve.alpha_values, curve.t_values, curve.spectrum_values
+    forward = np.abs((t + q * alpha[:, None]).min(axis=1) - spec).max()
+    reverse = np.abs((spec - q[:, None] * alpha).max(axis=1) - t).max()
+    return LegendreCheck(float(forward), float(reverse))
 
 
 @dataclass
@@ -158,26 +150,26 @@ class CorrelationEntropyCurve:
         return float(np.abs(self.formula_values - self.direct_values).max())
 
 
-def _log_measure_power_sums(state: EquilibriumState, q: float,
-                            n: int) -> tuple[float, float]:
+def _log_measure_power_sums(state: EquilibriumState, q, n: int) -> tuple:
     """log of the sums over admissible n-words and over admissible
-    (n+1)-words of (cylinder measure)**q.
+    (n+1)-words of (cylinder measure)**q, for each q of an array.
 
     Evaluated by an entrywise-power matrix product over the measure's
-    block chain; identical to brute-force enumeration (cross-checked in
-    the tests) but linear in n.  Log-space throughout.
+    block chain, one log-space loop for all q; identical to brute-force
+    enumeration (cross-checked in the tests) but linear in n.
     """
     d = state.state_depth
     if n < d:
         raise ValueError(f"need n >= {d} for this measure")
     pi, P = state.stationary, state.transitions
+    q = np.asarray(q, dtype=float)[..., None]
     with np.errstate(divide="ignore", invalid="ignore"):  # q * log(0)
         vec = np.where(pi > 0, q * np.log(pi), -np.inf)
-        mat = np.where(P > 0, q * np.log(P), -np.inf)
+        mat = np.where(P > 0, q[..., None] * np.log(P), -np.inf)
     for _ in range(n - d):
-        vec = np.logaddexp.reduce(vec[:, None] + mat, axis=0)
-    nxt = np.logaddexp.reduce(vec[:, None] + mat, axis=0)
-    return float(np.logaddexp.reduce(vec)), float(np.logaddexp.reduce(nxt))
+        vec = np.logaddexp.reduce(vec[..., :, None] + mat, axis=-2)
+    nxt = np.logaddexp.reduce(vec[..., :, None] + mat, axis=-2)
+    return np.logaddexp.reduce(vec, axis=-1), np.logaddexp.reduce(nxt, axis=-1)
 
 
 def correlation_entropy(system: ShiftSystem, potential: Potential, q_grid,
@@ -198,16 +190,12 @@ def correlation_entropy(system: ShiftSystem, potential: Potential, q_grid,
     if n < 10:
         raise ValueError("n must be >= 10")
     state = equilibrium_markov(system, potential)
-    base_pressure = state.pressure
-
-    def t_of(q: float) -> float:
-        return transfer_pressure(system, potential.scaled(q)) - q * base_pressure
-
-    formula = np.array([-t_of(q) / (q - 1.0) for q in q_grid])
-    direct = np.array([np.subtract(*_log_measure_power_sums(state, q, n))
-                       / (q - 1.0) for q in q_grid])
-    limit = 0.5 * (-t_of(1.0 + LIMIT_OFFSET) / LIMIT_OFFSET
-                   + t_of(1.0 - LIMIT_OFFSET) / LIMIT_OFFSET)
+    # the grid and the two points around 1, in one stacked solve
+    q_all = np.append(q_grid, [1.0 + LIMIT_OFFSET, 1.0 - LIMIT_OFFSET])
+    t = transfer_pressure(system, potential, q_all) - q_all * state.pressure
+    formula = -t[:-2] / (q_grid - 1.0)
+    direct = np.subtract(*_log_measure_power_sums(state, q_grid, n)) / (q_grid - 1.0)
+    limit = 0.5 * (-t[-2] / LIMIT_OFFSET + t[-1] / LIMIT_OFFSET)
     return CorrelationEntropyCurve(q_grid, formula, direct, limit,
                                    state.entropy)
 

@@ -52,7 +52,7 @@ class ShiftSystem:
         self.adjacency.setflags(write=False)
         self.alphabet_size = k
         self.sidedness = sidedness
-        self.irreducible = strongly_connected(A)
+        self.irreducible = bool(strongly_connected(A))
         self._graphs: dict[int, BlockGraph] = {}
 
     def block_graph(self, depth: int) -> "BlockGraph":
@@ -86,8 +86,9 @@ class ShiftSystem:
                 f"irreducible={self.irreducible})")
 
 
-def strongly_connected(M) -> bool:
-    """True iff every index reaches every index along nonzero entries of M.
+def strongly_connected(M):
+    """True iff every index reaches every index along nonzero entries of M;
+    for a stack (..., n, n), one such verdict per member.
 
     Squares the 0/1 reachability matrix of I + M, clipped back to 0/1
     after each product so that no entry can grow (counting paths in
@@ -95,10 +96,11 @@ def strongly_connected(M) -> bool:
     below the dimension.
     """
     M = np.asarray(M)
-    reach = ((M != 0) | np.eye(len(M), dtype=bool)).astype(float)
-    for _ in range((len(M) - 1).bit_length()):
+    n = M.shape[-1]
+    reach = ((M != 0) | np.eye(n, dtype=bool)).astype(float)
+    for _ in range((n - 1).bit_length()):
         reach = np.minimum(reach @ reach, 1.0)
-    return bool(reach.all())
+    return reach.all(axis=(-2, -1))
 
 
 def make_full_shift(k: int, sidedness: str = ONE_SIDED) -> ShiftSystem:

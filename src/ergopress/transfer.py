@@ -51,10 +51,12 @@ class TransferMatrix:
 
     States are admissible (r-1)-blocks for a depth-r potential (the
     alphabet itself when r = 1); the entry for an allowed transition is
-    exp(potential on the transition window).
+    exp(potential on the transition window).  With ``scales`` (exponents
+    q) ``matrix`` is the stack (Q, n, n) for q * potential, built in one
+    step; an overflowing weight raises OverflowError, as math.exp does.
     """
 
-    def __init__(self, system: ShiftSystem, potential: Potential):
+    def __init__(self, system: ShiftSystem, potential: Potential, scales=None):
         if potential.system is not system and \
                 not np.array_equal(potential.system.adjacency, system.adjacency):
             raise ValueError("potential does not match the system")
@@ -63,8 +65,16 @@ class TransferMatrix:
         r = potential.depth
         self.graph = system.block_graph(max(r - 1, 1))
         src, dst, arc_words = self.graph.arcs
-        M = np.zeros((len(self.graph.words),) * 2)
-        M[src, dst] = [math.exp(v) for v in potential.values(arc_words[:, :r])]
+        self.values = potential.values(arc_words[:, :r])  # one per arc
+        if scales is None:
+            weights = [math.exp(v) for v in self.values]
+        else:
+            with np.errstate(over="ignore"):
+                weights = np.exp(np.multiply.outer(scales, self.values))
+            if np.isinf(weights).any():
+                raise OverflowError("math range error")
+        M = np.zeros(np.shape(scales) + (len(self.graph.words),) * 2)
+        M[..., src, dst] = weights
         self.matrix = M
         self.matrix.setflags(write=False)
 
@@ -78,61 +88,67 @@ class TransferMatrix:
 
 
 def power_iteration(matrix):
-    """Perron eigenvalue and positive left/right eigenvectors.
+    """Perron eigenvalue and positive left/right eigenvectors of a matrix,
+    or of each member of a stack (..., n, n).
 
     Each of v (on M) and u (on its transpose) starts from the LAPACK
-    eigenvector (``np.linalg.eig``) of the largest real eigenvalue lam0,
-    taken in absolute value, and iterates x <- Mx + lam0 x (lam0 clipped
-    at 0, so periodic matrices converge too), normalized to unit 1-norm.
-    It accepts once x > 0 and the Collatz-Wielandt bracket
-    [lo, hi] = [min, max] of (Mx)_i / x_i, which holds rho(M) for every
-    positive x (Seneta, Non-negative Matrices and Markov Chains, ch. 1),
-    has hi - lo <= 1e-13 * hi.  Raises ConvergenceError when
-    LAPACK fails or no bracket closes in MAX_POWER_STEPS steps.
+    eigenvector (one batched ``np.linalg.eig``) of the largest real
+    eigenvalue lam0, taken in absolute value, and iterates x <- Mx + lam0 x
+    (lam0 clipped at 0, so periodic matrices converge too), normalized to
+    unit 1-norm.  A member's x is frozen once x > 0 and the Collatz-Wielandt
+    bracket [lo, hi] = [min, max] of (Mx)_i / x_i, which holds rho(M) for
+    every positive x (Seneta, Non-negative Matrices and Markov Chains,
+    ch. 1), has hi - lo <= 1e-13 * hi.  Raises NoUniquePerronError when a
+    support is reducible, ConvergenceError when LAPACK fails or a bracket
+    does not close in MAX_POWER_STEPS steps.
 
-    Returns (lam, v, u): lam is the midpoint of the intersection of the
-    two brackets, v > 0 has unit 1-norm, u > 0 is scaled so u . v = 1.
+    Returns (lam, v, u) with the stack's leading axes: lam is the midpoint
+    of the intersection of the two brackets, v > 0 has unit 1-norm, u > 0
+    is scaled so u . v = 1.
     """
     M = matrix.matrix if isinstance(matrix, TransferMatrix) else np.asarray(matrix, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError("need a square matrix")
+    if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
+        raise ValueError("need a square matrix or a stack of them")
     if (M < 0).any():
         raise ValueError("need a nonnegative matrix")
-    if not strongly_connected(M):
+    if not strongly_connected(M).all():
         raise NoUniquePerronError("no-unique-perron: matrix support is reducible")
 
-    def bracket(mat):
+    def bracket(mats):
         try:
-            values, vectors = np.linalg.eig(mat)
+            values, vectors = np.linalg.eig(mats)
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(
                 f"no-convergence: eigensolver failed: {exc}") from exc
-        top = values.real.argmax()
-        shift = max(float(values.real[top]), 0.0)
-        x = np.abs(vectors[:, top])
-        x = x / x.sum()
+        top = values.real.argmax(axis=-1)[..., None, None]
+        shift = np.maximum(values.real.max(axis=-1, keepdims=True), 0.0)
+        x = np.abs(np.take_along_axis(vectors, top, -1)[..., 0])
+        x = x / x.sum(axis=-1, keepdims=True)
         for _ in range(MAX_POWER_STEPS):
-            img = mat @ x
-            if (x > 0).all():
-                ratio = img / x
-                lo, hi = ratio.min(), ratio.max()
-                if hi - lo <= 1e-13 * hi:
-                    return lo, hi, x
-            x = img + shift * x
-            x = x / x.sum()
+            img = (mats @ x[..., None])[..., 0]
+            positive = x > 0
+            ratio = img / np.where(positive, x, np.inf)
+            lo, hi = ratio.min(axis=-1), ratio.max(axis=-1)
+            closed = positive.all(axis=-1) & (hi - lo <= 1e-13 * hi)
+            if closed.all():
+                return lo, hi, x
+            x_next = img + shift * x
+            x = np.where(closed[..., None], x,
+                         x_next / x_next.sum(axis=-1, keepdims=True))
         raise ConvergenceError("no-convergence: Perron bracket did not close")
 
     lo, hi, v = bracket(M)
-    lo_left, hi_left, u = bracket(M.T)
-    lam = 0.5 * (max(lo, lo_left) + min(hi, hi_left))
-    return float(lam), v, u / float(u @ v)
+    lo_left, hi_left, u = bracket(np.swapaxes(M, -1, -2))
+    lam = 0.5 * (np.maximum(lo, lo_left) + np.minimum(hi, hi_left))
+    return lam[()], v, u / (u * v).sum(axis=-1, keepdims=True)
 
 
-def transfer_pressure(system: ShiftSystem, potential: Potential) -> float:
-    """Classical pressure log(Perron eigenvalue) of the weighted matrix;
+def transfer_pressure(system: ShiftSystem, potential: Potential, scales=None):
+    """Classical pressure log(Perron eigenvalue) of the weighted matrix, or
+    the array of those of q * potential over ``scales`` (one stacked solve);
     ``power_iteration`` raises NoUniquePerronError on a reducible system."""
-    lam, _, _ = power_iteration(TransferMatrix(system, potential))
-    return math.log(lam)
+    lam, _, _ = power_iteration(TransferMatrix(system, potential, scales))
+    return math.log(lam) if scales is None else np.log(lam)
 
 
 def topological_entropy(system: ShiftSystem) -> float:
@@ -192,9 +208,9 @@ class MarkovMeasure:
         self.stationary, self.transitions = stationary, P
         self.entropy = float(entropy)
 
-    def _with_chains(self, stationary, transitions) -> Iterable["MarkovMeasure"]:
-        """Measures on these states for a stack of chains, checked at once."""
-        stationary, entropy = _checked_chains(stationary, transitions)
+    def _with_chains(self, stationary, transitions,
+                     entropy) -> Iterable["MarkovMeasure"]:
+        """Measures on these states for stacks of checked chains."""
         shared = {name: self.__dict__[name] for name in
                   ("system", "states", "state_depth", "_rows", "_codes")}
         for pi, P, h in zip(stationary, transitions, entropy.tolist()):
@@ -203,32 +219,29 @@ class MarkovMeasure:
                                     entropy=h)
             yield measure
 
-    @cached_property
-    def _logs(self) -> tuple:
-        """(log stationary, log transitions), -inf where zero."""
-        with np.errstate(divide="ignore"):
-            return np.log(self.stationary), np.log(self.transitions)
-
-    def log_masses(self, words) -> np.ndarray:
+    def log_masses(self, words, chains=None) -> np.ndarray:
         """log of the measure of the cylinder of each row of an (m, L)
         array of symbols (each in range(k)), -inf off the support.
 
         For L >= d it is log pi of the first d-block plus the log
         transition probabilities between consecutive d-blocks; for L < d
         it is the log of the summed pi of the states with that prefix.
+        ``chains`` (stationary (..., n), transitions (..., n, n)) replaces
+        the own chain: one word lookup serves the stack, whose axes lead.
         """
+        pi, P = (self.stationary, self.transitions) if chains is None else chains
         words = np.asarray(words, dtype=np.int64)
         k, d = self.system.alphabet_size, self.state_depth
         length = words.shape[1]
-        if length < d:
-            prefixes, group = np.unique(self._codes // k ** (d - length),
-                                        return_inverse=True)
-            mass = np.bincount(group, weights=self.stationary[self._rows])
+        if length < d:  # the codes are sorted, so each prefix is a run
+            prefixes, first = np.unique(self._codes // k ** (d - length),
+                                        return_index=True)
+            mass = np.add.reduceat(pi[..., self._rows], first, axis=-1)
             with np.errstate(divide="ignore"):
                 log_mass = np.log(mass)
             codes = words @ _place(k, length)
             at = np.minimum(np.searchsorted(prefixes, codes), len(prefixes) - 1)
-            return np.where(prefixes[at] == codes, log_mass[at], -np.inf)
+            return np.where(prefixes[at] == codes, log_mass[..., at], -np.inf)
         steps = length - d + 1  # d-blocks in each word
         codes = words[:, :steps] * k ** (d - 1)
         for j in range(1, d):
@@ -236,8 +249,10 @@ class MarkovMeasure:
         at = np.minimum(np.searchsorted(self._codes, codes), len(self._codes) - 1)
         found = (self._codes[at] == codes).all(axis=1)
         rows = self._rows[at]
-        log_pi, log_P = self._logs
-        total = log_pi[rows[:, 0]] + log_P[rows[:, :-1], rows[:, 1:]].sum(axis=1)
+        with np.errstate(divide="ignore"):
+            log_pi, log_P = np.log(pi), np.log(P)
+        total = log_pi[..., rows[:, 0]] \
+            + log_P[..., rows[:, :-1], rows[:, 1:]].sum(axis=-1)
         return np.where(found, total, -np.inf)
 
     def log_cylinder_measure(self, symbols) -> float:
@@ -247,15 +262,16 @@ class MarkovMeasure:
             return -math.inf
         return float(self.log_masses(np.array(word, dtype=np.int64)[None, :])[0])
 
-    def integrate(self, potential: Potential) -> float:
+    def integrate(self, potential: Potential, chains=None):
         """Integral of a locally constant potential against the measure:
         the cylinder masses of the potential's admissible r-words dotted
-        with its values."""
+        with its values (an array of them with ``chains``, as in
+        ``log_masses``)."""
         if potential.system is not self.system and not np.array_equal(
                 potential.system.adjacency, self.system.adjacency):
             raise ValueError("potential does not match the system")
-        masses = np.exp(self.log_masses(potential.graph.words))
-        return float(masses @ potential.vector)
+        return np.exp(self.log_masses(potential.graph.words, chains)) \
+            @ potential.vector
 
     def sample_words(self, length: int, count: int, rng) -> tuple:
         """Sample symbol words of the given length; also return the
@@ -263,47 +279,53 @@ class MarkovMeasure:
 
         Vectorized over samples: one uniform draw u per sample and time
         step, the next state being the first whose cumulative transition
-        probability reaches u.  That search goes through a rank table:
-        with cuts the distinct cumulative probabilities, cum_P[s, c] < u
-        holds iff rank(cum_P[s, c]) < rank(u) (rank = position among the
-        cuts), so table[s, j] = #{c : rank(cum_P[s, c]) < j} answers it
-        for every u of rank j.  A step costs one draw, one search among
-        the cuts and one table lookup, whatever the number of states; the
-        table holds n_states * (cuts + 1) entries of the smallest integer
-        type that holds a state, as does the path.  Draws are made step
-        by step, so memory follows the path, not count * length floats.
-        Raises ValueError when the length is below the state depth d.
+        probability reaches u.  With cuts the distinct cumulative
+        probabilities, cum_P[s, c] < u iff rank(cum_P[s, c]) < rank(u)
+        (rank = number of cuts below), so tables indexed by (s, rank(u))
+        give the next state, its log transition probability and its own
+        table row.  rank(u) comes from a guide table of G buckets over
+        [0, 1), G a power of two above twice the number of cuts: bucket
+        floor(u G) (exact) holds the rank of its left end, and a short
+        loop raises it while the next cut lies below u.  The words are
+        written by time step, so memory follows them, and returned as the
+        transpose of that array.  Raises ValueError when the length is
+        below the state depth d.
         """
         d = self.state_depth
         if length < d:
             raise ValueError(f"need length >= {d} for this measure")
         n_states = len(self.states)
-        log_pi, log_P = self._logs
+        with np.errstate(divide="ignore"):
+            log_pi, log_P = np.log(self.stationary), np.log(self.transitions)
         cum_P = np.cumsum(self.transitions, axis=1)
         cuts = np.unique(cum_P)
         stride = len(cuts) + 1  # a table row: one entry per rank
         rows = np.arange(n_states)[:, None] * stride
-        table = np.bincount((rows + np.searchsorted(cuts, cum_P) + 1).ravel(),
-                            minlength=n_states * stride)
-        dtype = np.min_scalar_type(n_states - 1)
-        table = np.minimum(table.reshape(n_states, stride).cumsum(axis=1),
-                           n_states - 1).astype(dtype).ravel()
+        nxt = np.bincount((rows + np.searchsorted(cuts, cum_P) + 1).ravel(),
+                          minlength=n_states * stride)
+        nxt = np.minimum(nxt.reshape(n_states, stride).cumsum(axis=1),
+                         n_states - 1)
+        next_symbol, next_row = self.states[nxt, -1].ravel(), (nxt * stride).ravel()
+        next_log = np.take_along_axis(log_P, nxt, axis=1).ravel()
+        buckets = 2 << len(cuts).bit_length()
+        guide = np.searchsorted(cuts, np.arange(buckets) / buckets)
+        cuts = np.append(cuts, np.inf)  # rank len(cuts) is never passed
         state = np.minimum(np.searchsorted(np.cumsum(self.stationary),
                                            rng.random(count)), n_states - 1)
         logm = log_pi[state]
-        path = np.empty((count, length - d + 1), dtype=dtype)
-        path[:, 0] = state
-        log_P = log_P.ravel()
-        for t in range(1, length - d + 1):
-            nxt = table.take(state * stride
-                             + np.searchsorted(cuts, rng.random(count)))
-            logm += log_P.take(state * n_states + nxt)
-            path[:, t] = nxt
-            state = nxt.astype(np.intp)
-        words = np.empty((count, length), dtype=self.states.dtype)
-        words[:, :d] = self.states[path[:, 0]]
-        words[:, d:] = self.states[path[:, 1:], -1]
-        return words, logm
+        words = np.empty((length, count), dtype=self.states.dtype)
+        words[:d] = self.states[state].T
+        row = state * stride
+        for t in range(d, length):
+            u = rng.random(count)
+            rank = guide.take((u * buckets).astype(np.intp))
+            while (behind := cuts.take(rank) < u).any():
+                rank += behind
+            at = row + rank
+            logm += next_log.take(at)
+            words[t] = next_symbol.take(at)
+            row = next_row.take(at)
+        return words.T, logm
 
 
 def _place(k: int, d: int) -> np.ndarray:
@@ -348,6 +370,14 @@ class EquilibriumState(MarkovMeasure):
         return math.log(self.eigenvalue)
 
 
+def _gibbs_chains(M, lam, v, u) -> tuple:
+    """(stationary, transitions) of the equilibrium chain(s), from Perron data."""
+    P = M * v[..., None, :] / (np.asarray(lam)[..., None, None] * v[..., :, None])
+    P = P / P.sum(axis=-1, keepdims=True)
+    pi = u * v
+    return pi / pi.sum(axis=-1, keepdims=True), P
+
+
 def equilibrium_markov(system: ShiftSystem, potential: Potential) -> EquilibriumState:
     """Equilibrium state of a locally constant potential.
 
@@ -361,11 +391,25 @@ def equilibrium_markov(system: ShiftSystem, potential: Potential) -> Equilibrium
     """
     tm = TransferMatrix(system, potential)
     lam, v, u = power_iteration(tm)
-    P = tm.matrix * v[None, :] / (lam * v[:, None])
-    P = P / P.sum(axis=1, keepdims=True)
-    pi = u * v
-    pi = pi / pi.sum()
+    pi, P = _gibbs_chains(tm.matrix, lam, v, u)
     return EquilibriumState(system, tm.graph.words, pi, P, lam, potential)
+
+
+def scaled_equilibria(system: ShiftSystem, potential: Potential, scales):
+    """Pressures of q * potential for the exponents q of ``scales`` and the
+    potential's integrals against their equilibrium states (the chains of
+    ``equilibrium_markov``, checked as one stack with each Gibbs identity):
+    one solve, and sums of pi_s P_st times the value on the arc s -> t."""
+    tm = TransferMatrix(system, potential, scales)
+    lam, v, u = power_iteration(tm)
+    pi, P = _gibbs_chains(tm.matrix, lam, v, u)
+    pi, entropy = _checked_chains(pi, P)
+    src, dst, _ = tm.graph.arcs
+    integral = (pi[:, src] * P[:, src, dst]) @ tm.values
+    gap = np.abs(np.log(lam) - (entropy + scales * integral)).max()
+    if gap > GIBBS_TOL:
+        raise RuntimeError(f"Gibbs identity violated by {gap:.3e} at construction")
+    return np.log(lam), integral
 
 
 def vp_residual(system: ShiftSystem, potential: Potential,
@@ -379,24 +423,28 @@ def vp_residual(system: ShiftSystem, potential: Potential,
         (measure.entropy + measure.integrate(potential))
 
 
-def perturbed_invariant_measures(base: MarkovMeasure, count: int, rng,
-                                 scale: float = 0.8) -> Iterable[MarkovMeasure]:
-    """Random invariant Markov measures near a base chain.
+def perturbed_chains(base: MarkovMeasure, count: int, rng,
+                     scale: float = 0.8) -> tuple:
+    """Random invariant Markov chains near a base chain, as stacks
+    (stationary, transitions, entropy) on the base's states.
 
     Rows of the transition matrix are reweighted by exp of Gaussian noise
     (support preserved) and renormalized, and the stationary vectors are
-    re-solved, so every sample is genuinely shift-invariant.  The noise of
-    all ``count`` chains is drawn up front, in one call that gives the
-    same stream as ``count`` draws of one matrix each: the rng advances by
-    ``count`` matrices even if the caller stops early.  The chains are
-    solved and checked as one stack and yielded as measures sharing the
-    base's states.
+    re-solved, so every sample is genuinely shift-invariant; the stack is
+    drawn (as ``count`` draws of one matrix), solved and checked at once.
     """
     P0 = base.transitions
     noise = rng.normal(0.0, scale, size=(count,) + P0.shape)
     P = np.where(P0 > 0, P0 * np.exp(noise), 0.0)
     P = P / P.sum(axis=-1, keepdims=True)
-    return base._with_chains(_stationary_vector(P), P)
+    stationary, entropy = _checked_chains(_stationary_vector(P), P)
+    return stationary, P, entropy
+
+
+def perturbed_invariant_measures(base: MarkovMeasure, count: int, rng,
+                                 scale: float = 0.8) -> Iterable[MarkovMeasure]:
+    """The chains of ``perturbed_chains`` as measures sharing its states."""
+    return base._with_chains(*perturbed_chains(base, count, rng, scale))
 
 
 def _stationary_vector(P: np.ndarray) -> np.ndarray:

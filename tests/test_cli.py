@@ -141,12 +141,13 @@ class TestTasks:
         header, _ = report.results[0].tables["correlation"]
         assert header == ("q", "h_formula", "h_direct")
 
-    def test_correlation_solves_perron_six_times(self, perron_solves):
-        # the equilibrium state, three formula points and two for the
-        # limit at q = 1; the check reads the entropy off the curve
+    def test_correlation_solves_perron_twice(self, perron_solves):
+        # the equilibrium state, then one stack for the three formula
+        # points and the two around q = 1; the check reads the entropy
+        # off the curve
         report = run(make_config("correlation", budget={"n": 14}))
         assert report.passed
-        assert len(perron_solves) == 6
+        assert len(perron_solves) == 2
 
     def test_vp_check_task(self):
         report = run(make_config("vp_check", budget={"samples": 25}))

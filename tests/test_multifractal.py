@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import random_potential
+from conftest import random_irreducible_adjacency, random_potential
 from ergopress import (
     Cover,
     Potential,
@@ -34,11 +34,29 @@ class TestTCurve:
         exact = np.log(1 + 2.0 ** curve.q_grid) - curve.q_grid * math.log(3)
         assert np.abs(curve.t_values - exact).max() <= 1e-12
 
-    def test_one_solve_per_grid_point(self, full2, phi_log2, perron_solves):
-        # base pressure and topological entropy, then one equilibrium
-        # state per q
+    def test_one_stacked_solve_per_grid(self, full2, phi_log2, perron_solves):
+        # base pressure and topological entropy, then one stack for the
+        # equilibrium states of the whole grid
         t_curve(full2, phi_log2, np.linspace(-2.0, 2.0, 9))
-        assert len(perron_solves) == 2 + 9
+        assert len(perron_solves) == 3
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_stack_matches_per_q_equilibrium_states(self, seed):
+        rng = np.random.default_rng(seed)
+        system = ShiftSystem(random_irreducible_adjacency(
+            rng, int(rng.integers(2, 6))))
+        phi = random_potential(rng, system, int(rng.integers(1, 3)))
+        grid = np.round(np.arange(-5.0, 5.0001, 0.25), 10)
+        curve = t_curve(system, phi, grid)
+        base = equilibrium_markov(system, phi)
+        states = [equilibrium_markov(system, phi.scaled(q)) for q in grid]
+        np.testing.assert_allclose(
+            curve.t_values, [m.pressure - q * base.pressure
+                             for q, m in zip(grid, states)],
+            rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(
+            curve.alpha_values, [base.pressure - m.integrate(phi)
+                                 for m in states], rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("q", [-300.0, -100.0, 100.0, 300.0])
     def test_golden_mean_extreme_q_closed_form(self, golden, q):
@@ -148,6 +166,16 @@ class TestLegendre:
         sup = float(curve.spectrum_values.max())
         assert sup == pytest.approx(curve.t_values[i0], abs=1e-9)
 
+    def test_defects_match_per_point_loops(self, curve):
+        q, t = curve.q_grid, curve.t_values
+        alpha, spec = curve.alpha_values, curve.spectrum_values
+        forward = max(abs(float((t + q * a).min()) - e)
+                      for a, e in zip(alpha, spec))
+        reverse = max(abs(float((spec - qs * alpha).max()) - ts)
+                      for qs, ts in zip(q, t))
+        chk = legendre_check(curve)
+        assert (chk.forward_defect, chk.reverse_defect) == (forward, reverse)
+
     def test_degenerate_skipped(self, full2):
         const = Potential.constant(full2, 1.0)
         cc = t_curve(full2, const, Q_GRID)
@@ -190,6 +218,31 @@ class TestCorrelationEntropy:
         ce = correlation_entropy(golden, phi, [-2.0, -1.0, 0.0, 0.5, 2.0, 3.0],
                                  100)
         assert ce.max_mismatch() <= 1e-9
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_stack_matches_per_q_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        system = ShiftSystem(random_irreducible_adjacency(
+            rng, int(rng.integers(2, 6))))
+        phi = random_potential(rng, system, int(rng.integers(1, 3)))
+        grid = np.array([-2.0, -0.5, 0.5, 2.0, 3.0])
+        ce = correlation_entropy(system, phi, grid, 30)
+        base = equilibrium_markov(system, phi)
+
+        def t_of(q):
+            return equilibrium_markov(system, phi.scaled(q)).pressure \
+                - q * base.pressure
+
+        np.testing.assert_allclose(
+            ce.formula_values, [-t_of(q) / (q - 1) for q in grid],
+            rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(
+            ce.direct_values,
+            [np.subtract(*_log_measure_power_sums(base, q, 30)) / (q - 1)
+             for q in grid], rtol=1e-12, atol=1e-12)
+        offset = 1e-3
+        limit = 0.5 * (-t_of(1 + offset) + t_of(1 - offset)) / offset
+        assert ce.limit_at_one == pytest.approx(limit, rel=1e-12, abs=1e-12)
 
     def test_power_sum_matches_enumeration(self, golden):
         mu = equilibrium_markov(golden, Potential.zero(golden))

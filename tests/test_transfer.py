@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,7 +24,9 @@ from ergopress import (
     transfer_pressure,
     vp_residual,
 )
-from ergopress.transfer import ConvergenceError, IncreaseDepthError, power_system
+from ergopress.multifractal import t_curve
+from ergopress.transfer import (ConvergenceError, IncreaseDepthError,
+                                perturbed_chains, power_system)
 
 
 class TestPowerIteration:
@@ -147,6 +150,69 @@ class TestPowerIteration:
         with pytest.raises(ConvergenceError):
             power_iteration(np.ones((2, 2)))
 
+    @staticmethod
+    def _assert_members_match(stack, singles):
+        lam, v, u = power_iteration(stack)
+        assert lam.shape == (len(stack),) and v.shape == u.shape == stack.shape[:2]
+        for i, (lam1, v1, u1) in enumerate(singles):
+            assert lam[i] == pytest.approx(lam1, rel=1e-12)
+            np.testing.assert_allclose(v[i], v1, rtol=1e-12)
+            np.testing.assert_allclose(u[i], u1, rtol=1e-12)
+
+    def test_stack_members_match_single_calls(self):
+        # three weightings of each hard support, solved as one stack,
+        # which raises when one of its members does
+        rng = np.random.default_rng(21)
+        for adj in self._hard_supports(rng):
+            dim = adj.shape[0]
+            stack = adj * np.exp(4.0 * rng.normal(size=(3, dim, dim)))
+            try:
+                singles = [power_iteration(M) for M in stack]
+            except ConvergenceError:
+                with pytest.raises(ConvergenceError):
+                    power_iteration(stack)
+                continue
+            self._assert_members_match(stack, singles)
+
+    def test_stack_of_extreme_golden_mean_weights(self, golden):
+        # rows differing by up to e^300 next to ones differing by e^-300
+        phi = Potential.depth_one(golden, [0.0, 1.0])
+        scales = np.array([-300.0, -100.0, 100.0, 300.0])
+        stack = TransferMatrix(golden, phi, scales).matrix
+        singles = [power_iteration(TransferMatrix(golden, phi.scaled(q)))
+                   for q in scales]
+        self._assert_members_match(stack, singles)
+        exact = (1 + np.sqrt(1 + 4 * np.exp(scales))) / 2
+        np.testing.assert_allclose(power_iteration(stack)[0], exact,
+                                   rtol=1e-12)
+
+    def test_stack_with_a_reducible_member_rejected(self):
+        stack = np.array([np.ones((2, 2)), [[1.0, 1.0], [0.0, 1.0]]])
+        with pytest.raises(NoUniquePerronError):
+            power_iteration(stack)
+
+    def test_member_whose_bracket_cannot_close(self, monkeypatch):
+        # from a flat start the all-ones member closes at once; the other
+        # needs more steps than allowed, and the stack raises
+        from ergopress import transfer
+
+        eig = np.linalg.eig
+        monkeypatch.setattr(np.linalg, "eig", lambda mat: (
+            eig(mat)[0], np.ones(mat.shape, dtype=complex)))
+        monkeypatch.setattr(transfer, "MAX_POWER_STEPS", 3)
+        power_iteration(np.ones((3, 3)))
+        stack = np.array([np.ones((3, 3)),
+                          [[1.0, 5.0, 0.0], [0.0, 0.1, 1.0], [2.0, 0.0, 0.0]]])
+        with pytest.raises(ConvergenceError):
+            power_iteration(stack)
+
+    def test_stack_keeps_leading_axes(self):
+        stack = np.ones((2, 3, 4, 4)) * np.arange(1.0, 4.0)[:, None, None]
+        lam, v, u = power_iteration(stack)
+        assert lam.shape == (2, 3) and v.shape == u.shape == (2, 3, 4)
+        np.testing.assert_allclose(lam, 4.0 * np.arange(1.0, 4.0)[None, :]
+                                   + np.zeros((2, 1)), rtol=1e-14)
+
 
 class TestTransferMatrix:
     def test_depth_one_dimension(self, full2, phi_log2):
@@ -165,6 +231,31 @@ class TestTransferMatrix:
     def test_zero_where_forbidden(self, golden):
         tm = TransferMatrix(golden, Potential.zero(golden))
         assert tm.matrix[1, 1] == 0.0
+
+    def test_scaled_stack_overflow_and_underflow(self, golden):
+        # phi = (0, 1): at q = 720 the weight e^720 overflows and the one
+        # matrix raises OverflowError; at q = -800 e^-800 underflows to 0,
+        # the support turns reducible, and the solve raises
+        # NoUniquePerronError.  The stack does the same, with no warning.
+        phi = Potential.depth_one(golden, [0.0, 1.0])
+        with pytest.raises(OverflowError):
+            TransferMatrix(golden, phi.scaled(720.0))
+        with pytest.raises(NoUniquePerronError):
+            equilibrium_markov(golden, phi.scaled(-800.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError):
+                TransferMatrix(golden, phi, np.array([1.0, 720.0]))
+            for grid in ([720.0], [-1.0, 720.0]):
+                with pytest.raises(OverflowError):
+                    t_curve(golden, phi, grid)
+            stack = TransferMatrix(golden, phi, np.array([-800.0, 1.0]))
+            one = TransferMatrix(golden, phi.scaled(-800.0))
+            assert np.isfinite(stack.matrix).all()
+            np.testing.assert_array_equal(stack.matrix[0], one.matrix)
+            for grid in ([-800.0], [-800.0, 1.0, 2.0]):
+                with pytest.raises(NoUniquePerronError):
+                    t_curve(golden, phi, grid)
 
     def test_entries_are_exp_of_table_values(self):
         rng = np.random.default_rng(4)
@@ -447,6 +538,21 @@ class TestArrayMeasure:
             assert np.abs(pi @ P - pi).max() <= 1e-12
             assert got.states is mu.states
 
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4])
+    def test_stacked_integrals_match_one_at_a_time(self, depth):
+        # states are 2-blocks: depth 1 sums pi over prefixes, deeper
+        # potentials chain transitions
+        rng, system, mu = self._random_measure(16, 2)
+        pot = random_potential(rng, system, depth)
+        pi, P, entropy = perturbed_chains(mu, 30, np.random.default_rng(17))
+        got = mu.integrate(pot, (pi, P))
+        members = list(perturbed_invariant_measures(
+            mu, 30, np.random.default_rng(17)))
+        assert got.shape == (30,)
+        np.testing.assert_allclose(got, [m.integrate(pot) for m in members],
+                                   rtol=1e-14, atol=1e-15)
+        np.testing.assert_array_equal(entropy, [m.entropy for m in members])
+
     def test_perturbed_delta_base_is_accepted(self, full2):
         # P = I is reducible: the minimum-norm solution is uniform
         for m in perturbed_invariant_measures(delta_measure(full2, 1), 5,
@@ -466,6 +572,19 @@ class TestArrayMeasure:
         ref_words, ref_logm = _per_state_sample(mu, 25, 300, 14)
         np.testing.assert_array_equal(words, ref_words)
         np.testing.assert_array_equal(logm, ref_logm)
+
+    def test_sampler_matches_per_state_search_on_clustered_cuts(self):
+        # ten cuts 1e-3 apart share one guide bucket, so draws there walk
+        # the correction loop up to ten steps
+        row = np.array([0.5] + [1e-3] * 9 + [0.491])
+        P = np.tile(row, (11, 1))
+        system = ShiftSystem(np.ones((11, 11), dtype=np.int64))
+        mu = MarkovMeasure(system, [(a,) for a in range(11)], row, P)
+        words, logm = mu.sample_words(40, 500, np.random.default_rng(18))
+        ref_words, ref_logm = _per_state_sample(mu, 40, 500, 18)
+        np.testing.assert_array_equal(words, ref_words)
+        np.testing.assert_array_equal(logm, ref_logm)
+        assert np.isin(words, np.arange(1, 10)).any()
 
     def test_sampling_shorter_than_the_states_raises(self, full2):
         mu = equilibrium_markov(full2, random_potential(
