@@ -9,20 +9,14 @@ concrete proper map on the line with its one-point compactification.
 
 from .shifts import (
     BlockGraph,
-    CylinderSet,
     Potential,
     ShiftSystem,
     SubsetSpec,
-    Word,
-    admissible_word_array,
-    admissible_words,
-    birkhoff_sup,
     golden_mean_shift,
     make_full_shift,
 )
 from .coverpressure import (
     Cover,
-    CoverString,
     InconclusiveError,
     PressureEstimate,
     capacity_pressures,
@@ -61,7 +55,6 @@ from .multifractal import (
     t_curve,
 )
 from .compactify import (
-    FiniteMetricModel,
     GapCertificate,
     InvariantMeasureInfo,
     LineDoublingModel,
@@ -70,7 +63,6 @@ from .compactify import (
     compactification_transfer_check,
     gap_example,
     invariant_measures,
-    lebesgue_number,
 )
 
 __version__ = "0.1.0"

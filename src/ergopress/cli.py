@@ -129,6 +129,15 @@ class ExperimentConfig:
                      and d == sorted(d),
                      "budget.depths", "must be an increasing list of "
                      f"integers >= the potential depth {depth}")
+            if kind != "line_doubling":
+                # a depth-t cover runs on blocks of length max(t - 1, 1),
+                # whose base-k codes must fit in int64; k >= 2, so the
+                # exponent can stop at 64 (no huge power for a huge t)
+                k = system["k"] if kind == "full_shift" else len(adj)
+                blocks = min(max(d[-1] - 1, 1), 64)
+                _require(k ** blocks < 1 << 63, "budget.depths",
+                         f"must keep {k}**(depth - 1) below 2**63, the "
+                         "int64 range of the block codes")
         # inverse_vp needs a block depth max(depth, 2) below n
         least_n = {"correlation": 10, "inverse_vp": max(4, depth + 1)}
         if "n" in budget and task in least_n:

@@ -74,10 +74,6 @@ class LineDoublingModel:
         """The arccot potential in the angle chart: (pi + |theta|)/2."""
         return 0.5 * (PI + np.abs(np.asarray(theta, dtype=float)))
 
-    def is_proper_on_interval(self, a: float, b: float) -> bool:
-        """Preimage of [a, b] is [a/2, b/2]: compact again."""
-        return a / 2.0 <= b / 2.0 and np.isfinite([a, b]).all()
-
 
 # ---------------------------------------------------------------------------
 # cover-based pressure on the circle
@@ -269,90 +265,3 @@ def gap_example(arc_count: int = 64, n_range: tuple = (16, 40)) -> GapCertificat
         estimator=est,
         entropy_estimate=ent.bracket[0],
     )
-
-
-# ---------------------------------------------------------------------------
-# finite metric models and Lebesgue numbers
-
-
-class FiniteMetricModel:
-    """Finite point set with a metric and a compactness marking.
-
-    ``compact_subsets`` designates which subsets play the role of compact
-    sets when the model encodes a non-compact space; the string "all"
-    (the default) marks every subset compact, the encoding of a compact
-    space.  A cover element is admissible when its closure (the element
-    itself: finite metric spaces are discrete) or its complement is
-    designated compact.
-    """
-
-    def __init__(self, distances, compact_subsets="all"):
-        D = np.asarray(distances, dtype=float)
-        if D.ndim != 2 or D.shape[0] != D.shape[1]:
-            raise ValueError("distance matrix must be square")
-        if not np.allclose(D, D.T) or (np.diag(D) != 0).any():
-            raise ValueError("distances must be symmetric with zero diagonal")
-        if (D[~np.eye(D.shape[0], dtype=bool)] <= 0).any():
-            raise ValueError("distinct points need positive distance")
-        n = D.shape[0]
-        for i in range(n):  # triangle inequality
-            if (D[i, None, :] > D[i, :, None] + D + 1e-12).any():
-                raise ValueError("triangle inequality violated")
-        self.distances = D
-        self.size = n
-        if compact_subsets == "all":
-            self._compacts = None
-        else:
-            self._compacts = {frozenset(s) for s in compact_subsets}
-
-    @classmethod
-    def from_points(cls, points, compact_subsets="all") -> "FiniteMetricModel":
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if pts.shape[0] == 1 and pts.shape[1] > 1:
-            pts = pts.T
-        diff = pts[:, None, :] - pts[None, :, :]
-        return cls(np.sqrt((diff ** 2).sum(axis=2)), compact_subsets)
-
-    def is_compact(self, subset) -> bool:
-        if self._compacts is None:
-            return True
-        return frozenset(subset) in self._compacts
-
-    def is_admissible_element(self, subset) -> bool:
-        subset = frozenset(subset)
-        complement = frozenset(range(self.size)) - subset
-        return self.is_compact(subset) or self.is_compact(complement)
-
-
-def lebesgue_number(model: FiniteMetricModel, cover) -> float:
-    """Largest delta such that every open delta-ball lies inside one
-    cover element.
-
-    The cover must consist of admissible elements and must cover the
-    whole point set.  delta is min over points x of the largest distance
-    from x to the outside of some element containing x; it is positive
-    because every point lies in some element.  An element equal to the
-    whole set (or a single-point model) makes the ball condition vacuous
-    and the maximal pairwise distance is returned as the sentinel (the
-    sentinel is +inf when no pair exists).
-    """
-    elements = [frozenset(e) for e in cover]
-    for e in elements:
-        if not model.is_admissible_element(e):
-            raise ValueError("invalid-cover: element is not admissible")
-    covered = frozenset().union(*elements) if elements else frozenset()
-    if covered != frozenset(range(model.size)):
-        raise ValueError("invalid-cover: elements do not cover the model")
-    D = model.distances
-    sentinel = float(D.max()) if model.size > 1 else math.inf
-    best_overall = math.inf
-    for x in range(model.size):
-        best_x = 0.0
-        for e in elements:
-            if x not in e:
-                continue
-            outside = [y for y in range(model.size) if y not in e]
-            reach = min(D[x, y] for y in outside) if outside else math.inf
-            best_x = max(best_x, reach)
-        best_overall = min(best_overall, best_x)
-    return sentinel if best_overall == math.inf else float(best_overall)

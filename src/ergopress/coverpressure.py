@@ -43,16 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .shifts import (
-    BlockGraph,
-    CylinderSet,
-    Potential,
-    ShiftSystem,
-    SubsetSpec,
-    Word,
-    admissible_words,
-    birkhoff_sup,
-)
+from .shifts import BlockGraph, Potential, ShiftSystem, SubsetSpec
 
 
 DEPTH_MARGIN = 8  # string lengths a bisection weight may add beyond N
@@ -77,61 +68,6 @@ class Cover:
 
     def diameter(self) -> float:
         return 2.0 ** (-self.depth)
-
-    def elements(self) -> list[CylinderSet]:
-        return [CylinderSet(w) for w in admissible_words(self.system, self.depth)]
-
-
-class CoverString:
-    """A string of cover elements with its domain and weights.
-
-    The domain is the set of points whose first m iterates visit the
-    chosen elements in order; on a cylinder partition it is itself a
-    cylinder (of depth m + t - 1) or empty.  The two weights of the
-    underlying dimension structure are exp of the Birkhoff supremum over
-    the domain (zero for an empty domain) and exp(-m).
-
-    Bulk computations never materialize these objects (there are
-    exponentially many); the class exists for inspection and testing.
-    """
-
-    def __init__(self, cover: Cover, element_indices, potential: Potential):
-        self.cover = cover
-        self.potential = potential
-        self.indices = tuple(int(i) for i in element_indices)
-        if not self.indices:
-            raise ValueError("strings must have positive length")
-        words = admissible_words(cover.system, cover.depth)
-        pieces = [words[i].symbols for i in self.indices]
-        assembled = list(pieces[0])
-        for prev, cur in zip(pieces, pieces[1:]):
-            if prev[1:] != cur[:-1]:
-                assembled = None
-                break
-            assembled.append(cur[-1])
-        if assembled is not None and cover.system.is_admissible(assembled):
-            self.domain = CylinderSet(Word(tuple(assembled), cover.system))
-        else:
-            self.domain = None
-
-    @property
-    def length(self) -> int:
-        return len(self.indices)
-
-    @property
-    def xi(self) -> float:
-        if self.domain is None:
-            return 0.0
-        return math.exp(birkhoff_sup(self.potential, self.domain.base_word,
-                                     self.length))
-
-    @property
-    def eta(self) -> float:
-        return math.exp(-self.length)
-
-    def weight(self, alpha: float) -> float:
-        """xi * eta**alpha, the summand of the covering weight."""
-        return self.xi * self.eta ** alpha
 
 
 @dataclass
@@ -414,26 +350,21 @@ def lambda_n(subset: SubsetSpec, potential: Potential, cover: Cover,
 
 
 def weight_m(subset: SubsetSpec, alpha: float, potential: Potential,
-             cover: Cover, N: int, depth_cap: int | None = None,
-             return_details: bool = False):
+             cover: Cover, N: int, depth_cap: int | None = None) -> float:
     """Optimal covering weight over strings of length >= N.
 
     Computed exactly as the cheapest prefix-free antichain in the
     cylinder tree with string lengths in [N, depth_cap] (default N + 8).
-    Always an upper bound for the unbounded-depth infimum; the details
-    record the fraction of the optimum sitting at the cap, which tells
-    whether deeper antichains were still winning.  When the subset lists
-    cylinder words deeper than the cap, the cap is raised to reach them
-    (and reported in the details), since the covering structure below
-    the entry level is pinned by those words anyway.
+    Always an upper bound for the unbounded-depth infimum.  When the
+    subset lists cylinder words deeper than the cap, the cap is raised to
+    reach them, since the covering structure below the entry level is
+    pinned by those words anyway; ``_StringCalculus.log_weight_m`` reports
+    the cap used and the fraction of the optimum sitting at it.
     """
     cap = depth_cap if depth_cap is not None else N + DEPTH_MARGIN
-    calc = _StringCalculus(subset, potential, cover)
-    logm, details = calc.log_weight_m(alpha, N, cap)
-    value = math.exp(logm)
-    if return_details:
-        return value, details
-    return value
+    logm, _ = _StringCalculus(subset, potential, cover).log_weight_m(
+        alpha, N, cap)
+    return math.exp(logm)
 
 
 def capacity_pressures(subset: SubsetSpec, potential: Potential, cover: Cover,

@@ -1,11 +1,11 @@
-"""Shift spaces, words, cylinders and locally constant potentials.
+"""Shift spaces, their block graphs and locally constant potentials.
 
 A subshift of finite type is described by a 0/1 adjacency matrix over a
-finite alphabet.  Points are one- or two-sided symbol sequences whose
+finite alphabet.  Points are one-sided symbol sequences whose
 consecutive pairs are allowed by the matrix.  The metric is the standard
-one: d(x, y) = 2**(-j) where j is the first index at which x and y differ
-(for two-sided sequences, the smallest |index|).  Cylinder sets are then
-balls of dyadic diameter, which is what makes cover refinement exact.
+one: d(x, y) = 2**(-j) where j is the first index at which x and y differ.
+Cylinder sets are then balls of dyadic diameter, which is what makes
+cover refinement exact.
 
 Potentials are locally constant of finite depth r: the value at a point
 depends only on its first r coordinates, so Birkhoff sums over cylinders
@@ -14,14 +14,10 @@ have exact suprema (plain table sums once the word is long enough).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping
 
 import numpy as np
-
-ONE_SIDED = "one-sided"
-TWO_SIDED = "two-sided"
 
 
 class ShiftSystem:
@@ -31,10 +27,9 @@ class ShiftSystem:
     ----------
     adjacency : array-like of 0/1, square
         adjacency[a, b] == 1 iff the symbol b may follow a.
-    sidedness : "one-sided" or "two-sided"
     """
 
-    def __init__(self, adjacency, sidedness: str = ONE_SIDED):
+    def __init__(self, adjacency):
         A = np.asarray(adjacency, dtype=np.int64)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError("adjacency must be a square matrix")
@@ -46,12 +41,9 @@ class ShiftSystem:
         if (A.sum(axis=1) == 0).any() or (A.sum(axis=0) == 0).any():
             raise ValueError("invalid-system: adjacency has a dead symbol "
                              "(zero row or column)")
-        if sidedness not in (ONE_SIDED, TWO_SIDED):
-            raise ValueError(f"unknown sidedness {sidedness!r}")
         self.adjacency = A
         self.adjacency.setflags(write=False)
         self.alphabet_size = k
-        self.sidedness = sidedness
         self.irreducible = bool(strongly_connected(A))
         self._graphs: dict[int, BlockGraph] = {}
 
@@ -82,7 +74,7 @@ class ShiftSystem:
         return int(power.sum())
 
     def __repr__(self):
-        return (f"ShiftSystem(k={self.alphabet_size}, {self.sidedness}, "
+        return (f"ShiftSystem(k={self.alphabet_size}, "
                 f"irreducible={self.irreducible})")
 
 
@@ -103,80 +95,23 @@ def strongly_connected(M):
     return reach.all(axis=(-2, -1))
 
 
-def make_full_shift(k: int, sidedness: str = ONE_SIDED) -> ShiftSystem:
+def make_full_shift(k: int) -> ShiftSystem:
     """Full shift on k >= 2 symbols (all transitions allowed)."""
     if k < 2:
         raise ValueError("invalid-system: full shift needs k >= 2")
-    return ShiftSystem(np.ones((k, k), dtype=np.int64), sidedness)
+    return ShiftSystem(np.ones((k, k), dtype=np.int64))
 
 
-def golden_mean_shift(sidedness: str = ONE_SIDED) -> ShiftSystem:
+def golden_mean_shift() -> ShiftSystem:
     """Two symbols, the word 11 forbidden."""
-    return ShiftSystem([[1, 1], [1, 0]], sidedness)
+    return ShiftSystem([[1, 1], [1, 0]])
 
 
-@dataclass(frozen=True)
-class Word:
-    """Admissible finite word of a shift system."""
-
-    symbols: tuple
-    system: ShiftSystem = field(repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "symbols", tuple(int(a) for a in self.symbols))
-        if len(self.symbols) == 0:
-            raise ValueError("words must be nonempty")
-        if not self.system.is_admissible(self.symbols):
-            raise ValueError(f"word {self.symbols} is not admissible")
-
-    def __len__(self):
-        return len(self.symbols)
-
-    def __iter__(self):
-        return iter(self.symbols)
-
-
-@dataclass(frozen=True)
-class CylinderSet:
-    """Set of sequences matching base_word starting at start_index.
-
-    One-sided systems only use start_index 0.  The cylinder is nonempty by
-    construction because Word validates admissibility.
-    """
-
-    base_word: Word
-    start_index: int = 0
-
-    def __post_init__(self):
-        if self.base_word.system.sidedness == ONE_SIDED and self.start_index != 0:
-            raise ValueError("one-sided cylinders start at index 0")
-
-    @property
-    def depth(self) -> int:
-        return len(self.base_word)
-
-    def diameter(self) -> float:
-        """Diameter under d(x,y) = 2**(-first disagreement).
-
-        Two-sided: 2**(-k) with k the smallest |index| outside the
-        constrained window (two points in the cylinder can disagree
-        anywhere outside it).
-        """
-        m = len(self.base_word)
-        i = self.start_index
-        if self.base_word.system.sidedness == ONE_SIDED:
-            return 2.0 ** (-m)
-        lo, hi = i, i + m - 1
-        if lo > 0 or hi < 0:
-            return 1.0
-        return 2.0 ** (-min(abs(lo - 1), abs(hi + 1)))
-
-
-def admissible_words(system: ShiftSystem, n: int) -> list[Word]:
-    """All admissible words of length n, lexicographic order."""
-    return [Word(s, system) for s in iter_admissible_tuples(system.adjacency, n)]
-
-
+# No library code calls iter_admissible_tuples or admissible_word_array
+# (nor, but for the latter's guard, ShiftSystem.word_count): the
+# benchmark's tracer in perfbench/spans.py wraps them by name and is their
+# only reader.  They go once a benchmark change drops those SPANS and
+# COUNTED entries.
 def iter_admissible_tuples(adjacency: np.ndarray, n: int) -> Iterable[tuple]:
     """Raw symbol tuples of the admissible n-words of the 0/1 matrix, in
     lexicographic order, over the symbols that have a successor (all of a
@@ -299,9 +234,6 @@ class Potential:
         """Values of an array of admissible r-blocks (along the last axis)."""
         return self.vector[self.graph.index(blocks)]
 
-    def sup_norm(self) -> float:
-        return max(abs(v) for v in self.table.values())
-
     def sup_minus(self, other: "Potential") -> float:
         """sup |self - other| over the space (tables must share the system)."""
         if other.system is not self.system and \
@@ -336,34 +268,14 @@ class Potential:
         return sum(self.table[s[j:j + r]] for j in range(n))
 
 
-def birkhoff_sup(potential: Potential, word: Word, n: int) -> float:
-    """Exact sup over the cylinder of ``word`` of the n-term Birkhoff sum.
-
-    With len(word) >= n + depth - 1 every summand is determined and the
-    value is a plain table sum.  Shorter words leave some summands free
-    and the supremum runs over all admissible extensions (finitely many,
-    enumerated exactly), which keeps the value well defined for any
-    nonempty word.
-    """
-    r = potential.depth
-    s = tuple(word)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    need = n + r - 1
-    if len(s) >= need:
-        return potential.word_sum(s, n)
-    tails = _grow_words(word.system.adjacency, need - len(s) + 1)
-    tails = tails[tails[:, 0] == s[-1], 1:].tolist()
-    return max(potential.word_sum(s + tuple(tail), n) for tail in tails)
-
-
 class SubsetSpec:
     """Subset of the shift space: everything, a sub-SFT, or a cylinder union.
 
-    Sub-SFT specs are reduced at construction: symbols whose rows or
-    columns die out are stripped until every surviving symbol has a
-    successor and a predecessor, so that a word meets the subset exactly
-    when it is admissible for the reduced matrix.  Cylinder unions are
+    Sub-SFT specs are reduced at construction: transitions into symbols
+    whose rows die out are stripped until every symbol that can be
+    entered has a successor, so that a word meets the subset exactly when
+    it is admissible for the reduced matrix and ends in a symbol with a
+    successor.  Cylinder unions are
     reduced to an antichain (no listed word extends another).
     """
 
@@ -424,23 +336,6 @@ class SubsetSpec:
             return len(self.words) == 0
         return False
 
-    def meets_word(self, symbols) -> bool:
-        """Does the cylinder of ``symbols`` intersect the subset?
-
-        Exact for all three kinds: whole-space cylinders always meet;
-        a sub-SFT is met iff the word is admissible for the reduced
-        sub-adjacency; a cylinder union is met iff the word extends or is
-        a prefix of a listed word.
-        """
-        s = tuple(symbols)
-        if self.kind == self.WHOLE:
-            return self.system.is_admissible(s)
-        if self.kind == self.SUB_SFT:
-            B = self.sub_adjacency
-            return all(B[s[i], s[i + 1]] for i in range(len(s) - 1)) and \
-                all(B[a].any() for a in s)
-        return any(w[:len(s)] == s or s[:len(w)] == w for w in self.words)
-
     def __repr__(self):
         if self.kind == self.CYLINDERS:
             return f"SubsetSpec(cylinders x{len(self.words)})"
@@ -475,30 +370,3 @@ def _prefix_antichain(words: list[tuple]) -> tuple:
         keep.append(w)
         kept_by_len.setdefault(len(w), set()).add(w)
     return tuple(keep)
-
-
-def two_sided_cylinder_trace(cylinder: CylinderSet) -> SubsetSpec:
-    """Future trace of a two-sided cylinder, as a one-sided subset spec.
-
-    A two-sided cylinder fixing coordinates i..i+m-1 projects, on the
-    future coordinates 0,1,..., onto a finite union of one-sided
-    cylinders; pressures only read the future, so this reduction is
-    exact.  Shifting the cylinder (the image under the shift map
-    decrements i) permutes the covering strings bijectively, which is
-    what makes pressure invariant under the shift homeomorphism.
-    """
-    word = cylinder.base_word
-    system = word.system
-    if system.sidedness != TWO_SIDED:
-        raise ValueError("trace reduction applies to two-sided cylinders")
-    one_sided = ShiftSystem(system.adjacency, ONE_SIDED)
-    i, w = cylinder.start_index, word.symbols
-    if i + len(w) <= 0:
-        return SubsetSpec.whole(one_sided)
-    if i < 0:
-        return SubsetSpec.cylinders(one_sided, [w[-i:]])
-    if i == 0:
-        return SubsetSpec.cylinders(one_sided, [w])
-    prefixes = [p for p in iter_admissible_tuples(system.adjacency, i)
-                if system.adjacency[p[-1], w[0]]]
-    return SubsetSpec.cylinders(one_sided, [p + w for p in prefixes])

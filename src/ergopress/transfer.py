@@ -169,7 +169,7 @@ def block_recode(system: ShiftSystem, potential: Potential):
     src, dst, _ = graph.arcs
     B = np.zeros((len(graph.words),) * 2, dtype=np.int64)
     B[src, dst] = 1
-    recoded = ShiftSystem(B, system.sidedness)
+    recoded = ShiftSystem(B)
     values = potential.values(graph.words).tolist()
     return recoded, Potential.depth_one(recoded, values,
                                         name=f"recode[{potential.name}]")
@@ -484,7 +484,7 @@ def power_system(system: ShiftSystem, k: int) -> tuple:
     words = system.block_graph(k).words
     B = system.adjacency[np.ix_(words[:, -1], words[:, 0])]
     blocks = list(map(tuple, words.tolist()))
-    return ShiftSystem(B, system.sidedness), blocks
+    return ShiftSystem(B), blocks
 
 
 def power_sum_potential(system: ShiftSystem, potential: Potential, k: int,

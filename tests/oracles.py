@@ -157,29 +157,6 @@ def antichain_cost(adjacency, table, depth, t, alpha, antichain):
     return total
 
 
-def lebesgue_brute(distances, cover):
-    """Largest delta (searched over all pairwise distances) such that
-    every open delta-ball lies inside some cover element."""
-    D = np.asarray(distances)
-    n = D.shape[0]
-    candidates = sorted({float(D[i, j]) for i in range(n) for j in range(n)
-                         if i != j}, reverse=True)
-    if not candidates:
-        return math.inf
-
-    def ball_ok(delta):
-        for x in range(n):
-            ball = {y for y in range(n) if D[x, y] < delta}
-            if not any(ball <= set(e) for e in cover):
-                return False
-        return True
-
-    for delta in candidates:
-        if ball_ok(delta):
-            return delta
-    return 0.0
-
-
 def markov_log_mass(states, stationary, transitions, word):
     """log of the cylinder measure of ``word`` under a Markov chain on the
     block ``states`` (tuples of one length d), by walking the word block by

@@ -46,6 +46,17 @@ class TestConfigValidation:
             ExperimentConfig.from_dict({
                 "task": "pressure", "system": {"kind": "full_shift", "k": 1}})
 
+    @pytest.mark.parametrize("k, depth", [(2, 63), (3, 40)])
+    def test_deepest_cover_within_int64_accepted(self, k, depth):
+        # k**(depth - 1) < 2**63 <= k**depth
+        ExperimentConfig.from_dict({
+            "task": "pressure", "system": {"kind": "full_shift", "k": k},
+            "budget": {"depths": [depth]}})
+        with pytest.raises(ConfigError, match="budget.depths"):
+            ExperimentConfig.from_dict({
+                "task": "pressure", "system": {"kind": "full_shift", "k": k},
+                "budget": {"depths": [depth + 1]}})
+
     def test_negative_tolerance(self):
         with pytest.raises(ConfigError, match="budget.tol"):
             make_config("pressure", budget={"tol": -1.0})
@@ -302,6 +313,14 @@ class TestMainEntry:
                       "subset": {"kind": "cylinders", "words": [[1, 1]]}},
          "subset.words"),
         ("vp-check", {"seed": -1}, "seed"),
+        # (depth - 1)-block codes past int64
+        ("pressure", {"budget": {"n_max": 12, "depths": [64]}},
+         "budget.depths"),
+        ("pressure", {"budget": {"n_max": 12, "depths": [10 ** 12]}},
+         "budget.depths"),
+        ("pressure", {"system": {"kind": "sft", "adjacency": [
+            [1, 1, 0], [0, 1, 1], [1, 1, 1]]},
+            "budget": {"n_max": 12, "depths": [1, 41]}}, "budget.depths"),
     ])
     def test_malformed_config_exits_two_naming_field(
             self, tmp_path, capsys, task, overrides, field):

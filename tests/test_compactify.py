@@ -3,16 +3,13 @@ import math
 import numpy as np
 import pytest
 
-import oracles
 from ergopress import (
-    FiniteMetricModel,
     LineDoublingModel,
     arccot_potential_line,
     circle_cover_pressure,
     compactification_transfer_check,
     gap_example,
     invariant_measures,
-    lebesgue_number,
 )
 from ergopress.compactify import _wrap, zero_potential_angle
 
@@ -73,8 +70,12 @@ class TestModel:
         assert model.map_angle(theta) < PI
 
     def test_properness_on_intervals(self):
+        # the preimage of [a, b] is [a/2, b/2]: compact again, so in the
+        # chart it stays off the pole
         model = LineDoublingModel()
-        assert model.is_proper_on_interval(-3.0, 5.0)
+        preimage = model.inverse_angle(model.angle_from_x([-3.0, 5.0]))
+        assert model.x_from_angle(preimage) == pytest.approx([-1.5, 2.5])
+        assert (np.abs(preimage) < PI).all()
 
 
 class TestCoverPressure:
@@ -252,79 +253,3 @@ class TestGapExample:
 
     def test_entropy_estimate(self, cert):
         assert abs(cert.entropy_estimate) <= 1e-2
-
-
-class TestFiniteMetricModel:
-    def test_metric_axioms_enforced(self):
-        with pytest.raises(ValueError):
-            FiniteMetricModel([[0.0, 1.0], [2.0, 0.0]])  # not symmetric
-        with pytest.raises(ValueError):
-            FiniteMetricModel([[0.0, 5.0, 1.0], [5.0, 0.0, 1.0],
-                               [1.0, 1.0, 0.0]])  # triangle violated
-
-    def test_admissibility_with_designated_compacts(self):
-        model = FiniteMetricModel.from_points(
-            [0.0, 1.0, 2.0],
-            compact_subsets=[{0}, {0, 1}])
-        assert model.is_admissible_element({0, 1})      # compact closure
-        assert model.is_admissible_element({1, 2})      # compact complement
-        assert not model.is_admissible_element({0, 2})  # neither
-
-    def test_all_compact_default(self):
-        model = FiniteMetricModel.from_points([0.0, 3.0])
-        assert model.is_admissible_element({0})
-
-
-class TestLebesgueNumber:
-    def test_segment_model_matches_brute(self):
-        # eleven points on a segment covered by two balls of radius 0.6
-        points = [i / 10 for i in range(11)]
-        model = FiniteMetricModel.from_points(points)
-        ball0 = {i for i, p in enumerate(points) if p < 0.6}
-        ball1 = {i for i, p in enumerate(points) if p > 0.4}
-        cover = [ball0, ball1]
-        delta = lebesgue_number(model, cover)
-        brute = oracles.lebesgue_brute(model.distances, cover)
-        assert delta == pytest.approx(brute)
-        assert delta == pytest.approx(0.1)
-
-    def test_whole_space_element(self):
-        points = [0.0, 1.0, 4.0]
-        model = FiniteMetricModel.from_points(points)
-        assert lebesgue_number(model, [{0, 1, 2}]) == pytest.approx(4.0)
-
-    def test_single_point_sentinel(self):
-        model = FiniteMetricModel.from_points([0.0])
-        assert lebesgue_number(model, [{0}]) == math.inf
-
-    def test_non_covering_rejected(self):
-        model = FiniteMetricModel.from_points([0.0, 1.0])
-        with pytest.raises(ValueError):
-            lebesgue_number(model, [{0}])
-
-    def test_inadmissible_element_rejected(self):
-        # {0, 1} is not designated compact and neither is its complement
-        model = FiniteMetricModel.from_points([0.0, 1.0, 2.0],
-                                              compact_subsets=[{0}])
-        with pytest.raises(ValueError):
-            lebesgue_number(model, [{0, 1}, {1, 2}])
-
-    def test_random_covers_positive_and_match_brute(self):
-        rng = np.random.default_rng(2)
-        for trial in range(1000):
-            size = int(rng.integers(2, 9))
-            pts = rng.normal(size=(size, 2))
-            model = FiniteMetricModel.from_points(pts)
-            elements = []
-            covered = set()
-            while covered != set(range(size)):
-                e = {int(i) for i in
-                     rng.choice(size, size=int(rng.integers(1, size + 1)),
-                                replace=False)}
-                elements.append(e)
-                covered |= e
-            delta = lebesgue_number(model, elements)
-            assert delta > 0
-            if trial < 100:  # exhaustive oracle on a subsample
-                assert delta == pytest.approx(
-                    oracles.lebesgue_brute(model.distances, elements))

@@ -5,16 +5,12 @@ import pytest
 
 import oracles
 from conftest import GOLDEN, random_irreducible_adjacency, random_potential
-import itertools
 
 from ergopress import (
     Cover,
-    CoverString,
-    CylinderSet,
     Potential,
     ShiftSystem,
     SubsetSpec,
-    Word,
     capacity_pressures,
     critical_alpha,
     lambda_n,
@@ -24,47 +20,15 @@ from ergopress import (
     weight_m,
 )
 from ergopress.coverpressure import InconclusiveError, _slope, _StringCalculus
-from ergopress.shifts import two_sided_cylinder_trace
 
 
 class TestCover:
     def test_elements_partition(self, golden):
         cover = Cover(golden, 3)
-        assert len(cover.elements()) == 5
+        # one length-1 string per element: the 5 admissible 3-words
+        assert lambda_n(SubsetSpec.whole(golden), Potential.zero(golden),
+                        cover, 1) == pytest.approx(5.0)
         assert cover.diameter() == 0.125
-
-
-class TestCoverString:
-    def test_domain_assembles_overlapping_windows(self, golden):
-        zero = Potential.zero(golden)
-        cover = Cover(golden, 2)  # elements 00, 01, 10 in lexicographic order
-        s = CoverString(cover, [0, 1, 2], zero)  # 00 -> 01 -> 10
-        assert s.domain.base_word.symbols == (0, 0, 1, 0)
-        assert s.length == 3
-
-    def test_inconsistent_windows_empty_domain(self, golden):
-        zero = Potential.zero(golden)
-        cover = Cover(golden, 2)
-        s = CoverString(cover, [0, 2], zero)  # 00 then 10: no overlap
-        assert s.domain is None
-        assert s.xi == 0.0
-
-    def test_weights(self, full2, phi_log2):
-        cover = Cover(full2, 1)
-        s = CoverString(cover, [1, 0, 1], phi_log2)
-        assert s.xi == pytest.approx(math.exp(2 * math.log(2)))
-        assert s.eta == pytest.approx(math.exp(-3))
-        assert s.weight(2.0) == pytest.approx(s.xi * math.exp(-6))
-
-    def test_string_sum_reproduces_covering_sum(self, full2, phi_log2):
-        # summing xi over every length-N string equals the minimal
-        # fixed-length covering sum of the whole space
-        cover = Cover(full2, 1)
-        N = 4
-        total = sum(CoverString(cover, idx, phi_log2).xi
-                    for idx in itertools.product(range(2), repeat=N))
-        assert total == pytest.approx(
-            lambda_n(SubsetSpec.whole(full2), phi_log2, cover, N))
 
 
 class TestLambda:
@@ -237,8 +201,7 @@ class TestWeightM:
             pytest.approx(math.exp(-0.7 * 5))
         assert weight_m(fp, 0.7, zero, cover, 5, depth_cap=9) == \
             pytest.approx(math.exp(-0.7 * 9))
-        value, details = weight_m(fp, 0.7, zero, cover, 5, depth_cap=9,
-                                  return_details=True)
+        _, details = _StringCalculus(fp, zero, cover).log_weight_m(0.7, 5, 9)
         assert details["upper_bound"] and details["cap_mass"] == 1.0
 
     def test_nonincreasing_in_alpha(self, golden):
@@ -315,14 +278,16 @@ class TestWeightM:
         # to reach them and reported; the value is exact at that cap
         words = [(0, 1, 1, 0, 1), (0, 1, 1, 0, 0)]
         spec = SubsetSpec.cylinders(full2, words)
-        value, details = weight_m(spec, 0.8, phi_log2, Cover(full2, 1), 2,
-                                  depth_cap=2, return_details=True)
+        logm, details = _StringCalculus(spec, phi_log2, Cover(full2, 1)) \
+            .log_weight_m(0.8, 2, 2)
         assert details["cap"] == 5
+        assert weight_m(spec, 0.8, phi_log2, Cover(full2, 1), 2,
+                        depth_cap=2) == math.exp(logm)
         brute = oracles.weight_m_brute(full2.adjacency, phi_log2.table, 1, 1,
                                        0.8, 2, details["cap"],
                                        subset_kind="cylinders",
                                        cylinder_words=words)
-        assert value == pytest.approx(brute, rel=1e-10)
+        assert math.exp(logm) == pytest.approx(brute, rel=1e-10)
 
 
 class TestSweepCache:
@@ -550,16 +515,18 @@ class TestStructuralProperties:
         assert p == pytest.approx(math.log(GOLDEN), abs=1e-3)
 
     def test_shift_invariance_two_sided(self):
-        # shifting a cylinder spec relabels covering strings bijectively,
-        # so estimated pressures agree across start indices
-        sys2 = make_full_shift(2, sidedness="two-sided")
-        one_sided = make_full_shift(2)
-        phi = Potential.depth_one(one_sided, [0.0, math.log(2.0)])
-        w = Word((0, 1), sys2)
+        # the two-sided cylinder fixing 01 at coordinates start, start + 1
+        # has as future trace these one-sided cylinder unions; shifting it
+        # relabels covering strings bijectively, so estimated pressures
+        # agree across start indices
+        full2 = make_full_shift(2)
+        phi = Potential.depth_one(full2, [0.0, math.log(2.0)])
+        traces = {-1: [(1,)], 0: [(0, 1)], 1: [(a, 0, 1) for a in range(2)],
+                  2: [(a, b, 0, 1) for a in range(2) for b in range(2)]}
         values = []
-        for start in (-1, 0, 1, 2):
-            trace = two_sided_cylinder_trace(CylinderSet(w, start))
-            lo, hi = capacity_pressures(trace, phi, Cover(one_sided, 1), 16)
+        for words in traces.values():
+            trace = SubsetSpec.cylinders(full2, words)
+            lo, hi = capacity_pressures(trace, phi, Cover(full2, 1), 16)
             values.append(hi.value)
         for v in values:
             assert v == pytest.approx(values[0], abs=1e-9)

@@ -6,20 +6,17 @@ import pytest
 import oracles
 from conftest import random_irreducible_adjacency, random_potential
 from ergopress import (
-    CylinderSet,
+    Cover,
     Potential,
     ShiftSystem,
     SubsetSpec,
-    Word,
-    admissible_words,
-    birkhoff_sup,
+    lambda_n,
     make_full_shift,
 )
 from ergopress.shifts import (
     BlockGraph,
     iter_admissible_tuples,
     strongly_connected,
-    two_sided_cylinder_trace,
 )
 
 
@@ -79,15 +76,19 @@ class TestShiftSystem:
             ShiftSystem([[1, 2], [1, 0]])
 
 
+def _words(system, n):
+    return list(iter_admissible_tuples(system.adjacency, n))
+
+
 class TestAdmissibleWords:
     def test_full_2_shift_count(self, full2):
-        assert len(admissible_words(full2, 3)) == 8
+        assert len(_words(full2, 3)) == 8
 
     def test_golden_mean_counts(self, golden):
-        words3 = admissible_words(golden, 3)
+        words3 = _words(golden, 3)
         assert len(words3) == 5
-        assert len(words3) == len(oracles.enumerate_words(golden.adjacency, 3))
-        assert len(admissible_words(golden, 10)) == 144
+        assert words3 == oracles.enumerate_words(golden.adjacency, 3)
+        assert len(_words(golden, 10)) == 144
         assert len(oracles.enumerate_words(golden.adjacency, 10)) == 144
 
     def test_counts_match_adjacency_powers(self):
@@ -105,34 +106,26 @@ class TestAdmissibleWords:
                 assert count == power
 
     def test_words_are_admissible(self, golden):
-        for w in admissible_words(golden, 6):
-            assert golden.is_admissible(w.symbols)
-            assert (1, 1) not in tuple(zip(w.symbols, w.symbols[1:]))
+        for w in _words(golden, 6):
+            assert golden.is_admissible(w)
+            assert (1, 1) not in tuple(zip(w, w[1:]))
 
 
 class TestWordAndCylinder:
     def test_inadmissible_word_rejected(self, golden):
+        assert not golden.is_admissible((1, 1))
         with pytest.raises(ValueError):
-            Word((1, 1), golden)
+            SubsetSpec.cylinders(golden, [(1, 1)])
 
     def test_out_of_alphabet_rejected(self, full2):
+        assert not full2.is_admissible((0, 2))
         with pytest.raises(ValueError):
-            Word((0, 2), full2)
+            SubsetSpec.cylinders(full2, [(0, 2)])
 
     def test_diameter_halves_per_depth(self, full2):
-        diams = [CylinderSet(Word((0,) * m, full2)).diameter()
-                 for m in range(1, 8)]
+        diams = [Cover(full2, m).diameter() for m in range(1, 8)]
         for a, b in zip(diams, diams[1:]):
             assert b == a / 2
-
-    def test_two_sided_diameter(self):
-        sys2 = make_full_shift(2, sidedness="two-sided")
-        w = Word((0, 1, 0), sys2)
-        # centered block: nearest unconstrained coordinate decides
-        assert CylinderSet(w, start_index=-1).diameter() == 2.0 ** (-2)
-        assert CylinderSet(w, start_index=0).diameter() == 2.0 ** (-1)
-        # block strictly in the past: coordinate 0 free
-        assert CylinderSet(w, start_index=-5).diameter() == 1.0
 
 
 class TestBlockGraph:
@@ -226,9 +219,9 @@ class TestPotential:
             Potential.depth_one(full2, [0.0, math.inf])
 
     def test_sup_norm_and_distance(self, full2, phi_log2):
-        assert phi_log2.sup_norm() == math.log(2)
         zero = Potential.zero(full2)
-        assert phi_log2.sup_minus(zero) == math.log(2)
+        assert phi_log2.sup_minus(zero) == math.log(2)  # the sup norm
+        assert phi_log2.sup_minus(Potential.constant(full2, 1.0)) == 1.0
 
     def test_graph_is_cached_per_system_and_depth(self, golden):
         pot = random_potential(np.random.default_rng(2), golden, 3)
@@ -253,36 +246,24 @@ class TestPotential:
 
 
 class TestBirkhoffSup:
-    def test_exact_regime_plain_sum(self, full2, phi_log2):
-        w = Word((1, 0, 1), full2)
-        assert birkhoff_sup(phi_log2, w, 3) == pytest.approx(2 * math.log(2))
+    """On a word of length >= n + r - 1 every summand of the n-term
+    Birkhoff sum is fixed, so its sup over the cylinder is the plain
+    window sum ``Potential.word_sum``."""
 
-    def test_extension_regime(self, full2, phi_log2):
-        # depth-2 potential forces the supremum over one extra symbol
-        pot = Potential(full2, 2, {(0, 0): 0.0, (0, 1): 1.0,
-                                   (1, 0): 0.25, (1, 1): 0.5})
-        w = Word((1, 0), full2)
-        expected = oracles.birkhoff_sup_brute(full2.adjacency, pot.table, 2,
-                                              (1, 0), 2)
-        assert birkhoff_sup(pot, w, 2) == pytest.approx(expected)
-        assert birkhoff_sup(pot, w, 2) == pytest.approx(0.25 + 1.0)
+    def test_exact_regime_plain_sum(self, full2, phi_log2):
+        assert phi_log2.word_sum((1, 0, 1), 3) == pytest.approx(2 * math.log(2))
 
     def test_zero_potential(self, full2):
-        zero = Potential.zero(full2)
-        assert birkhoff_sup(zero, Word((0, 1, 1), full2), 3) == 0.0
-
-    def test_short_word_sup_over_extensions(self, full2, phi_log2):
-        # word shorter than n: the free summand is maximized over the two
-        # one-symbol extensions
-        value = birkhoff_sup(phi_log2, Word((1, 0), full2), 3)
-        assert value == pytest.approx(2 * math.log(2))
-        brute = oracles.birkhoff_sup_brute(full2.adjacency, phi_log2.table,
-                                           1, (1, 0), 3)
-        assert value == pytest.approx(brute)
+        assert Potential.zero(full2).word_sum((0, 1, 1), 3) == 0.0
 
     def test_invalid_n(self, full2, phi_log2):
+        # n summands of a depth-r potential need n + r - 1 symbols
         with pytest.raises(ValueError):
-            birkhoff_sup(phi_log2, Word((0, 1), full2), 0)
+            phi_log2.word_sum((0, 1), 3)
+        pot = Potential(full2, 2, {(0, 0): 0.0, (0, 1): 1.0,
+                                   (1, 0): 0.25, (1, 1): 0.5})
+        with pytest.raises(ValueError):
+            pot.word_sum((1, 0), 2)
 
     def test_matches_brute_force_randomized(self):
         rng = np.random.default_rng(5)
@@ -291,12 +272,11 @@ class TestBirkhoffSup:
             system = ShiftSystem(random_irreducible_adjacency(rng, dim))
             depth = int(rng.integers(1, 4))
             pot = random_potential(rng, system, depth)
-            words = admissible_words(system, int(rng.integers(2, 5)))
+            words = _words(system, depth + int(rng.integers(0, 4)))
             w = words[int(rng.integers(len(words)))]
-            n = int(rng.integers(1, len(w) + 1))
-            expected = oracles.birkhoff_sup_brute(
-                system.adjacency, pot.table, depth, w.symbols, n)
-            assert birkhoff_sup(pot, w, n) == pytest.approx(expected)
+            n = int(rng.integers(1, len(w) - depth + 2))
+            expected = oracles.window_sum(pot.table, depth, w, n)
+            assert pot.word_sum(w, n) == pytest.approx(expected)
 
 
 class TestSubsetSpec:
@@ -305,46 +285,54 @@ class TestSubsetSpec:
         assert set(spec.words) == {(0,), (1, 0)}
 
     def test_meets_matches_brute(self, golden):
-        spec = SubsetSpec.cylinders(golden, [(0, 0), (1, 0, 1)])
-        for w in admissible_words(golden, 4):
-            assert spec.meets_word(w.symbols) == oracles.meets(
-                "cylinders", w.symbols, cylinder_words=[(0, 0), (1, 0, 1)])
+        # the covering sum adds exactly the words whose cylinders meet the
+        # union
+        words = [(0, 0), (1, 0, 1)]
+        spec = SubsetSpec.cylinders(golden, words)
+        pot = Potential.depth_one(golden, [0.3, -0.7])
+        for t in (1, 2):
+            for N in range(1, 5):
+                brute = oracles.lambda_brute(golden.adjacency, pot.table, 1, t,
+                                             N, "cylinders",
+                                             cylinder_words=words)
+                assert lambda_n(spec, pot, Cover(golden, t), N) == \
+                    pytest.approx(brute, rel=1e-10)
 
     def test_sub_sft_requires_dominated_matrix(self, golden):
         with pytest.raises(ValueError):
             SubsetSpec.sub_sft(golden, [[1, 1], [1, 1]])
 
-    def test_fixed_point_meets(self, full2):
+    def test_fixed_point_meets(self, full2, phi_log2):
         spec = SubsetSpec.fixed_point(full2, 0)
-        assert spec.meets_word((0, 0, 0))
-        assert not spec.meets_word((0, 1))
+        np.testing.assert_array_equal(spec.sub_adjacency, [[1, 0], [0, 0]])
+        zero = Potential.zero(full2)
+        for N in range(1, 5):  # only 0^N meets the fixed point
+            assert lambda_n(spec, zero, Cover(full2, 1), N) == \
+                pytest.approx(1.0)
+        self._check_lambda(spec, phi_log2, [[1, 0], [0, 0]])
 
-    def test_forward_liveness(self, full2):
+    def test_forward_liveness(self, full2, phi_log2):
         # symbol 0 has no predecessor inside the sub-SFT but can start a word
-        spec = SubsetSpec.sub_sft(full2, [[0, 1], [0, 1]])
-        assert spec.meets_word((0, 1, 1))
-        assert not spec.meets_word((1, 0))
-        for w in oracles.enumerate_words(full2.adjacency, 3):
-            assert spec.meets_word(w) == oracles.meets(
-                "sub_sft", w, sub_adjacency=[[0, 1], [0, 1]])
+        sub = [[0, 1], [0, 1]]
+        spec = SubsetSpec.sub_sft(full2, sub)
+        np.testing.assert_array_equal(spec.sub_adjacency, sub)
+        zero = Potential.zero(full2)
+        for N in range(2, 6):  # 1^N and 0 1^(N-1)
+            assert lambda_n(spec, zero, Cover(full2, 1), N) == \
+                pytest.approx(2.0)
+        self._check_lambda(spec, phi_log2, sub)
+
+    @staticmethod
+    def _check_lambda(spec, pot, sub):
+        system = spec.system
+        for t in (1, 2):
+            for N in range(1, 6):
+                brute = oracles.lambda_brute(system.adjacency, pot.table,
+                                             pot.depth, t, N, "sub_sft",
+                                             sub_adjacency=sub)
+                assert lambda_n(spec, pot, Cover(system, t), N) == \
+                    pytest.approx(brute, rel=1e-10)
 
     def test_empty_specs(self, full2):
         assert SubsetSpec.cylinders(full2, []).is_empty
         assert not SubsetSpec.whole(full2).is_empty
-
-
-class TestTwoSidedTrace:
-    def test_trace_kinds(self):
-        sys2 = make_full_shift(2, sidedness="two-sided")
-        w = Word((0, 1), sys2)
-        assert two_sided_cylinder_trace(CylinderSet(w, 0)).words == ((0, 1),)
-        assert two_sided_cylinder_trace(CylinderSet(w, -1)).words == ((1,),)
-        trace2 = two_sided_cylinder_trace(CylinderSet(w, 2))
-        assert set(trace2.words) == {(a, b, 0, 1)
-                                     for a in range(2) for b in range(2)}
-        whole = two_sided_cylinder_trace(CylinderSet(w, -2))
-        assert whole.kind == SubsetSpec.WHOLE
-
-    def test_one_sided_rejected(self, full2):
-        with pytest.raises(ValueError):
-            two_sided_cylinder_trace(CylinderSet(Word((0, 1), full2)))
