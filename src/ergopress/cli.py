@@ -295,9 +295,11 @@ def _task_pressure(cfg: ExperimentConfig) -> TaskResult:
     lo, hi = capacity_pressures(subset, potential, Cover(system, depths[-1]),
                                 max(8, n_max))
     rows = [(n, f"{ll:.12g}", f"{s:.12g}") for n, ll, s in hi.diagnostics["rows"]]
+    # both -inf for an empty subset, as the bracket ends above
+    margin = 0.0 if hi.value == est.value else hi.value - est.value
     checks.append(Check("chain P <= upper capacity + 2tol",
                         est.value <= hi.value + 2 * tol,
-                        hi.value - est.value, 2 * tol, "internal chain"))
+                        margin, 2 * tol, "internal chain"))
     return TaskResult("pressure", values, checks,
                       {"pressure_diagnostics": (("N", "log_lambda", "slope"),
                                                 rows)})

@@ -28,10 +28,16 @@ steps rather than a fresh dynamic program per N.
 The topological pressure of a subset is the critical alpha at which the
 variable-length sum switches from growing to vanishing with N; it is
 located by bisection, classifying each alpha by the least-squares slope
-of log(sum) against N over the top half of the N-window.  Lower/upper
-capacity pressures come from the successive differences of log(sum)
-against N (which converge to the same limit as (1/N) log(sum), but
-geometrically fast on these systems, instead of at rate 1/N).
+of log(sum) against N over the top half of the N-window.  The weights
+come in stacks: one call runs the c-factor recursion for many exponents
+at once (a batched product per depth level) and reads the whole N-window
+from a cached stack of entry vectors, so bisection evaluates the
+2**ROUND_LEVELS - 1 points of ROUND_LEVELS steps per call and then
+follows its own path through them.  Lower/upper capacity pressures come
+from the successive differences of log(sum) against N (which converge
+to the same limit as (1/N) log(sum), but geometrically fast on these
+systems, instead of at rate 1/N).  One calculator per subset, potential
+and cover serves all of these sums (see ``_calculus``).
 """
 
 from __future__ import annotations
@@ -47,6 +53,7 @@ from .shifts import BlockGraph, Potential, ShiftSystem, SubsetSpec
 
 
 DEPTH_MARGIN = 8  # string lengths a bisection weight may add beyond N
+ROUND_LEVELS = 3  # bisection levels one stacked weight call evaluates
 
 
 class InconclusiveError(RuntimeError):
@@ -96,10 +103,11 @@ class _StringCalculus:
 
     States are the sdepth-blocks of ``graph``, a ``BlockGraph`` of the
     reduced sub-adjacency for a sub-SFT, of the parent adjacency otherwise.
-    Two dense matrices over the states hold window values on its arcs,
-    -inf elsewhere: ``v_append[i, j]`` is the window a word ending in i
-    completes when it grows into j (the arc word's last r symbols),
-    ``v_string[i, j]`` the window one string-length increment completes.
+    The dense matrix ``v_append`` holds window values on its arcs, -inf
+    elsewhere: ``v_append[i, j]`` is the window a word ending in i
+    completes when it grows into j (the arc word's last r symbols).
+    ``v_string[e]`` is the window one string-length increment completes
+    along arc e of ``graph.arcs``.
     """
 
     def __init__(self, subset: SubsetSpec, potential: Potential, cover: Cover):
@@ -114,7 +122,9 @@ class _StringCalculus:
         if t < r:
             raise ValueError("cover depth must be >= potential depth "
                              "(exactness regime)")
-        self.subset = subset
+        # the subset keeps this calculator (``_calculus``), so only the
+        # parts read here are kept: no reference cycle holds the arrays
+        self.words, self.empty = subset.words, subset.is_empty
         self.potential = potential
         self.r, self.t = r, t
         self.sdepth = sd = max(t - 1, 1)
@@ -125,10 +135,9 @@ class _StringCalculus:
         n = len(st)
         src, dst, arc_words = self.graph.arcs
         self.v_append = np.full((n, n), -np.inf)
-        self.v_string = np.full((n, n), -np.inf)
         lo = sd + 1 - t
         self.v_append[src, dst] = potential.values(arc_words[:, -r:])
-        self.v_string[src, dst] = potential.values(arc_words[:, lo:lo + r])
+        self.v_string = potential.values(arc_words[:, lo:lo + r])
         self._zero = np.where(self.v_append > -np.inf, 0.0, -np.inf)
 
         # seed words: the states themselves, or the listed cylinder words
@@ -145,7 +154,7 @@ class _StringCalculus:
         self._lmin = min(self._seeds, default=sd)
         self._forward: list[np.ndarray] = []
         self._entry_cache: dict = {}
-        self._cfactor_cache: tuple = (None,)
+        self._stack_cache: dict = {}
 
     def _seed_log(self, word: tuple, n_target: int) -> float:
         """Sum of the complete Birkhoff windows of a seed word, clipped to
@@ -215,7 +224,7 @@ class _StringCalculus:
             if length in self._seeds:
                 logW = np.logaddexp(logW, self._seeds[length][length - m])
         roots: dict = {}
-        for u in self.subset.words:
+        for u in self.words:
             if len(u) > L0:
                 roots.setdefault(u[:L0], []).append(u)
         result = (logW, list(roots.items()))
@@ -227,7 +236,7 @@ class _StringCalculus:
     def log_lambda(self, N: int) -> float:
         if N < 1:
             raise ValueError("N must be >= 1")
-        if self.subset.is_empty:
+        if self.empty:
             return -math.inf
         logW, trie = self._entry_logs(N)
         parts = np.concatenate([logW, [self._seed_log(v, N) for v, _ in trie]])
@@ -237,77 +246,123 @@ class _StringCalculus:
 
     # -- variable-length covering infimum ------------------------------------
 
-    def _cfactors(self, alpha: float, depth: int):
+    def _cfactors(self, alphas: np.ndarray, depth: int) -> np.ndarray:
         """Per-remaining-depth cost of the optimal capped antichain below
-        a node, per unit of the node's own weight, with the fraction of
-        that cost carried by nodes sitting at the depth cap.
+        a node, per unit of the node's own weight, and the part of that
+        cost carried by nodes sitting at the depth cap.
 
-        Returns (c, f): lists indexed by remaining depth 0..depth, each a
-        vector over states.  Cached for the latest alpha (callers sweep the
-        N-window at one alpha before moving on) and extended on demand:
-        c[0] = 1 and c[d] = min(1, R c[d-1]) with R = exp(v_string - alpha).
-        Raises InconclusiveError when R overflows.
+        Returns cg of shape (depth + 1, 2, alphas, states): the costs c =
+        cg[:, 0] and the capped parts g = cg[:, 1], with c[0] = g[0] = 1
+        and, for d >= 1, c[d] = min(1, R c[d-1]) and g[d] = R g[d-1] where
+        R c[d-1] < 1, else 0.  R is exp(v_string - alpha) on the arcs and
+        0 elsewhere; only the arcs are exponentiated.  Each depth level is
+        one batched product over all exponents, made of the matrix-vector
+        products a single exponent would make.  Raises InconclusiveError
+        when R overflows, naming the least exponent at which it does.
         """
-        if self._cfactor_cache[0] != alpha:
-            try:
-                with np.errstate(over="raise"):
-                    rates = np.exp(self.v_string - alpha)
-            except FloatingPointError:
-                raise InconclusiveError(
-                    f"inconclusive: exp(window - alpha) overflows at alpha "
-                    f"{alpha:.6g}, windows up to {self.v_string.max():.6g}") \
-                    from None
-            ones = np.ones(len(self.graph.words))
-            self._cfactor_cache = (alpha, rates, [ones], [ones])
-        _, rates, cs, fs = self._cfactor_cache
-        while len(cs) <= depth:
-            total = rates @ cs[-1]
-            capped = rates @ (cs[-1] * fs[-1])
-            cs.append(np.minimum(total, 1.0))
-            fs.append(np.divide(capped, total, out=np.zeros_like(total),
-                                where=(0.0 < total) & (total < 1.0)))
-        return cs, fs
+        n = len(self.graph.words)
+        arc_rates = self.v_string - alphas[:, None]
+        with np.errstate(over="ignore"):
+            np.exp(arc_rates, out=arc_rates)
+        over = np.isinf(arc_rates).any(axis=1)
+        if over.any():
+            raise InconclusiveError(
+                f"inconclusive: exp(window - alpha) overflows at alpha "
+                f"{float(alphas[over].min()):.6g}, windows up to "
+                f"{self.v_string.max():.6g}")
+        src, dst, _ = self.graph.arcs
+        rates = np.zeros((len(alphas), n, n))
+        rates[:, src, dst] = arc_rates
+        cg = np.ones((depth + 1, 2, len(alphas), n))
+        for d in range(1, depth + 1):
+            np.matmul(rates, cg[d - 1, ..., None], out=cg[d, ..., None])
+            total, capped = cg[d]
+            np.multiply(capped, total < 1.0, out=capped)
+            np.minimum(total, 1.0, out=total)
+        return cg
+
+    def _entry_stack(self, ns: tuple):
+        """The entry weights of a window of Ns as one stack, cached per
+        window: exp(logW - shift) per N and state, the shifts (each N's
+        largest entry log, trie roots included; 0 when all vanish), each
+        N's trie roots and the string length of its deepest listed word
+        (0 without roots)."""
+        if ns in self._stack_cache:
+            return self._stack_cache[ns]
+        entries = [self._entry_logs(N) for N in ns]
+        tries = [trie for _, trie in entries]
+        shift = np.array([max([logW.max(initial=-math.inf)]
+                              + [self._seed_log(v, N) for v, _ in trie])
+                          for N, (logW, trie) in zip(ns, entries)])
+        shift[shift == -math.inf] = 0.0
+        logWs = np.array([logW for logW, _ in entries]).reshape(
+            len(ns), len(self.graph.words))
+        deepest = np.array([max((len(u) - self.t + 1 for _, us in trie
+                                 for u in us), default=0) for trie in tries],
+                           dtype=np.int64)
+        result = (np.exp(logWs - shift[:, None]), shift, tries, deepest)
+        self._stack_cache[ns] = result
+        return result
+
+    def log_weights(self, alphas, ns, margin: int):
+        """Optimal covering weights for every exponent in ``alphas`` and
+        every N in ``ns``, with string lengths in [N, N + margin].
+
+        Returns (logs, caps, cap_mass): logs[a, i] is the log-weight at
+        alphas[a] and ns[i] (-inf when it vanishes), caps[i] the depth cap
+        used at ns[i] (raised to reach listed words deeper than N +
+        margin, since the covering structure above them is pinned), and
+        cap_mass[a, i] the fraction of the optimum sitting at that cap.
+        One c-factor recursion serves every exponent and N, and each
+        value equals the one a call with that exponent and N alone gives.
+        """
+        alphas = np.asarray(alphas, dtype=float).reshape(-1)
+        ns = tuple(int(N) for N in ns)
+        if ns and min(ns) < 1:
+            raise ValueError("N must be >= 1")
+        if margin < 0:
+            raise ValueError("depth cap must be >= N")
+        caps = np.array(ns, dtype=np.int64) + margin
+        logs = np.full((len(alphas), len(ns)), -math.inf)
+        cap_mass = np.zeros_like(logs)
+        if self.empty:
+            return logs, caps, cap_mass
+        weights, shift, tries, deepest = self._entry_stack(ns)
+        np.maximum(caps, deepest, out=caps)
+        depths = caps - ns
+        cg = self._cfactors(alphas, int(depths.max(initial=0)))
+        at_caps = cg[depths]
+        total = (weights[:, None] * at_caps[:, 0]).sum(axis=-1).T
+        capped = (weights[:, None] * at_caps[:, 1]).sum(axis=-1).T
+        roots = [(i, v, tuple(sorted(us)))
+                 for i, trie in enumerate(tries) for v, us in trie]
+        for (a, alpha), (i, v, us) in itertools.product(
+                enumerate(alphas.tolist()), roots):
+            cost, fcap = self._trie_cost(v, us, alpha, ns[i], int(caps[i]),
+                                         cg[:, :, a], shift[i])
+            total[a, i] += cost
+            capped[a, i] += cost * fcap
+        logs[:] = [[math.log(x) if x > 0.0 else -math.inf for x in row]
+                   for row in total.tolist()]
+        logs += shift
+        logs -= alphas[:, None] * np.array(ns)
+        np.divide(capped, total, out=cap_mass, where=total > 0.0)
+        return logs, caps, cap_mass
 
     def log_weight_m(self, alpha: float, N: int, cap: int) -> tuple[float, dict]:
-        """Optimal covering weight for strings of length in [N, cap].
+        """Optimal covering weight for strings of length in [N, cap]: the
+        ``log_weights`` of one exponent and one N.
 
         The returned value is an upper bound on the true infimum over all
         covering families (which allows unbounded lengths); the details
-        report how much of the optimum sits at the cap.
+        report the cap used and how much of the optimum sits at it.
         """
-        if N < 1:
-            raise ValueError("N must be >= 1")
-        if cap < N:
-            raise ValueError("depth cap must be >= N")
-        details = {"cap": cap, "upper_bound": True, "cap_mass": 0.0}
-        if self.subset.is_empty:
-            return -math.inf, details
-        logW, trie = self._entry_logs(N)
-        if trie:
-            deepest = max((len(u) - self.t + 1) for _, us in trie for u in us)
-            if cap < deepest:
-                cap = deepest
-                details["cap"] = cap
-        cs, fs = self._cfactors(alpha, cap - N)
-        shift = max([logW.max(initial=-math.inf)]
-                    + [self._seed_log(v, N) for v, _ in trie])
-        if shift == -math.inf:
-            return -math.inf, details
-        weights = np.exp(logW - shift) * cs[cap - N]
-        total = float(weights.sum())
-        capped = float(weights @ fs[cap - N])
-        for v, us in trie:
-            cost, fcap = self._trie_cost(v, tuple(sorted(us)), alpha, N, cap,
-                                         cs, fs, shift)
-            total += cost
-            capped += cost * fcap
-        if total <= 0.0:
-            return -math.inf, details
-        details["cap_mass"] = capped / total
-        return math.log(total) + shift - alpha * N, details
+        logs, caps, cap_mass = self.log_weights([alpha], [N], cap - N)
+        return float(logs[0, 0]), {"cap": int(caps[0]), "upper_bound": True,
+                                   "cap_mass": float(cap_mass[0, 0])}
 
     def _trie_cost(self, v: tuple, us: tuple, alpha: float, N: int, cap: int,
-                   cs, fs, shift: float) -> tuple[float, float]:
+                   cg: np.ndarray, shift: float) -> tuple[float, float]:
         """Explicit tree walk above listed cylinder words deeper than the
         entry level.  Costs are in units of exp(shift - alpha*N), matching
         the caller's normalization."""
@@ -317,8 +372,8 @@ class _StringCalculus:
             # v is itself a listed word (antichain: then the only one
             # here); the subtree below it lies inside the subset
             idx = self.graph.index(v[-self.sdepth:])
-            cvec, fvec = cs[cap - m], fs[cap - m]
-            return own * cvec[idx], (fvec[idx] if cvec[idx] < 1.0 else 0.0)
+            c, g = cg[cap - m, :, idx]
+            return own * c, (g / c if 0.0 < c < 1.0 else 0.0)
         children: dict[int, list] = {}
         for u in us:
             children.setdefault(u[len(v)], []).append(u)
@@ -326,7 +381,7 @@ class _StringCalculus:
         child_cap = 0.0
         for a, subus in children.items():
             cc, cf = self._trie_cost(v + (a,), tuple(subus), alpha, N, cap,
-                                     cs, fs, shift)
+                                     cg, shift)
             child_cost += cc
             child_cap += cc * cf
         if own <= child_cost:
@@ -334,10 +389,23 @@ class _StringCalculus:
         return child_cost, (child_cap / child_cost if child_cost > 0 else 0.0)
 
 
+def _calculus(subset: SubsetSpec, potential: Potential,
+              cover: Cover) -> _StringCalculus:
+    """The ``_StringCalculus`` of the subset for this potential and cover,
+    built once and kept on the subset, so that the covering sums of one
+    job share one forward sweep and one set of entry vectors."""
+    key = (potential, cover.system, cover.depth)
+    calc = subset.calculators.get(key)
+    if calc is None:
+        calc = subset.calculators[key] = _StringCalculus(subset, potential,
+                                                         cover)
+    return calc
+
+
 def log_lambda_n(subset: SubsetSpec, potential: Potential, cover: Cover,
                  N: int) -> float:
     """log of the minimal fixed-length covering sum (see module docstring)."""
-    return _StringCalculus(subset, potential, cover).log_lambda(N)
+    return _calculus(subset, potential, cover).log_lambda(N)
 
 
 def lambda_n(subset: SubsetSpec, potential: Potential, cover: Cover,
@@ -362,7 +430,7 @@ def weight_m(subset: SubsetSpec, alpha: float, potential: Potential,
     the cap used and the fraction of the optimum sitting at it.
     """
     cap = depth_cap if depth_cap is not None else N + DEPTH_MARGIN
-    logm, _ = _StringCalculus(subset, potential, cover).log_weight_m(
+    logm, _ = _calculus(subset, potential, cover).log_weight_m(
         alpha, N, cap)
     return math.exp(logm)
 
@@ -379,7 +447,7 @@ def capacity_pressures(subset: SubsetSpec, potential: Potential, cover: Cover,
     """
     if N_max < 8:
         raise ValueError("N_max must be >= 8")
-    calc = _StringCalculus(subset, potential, cover)
+    calc = _calculus(subset, potential, cover)
     n_half = max(2, N_max // 2)
     ns = list(range(n_half - 1, N_max + 1))
     loglam = {N: calc.log_lambda(N) for N in ns}
@@ -405,6 +473,20 @@ def _slope(ns, values) -> float:
     return float(x @ np.asarray(values, dtype=float) / (x @ x))
 
 
+def _dyadic(lo: float, hi: float, levels: int) -> list[float]:
+    """The midpoints that ``levels`` bisection steps from [lo, hi] can
+    visit, level by level, each computed as bisection computes it.  After
+    point i the path goes to point 2i + 1 if the bracket keeps its lower
+    half and to 2i + 2 if it keeps its upper half."""
+    points, brackets = [], [(lo, hi)]
+    for _ in range(levels):
+        mids = [0.5 * (a + b) for a, b in brackets]
+        points += mids
+        brackets = [half for (a, b), m in zip(brackets, mids)
+                    for half in ((a, m), (m, b))]
+    return points
+
+
 def critical_alpha(subset: SubsetSpec, potential: Potential, cover: Cover,
                    tol: float, n_range: tuple = (8, 20)) -> PressureEstimate:
     """Topological pressure of the subset: bisection on the exponent.
@@ -414,6 +496,13 @@ def critical_alpha(subset: SubsetSpec, potential: Potential, cover: Cover,
     classified by the ``_slope`` of its log: positive slope means the
     weight diverges (alpha below the critical value), negative means it
     vanishes.  The bracket is narrowed until its width is at most tol.
+
+    The bisection runs in rounds: one ``log_weights`` call evaluates every
+    point the next ROUND_LEVELS steps can visit (the first call also the
+    two bracket ends), and the steps then follow bisection's path through
+    them.  Only visited points are classified, enter the trace, count as
+    weak or raise for a vanished weight, so the value, bracket and
+    diagnostics are those of one classification per step.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -421,7 +510,7 @@ def critical_alpha(subset: SubsetSpec, potential: Potential, cover: Cover,
         return PressureEstimate(-math.inf, cover.depth, n_range,
                                 (-math.inf, -math.inf), "P",
                                 {"degenerate": True})
-    calc = _StringCalculus(subset, potential, cover)
+    calc = _calculus(subset, potential, cover)
     n_lo, n_hi = n_range
     ns = list(range(n_lo, n_hi + 1))
     top = ns[len(ns) // 2:]
@@ -433,38 +522,47 @@ def critical_alpha(subset: SubsetSpec, potential: Potential, cover: Cover,
 
     trace = []
 
-    def classify(alpha: float) -> float:
-        logs = []
-        for N in top:
-            lm, _ = calc.log_weight_m(alpha, N, N + DEPTH_MARGIN)
-            if lm == -math.inf:
-                raise InconclusiveError("inconclusive-at-depth: covering "
-                                        "weight vanished identically")
-            logs.append(lm)
+    def classify(alpha: float, logs: np.ndarray) -> float:
+        if (logs == -math.inf).any():
+            raise InconclusiveError("inconclusive-at-depth: covering "
+                                    "weight vanished identically")
         s = _slope(top, logs)
         trace.append((alpha, s))
         return s
 
-    slope_lo = classify(alpha_lo)
-    slope_hi = classify(alpha_hi)
+    def round_points() -> list[float]:
+        # no more levels than the steps left or the halvings to reach tol
+        levels = min(ROUND_LEVELS, steps - done,
+                     math.ceil(math.log2((alpha_hi - alpha_lo) / tol)))
+        return _dyadic(alpha_lo, alpha_hi, max(1, levels))
+
+    steps = math.ceil(math.log2((alpha_hi - alpha_lo) / tol)) + 1
+    done = node = 0
+    points = round_points()
+    logs, _, _ = calc.log_weights([alpha_lo, alpha_hi] + points, top,
+                                  DEPTH_MARGIN)
+    slope_lo = classify(alpha_lo, logs[0])
+    slope_hi = classify(alpha_hi, logs[1])
     if not (slope_lo > 0 > slope_hi):
         raise InconclusiveError(
             "inconclusive: growth classification is not monotone across "
             f"the initial bracket (slopes {slope_lo:.3g}, {slope_hi:.3g})")
     threshold = 1e-3 * max(1.0, abs(slope_lo), abs(slope_hi))
     weak = 0
-    steps = math.ceil(math.log2((alpha_hi - alpha_lo) / tol)) + 1
-    for _ in range(steps):
-        if alpha_hi - alpha_lo <= tol:
-            break
-        mid = 0.5 * (alpha_lo + alpha_hi)
-        s = classify(mid)
+    logs = logs[2:]
+    while done < steps and alpha_hi - alpha_lo > tol:
+        if node >= len(points):
+            points, node = round_points(), 0
+            logs, _, _ = calc.log_weights(points, top, DEPTH_MARGIN)
+        mid = points[node]
+        s = classify(mid, logs[node])
+        done += 1
         if abs(s) < threshold:
             weak += 1
         if s > 0:
-            alpha_lo = mid
+            alpha_lo, node = mid, 2 * node + 2
         else:
-            alpha_hi = mid
+            alpha_hi, node = mid, 2 * node + 1
     value = 0.5 * (alpha_lo + alpha_hi)
     diag = {
         "classification_threshold": threshold,

@@ -289,6 +289,9 @@ class SubsetSpec:
         self.system = system
         self.sub_adjacency = None
         self.words: tuple = ()
+        # string calculators per (potential, cover system, cover depth),
+        # built on demand by ``coverpressure``
+        self.calculators: dict = {}
         if kind == self.WHOLE:
             pass
         elif kind == self.SUB_SFT:

@@ -336,7 +336,8 @@ class TestMainEntry:
 
     def test_empty_sub_sft_passes_bracket_width(self, tmp_path, capsys):
         # the sub-SFT reduces to the empty set: the bracket is exact at
-        # (-inf, -inf), so its width is 0 and not NaN
+        # (-inf, -inf), so its width is 0 and not NaN; so is the margin of
+        # the chain check, whose ends are both -inf
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
             "system": {"kind": "full_shift", "k": 2},
@@ -349,6 +350,10 @@ class TestMainEntry:
         assert code == 0
         assert "[PASS] pressure: pressure bracket width" in \
             capsys.readouterr().out
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        values = {c["name"]: c["value"] for c in summary["checks"]}
+        assert values["chain P <= upper capacity + 2tol"] == 0.0
+        assert not any(math.isnan(v) for v in values.values())
 
     def test_failing_t0_check_exits_one(self, tmp_path, capsys,
                                         monkeypatch):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -19,7 +20,13 @@ from ergopress import (
     transfer_pressure,
     weight_m,
 )
-from ergopress.coverpressure import InconclusiveError, _slope, _StringCalculus
+from ergopress.coverpressure import (
+    DEPTH_MARGIN,
+    ROUND_LEVELS,
+    InconclusiveError,
+    _slope,
+    _StringCalculus,
+)
 
 
 class TestCover:
@@ -338,7 +345,181 @@ class TestSweepCache:
                                                            abs=1e-12)
 
 
+def _random_walk(rng, adjacency, length):
+    """A uniformly stepped admissible word of the given length."""
+    word = [int(rng.integers(len(adjacency)))]
+    while len(word) < length:
+        word.append(int(rng.choice(np.flatnonzero(adjacency[word[-1]]))))
+    return tuple(word)
+
+
+def _random_subsets(rng, system, deep_length):
+    """(spec, brute-force subset kwargs) for the whole space, a random
+    sub-SFT and a union of a short cylinder with a deep one, whose word of
+    ``deep_length`` symbols lies below the entry level."""
+    adj = system.adjacency
+    cases = [(SubsetSpec.whole(system), dict(subset_kind="whole"))]
+    sub_adj = adj * (rng.random(adj.shape) < 0.8)
+    if SubsetSpec.sub_sft(system, sub_adj).is_empty:
+        sub_adj = adj
+    cases.append((SubsetSpec.sub_sft(system, sub_adj),
+                  dict(subset_kind="sub_sft", sub_adjacency=sub_adj)))
+    deep = _random_walk(rng, adj, deep_length)
+    short = next(w for w in oracles.enumerate_words(adj, 2) if w[0] != deep[0])
+    words = [short, deep]
+    cases.append((SubsetSpec.cylinders(system, words),
+                  dict(subset_kind="cylinders", cylinder_words=words)))
+    return cases
+
+
+class TestStackedWeights:
+    """``log_weights`` over a stack of exponents and Ns gives exactly what
+    one call per exponent and N gives, and the brute-force optimum."""
+
+    def test_stack_equals_single_calls_and_brute_force(self):
+        rng = np.random.default_rng(71)
+        raised = 0
+        for _ in range(6):
+            dim = int(rng.integers(2, 4))
+            system = ShiftSystem(random_irreducible_adjacency(rng, dim))
+            depth = int(rng.integers(1, 3))
+            pot = random_potential(rng, system, depth)
+            t = depth + int(rng.integers(0, 2))
+            ns, margin = (1, 2, 3), 1
+            alphas = rng.normal(size=5)
+            # a listed word of t + 4 symbols: below the entry level and
+            # below the cap N + margin of every N here, so the cap is raised
+            for spec, kw in _random_subsets(rng, system, t + 4):
+                logs, caps, cap_mass = _StringCalculus(
+                    spec, pot, Cover(system, t)).log_weights(alphas, ns, margin)
+                single = _StringCalculus(spec, pot, Cover(system, t))
+                for (a, alpha), (i, N) in itertools.product(
+                        enumerate(alphas.tolist()), enumerate(ns)):
+                    logm, details = single.log_weight_m(alpha, N, N + margin)
+                    assert logs[a, i] == logm
+                    assert cap_mass[a, i] == details["cap_mass"]
+                    assert caps[i] == details["cap"]
+                    brute = oracles.weight_m_brute(
+                        system.adjacency, pot.table, depth, t, alpha, N,
+                        int(caps[i]), **kw)
+                    assert math.exp(logm) == pytest.approx(
+                        brute, rel=1e-9, abs=1e-12)
+                raised += int((caps > np.array(ns) + margin).sum())
+        assert raised  # the cap was raised to reach the listed words
+
+    def test_empty_subset_vanishes(self, full2):
+        logs, caps, cap_mass = _StringCalculus(
+            SubsetSpec.cylinders(full2, []), Potential.zero(full2),
+            Cover(full2, 1)).log_weights([0.1, 0.5], (3, 4), 2)
+        assert (logs == -math.inf).all() and (cap_mass == 0.0).all()
+        assert caps.tolist() == [5, 6]
+
+    def test_overflow_names_least_exponent(self, full2):
+        phi = Potential.depth_one(full2, [0.0, 800.0])
+        calc = _StringCalculus(SubsetSpec.whole(full2), phi, Cover(full2, 1))
+        with pytest.raises(InconclusiveError, match="at alpha 80,"):
+            calc.log_weights([500.0, 85.0, 80.0, 95.0], (2,), 1)
+        assert np.isfinite(calc.log_weights([95.0], (2,), 1)[0]).all()
+
+
+def _plain_bisection(spec, pot, cover, tol, n_range):
+    """Bisection with one classification per visited alpha, made of one
+    ``log_weight_m`` call per N: (value, bracket, trace, weak count)."""
+    calc = _StringCalculus(spec, pot, cover)
+    ns = list(range(n_range[0], n_range[1] + 1))
+    top = ns[len(ns) // 2:]
+    gvals = list(pot.table.values())
+    k = cover.system.alphabet_size
+    lo = min(gvals) - math.log(k) - 1.0
+    hi = max(gvals) + math.log(k) + 1.0
+    trace = []
+
+    def classify(alpha):
+        logs = [calc.log_weight_m(alpha, N, N + DEPTH_MARGIN)[0] for N in top]
+        if -math.inf in logs:
+            raise InconclusiveError("inconclusive-at-depth: covering "
+                                    "weight vanished identically")
+        trace.append((alpha, _slope(top, logs)))
+        return trace[-1][1]
+
+    s_lo, s_hi = classify(lo), classify(hi)
+    if not s_lo > 0 > s_hi:
+        raise InconclusiveError("inconclusive: growth classification is "
+                                "not monotone")
+    threshold = 1e-3 * max(1.0, abs(s_lo), abs(s_hi))
+    weak = 0
+    for _ in range(math.ceil(math.log2((hi - lo) / tol)) + 1):
+        if hi - lo <= tol:
+            break
+        mid = 0.5 * (lo + hi)
+        s = classify(mid)
+        weak += abs(s) < threshold
+        lo, hi = (mid, hi) if s > 0 else (lo, mid)
+    return 0.5 * (lo + hi), (lo, hi), trace, weak
+
+
 class TestCriticalAlpha:
+    def test_rounds_replay_plain_bisection_randomized(self):
+        rng = np.random.default_rng(83)
+        n_range = (4, 8)
+        tols = (1e-3, 3e-5, 1e-6)
+        visited, raised = [], []
+        for trial in range(12):
+            dim = int(rng.integers(2, 5))
+            system = ShiftSystem(random_irreducible_adjacency(rng, dim))
+            depth = int(rng.integers(1, 3))
+            pot = random_potential(rng, system, depth)
+            t = depth + trial % 2
+            cover = Cover(system, t)
+            # the deep word lies below the entry level of the whole window
+            # (the trie walk); in every other pair of trials also below the
+            # cap N + DEPTH_MARGIN, which is then raised to reach it
+            deep = n_range[1] + t + (1, DEPTH_MARGIN + 1)[trial // 2 % 2]
+            for spec, _ in _random_subsets(rng, system, deep):
+                tol = tols[trial % 3]
+                try:
+                    want = _plain_bisection(spec, pot, cover, tol, n_range)
+                except InconclusiveError as err:
+                    with pytest.raises(InconclusiveError,
+                                       match=str(err).split(" (")[0]):
+                        critical_alpha(spec, pot, cover, tol, n_range)
+                    continue
+                est = critical_alpha(spec, pot, cover, tol, n_range)
+                value, bracket, trace, weak = want
+                assert est.value == value and est.bracket == bracket
+                assert est.diagnostics["trace"] == trace
+                assert est.diagnostics["weak_classifications"] == weak
+                visited.append(len(trace) - 2)
+                if spec.words:
+                    raised.append(max(map(len, spec.words)) - t + 1
+                                  > n_range[1] + DEPTH_MARGIN)
+        assert len(visited) >= 25
+        assert len(raised) >= 5 and any(raised)
+        # some runs end part-way through a round
+        assert any(count % ROUND_LEVELS for count in visited)
+
+    def test_vanished_weight_raises_only_where_visited(self, full2, phi_log2,
+                                                      monkeypatch):
+        spec, cover = SubsetSpec.whole(full2), Cover(full2, 1)
+        want = critical_alpha(spec, phi_log2, cover, 1e-4)
+        visited = {alpha for alpha, _ in want.diagnostics["trace"]}
+        stacked = _StringCalculus.log_weights
+
+        def vanishing_off_path(self, alphas, ns, margin):
+            logs, caps, cap_mass = stacked(self, alphas, ns, margin)
+            off = [a not in visited for a in np.asarray(alphas).tolist()]
+            logs[off] = -math.inf
+            return logs, caps, cap_mass
+
+        monkeypatch.setattr(_StringCalculus, "log_weights",
+                            vanishing_off_path)
+        est = critical_alpha(SubsetSpec.whole(full2), phi_log2, cover, 1e-4)
+        assert est.value == want.value
+        assert est.diagnostics["trace"] == want.diagnostics["trace"]
+        visited.discard(want.diagnostics["trace"][-1][0])
+        with pytest.raises(InconclusiveError, match="vanished"):
+            critical_alpha(SubsetSpec.whole(full2), phi_log2, cover, 1e-4)
+
     def test_full_shift_entropy(self, full2):
         zero = Potential.zero(full2)
         est = critical_alpha(SubsetSpec.whole(full2), zero, Cover(full2, 1),
