@@ -9,7 +9,8 @@ printed to stdout only), so reruns are byte-identical.
 Subcommands: pressure, capacity, spectrum, correlation, vp-check,
 inverse-vp, gap-example, transfer-check, suite.  Exit code 0 iff every
 check in the report passed, 1 if a check failed, 2 for a malformed config
-and 3 when the computation raises one of the library's named errors.
+and 3 when the computation raises one of the library's named errors or
+overflows.
 """
 
 from __future__ import annotations
@@ -631,7 +632,7 @@ def main(argv=None) -> int:
         print(exc, file=sys.stderr)
         return 2
     except (NoUniquePerronError, ConvergenceError, InconclusiveError,
-            IncreaseDepthError) as exc:
+            IncreaseDepthError, OverflowError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     files = emit_tables(report, args.out)

@@ -491,11 +491,14 @@ def critical_alpha(subset: SubsetSpec, potential: Potential, cover: Cover,
                    tol: float, n_range: tuple = (8, 20)) -> PressureEstimate:
     """Topological pressure of the subset: bisection on the exponent.
 
-    For each candidate alpha the covering weight (depth cap N +
-    DEPTH_MARGIN) is computed over the top half of the N-window and
-    classified by the ``_slope`` of its log: positive slope means the
-    weight diverges (alpha below the critical value), negative means it
-    vanishes.  The bracket is narrowed until its width is at most tol.
+    For each candidate alpha the covering weight (depth cap N + margin)
+    is computed over the top half of the N-window and classified by the
+    ``_slope`` of its log: positive slope means the weight diverges (alpha
+    below the critical value), negative means it vanishes.  The bracket
+    is narrowed until its width is at most tol.  One margin serves the
+    whole window: DEPTH_MARGIN, or more where a listed cylinder word lies
+    deeper than the window's first N + DEPTH_MARGIN, so that every N
+    reaches it and the caps move with N.
 
     The bisection runs in rounds: one ``log_weights`` call evaluates every
     point the next ROUND_LEVELS steps can visit (the first call also the
@@ -514,6 +517,8 @@ def critical_alpha(subset: SubsetSpec, potential: Potential, cover: Cover,
     n_lo, n_hi = n_range
     ns = list(range(n_lo, n_hi + 1))
     top = ns[len(ns) // 2:]
+    deepest = max(map(len, subset.words), default=0) - cover.depth + 1
+    margin = max(DEPTH_MARGIN, deepest - top[0])
 
     gvals = list(potential.table.values())
     k = cover.system.alphabet_size
@@ -539,8 +544,7 @@ def critical_alpha(subset: SubsetSpec, potential: Potential, cover: Cover,
     steps = math.ceil(math.log2((alpha_hi - alpha_lo) / tol)) + 1
     done = node = 0
     points = round_points()
-    logs, _, _ = calc.log_weights([alpha_lo, alpha_hi] + points, top,
-                                  DEPTH_MARGIN)
+    logs, _, _ = calc.log_weights([alpha_lo, alpha_hi] + points, top, margin)
     slope_lo = classify(alpha_lo, logs[0])
     slope_hi = classify(alpha_hi, logs[1])
     if not (slope_lo > 0 > slope_hi):
@@ -553,7 +557,7 @@ def critical_alpha(subset: SubsetSpec, potential: Potential, cover: Cover,
     while done < steps and alpha_hi - alpha_lo > tol:
         if node >= len(points):
             points, node = round_points(), 0
-            logs, _, _ = calc.log_weights(points, top, DEPTH_MARGIN)
+            logs, _, _ = calc.log_weights(points, top, margin)
         mid = points[node]
         s = classify(mid, logs[node])
         done += 1

@@ -26,13 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .shifts import Potential, ShiftSystem
-from .transfer import (
-    EquilibriumState,
-    equilibrium_markov,
-    scaled_equilibria,
-    topological_entropy,
-    transfer_pressure,
-)
+from .transfer import (equilibrium_markov, equilibrium_states,
+                       topological_entropy)
 
 CURVE_TOL = 1e-9
 GRID_ATOL = 1e-12  # how far a q may sit from a grid point it names
@@ -87,16 +82,17 @@ class TQCurve:
 
 def t_curve(system: ShiftSystem, potential: Potential, q_grid) -> TQCurve:
     """Exact T, alpha and spectrum values on a grid of distinct exponents
-    q, from three Perron solves: the pressure, the topological entropy (its
-    own, so that T(0) = entropy stays a check) and one grid stack."""
+    q, from two Perron solves: the topological entropy (its own, so that
+    T(0) = entropy stays a check) and one ``equilibrium_states`` stack for
+    the grid and q = 1, whose last member gives the pressure."""
     q_grid = np.asarray(sorted(float(q) for q in q_grid))
     if (np.diff(q_grid) == 0).any():
         raise ValueError("q values must be distinct")
-    base_pressure = transfer_pressure(system, potential)
     h_top = topological_entropy(system)
-    pressures, integrals = scaled_equilibria(system, potential, q_grid)
-    t_vals = pressures - q_grid * base_pressure
-    a_vals = base_pressure - integrals
+    states = equilibrium_states(system, potential, np.append(q_grid, 1.0))
+    base_pressure = states.pressure[-1]
+    t_vals = states.pressure[:-1] - q_grid * base_pressure
+    a_vals = base_pressure - states.potential_integral[:-1]
     spec = t_vals + q_grid * a_vals
     return TQCurve(q_grid, t_vals, a_vals, spec, base_pressure, h_top)
 
@@ -150,18 +146,17 @@ class CorrelationEntropyCurve:
         return float(np.abs(self.formula_values - self.direct_values).max())
 
 
-def _log_measure_power_sums(state: EquilibriumState, q, n: int) -> tuple:
+def _log_measure_power_sums(pi, P, d: int, q, n: int) -> tuple:
     """log of the sums over admissible n-words and over admissible
-    (n+1)-words of (cylinder measure)**q, for each q of an array.
+    (n+1)-words of (cylinder measure)**q, for each q of an array, under
+    the Markov chain (pi, P) on d-block states.
 
-    Evaluated by an entrywise-power matrix product over the measure's
-    block chain, one log-space loop for all q; identical to brute-force
-    enumeration (cross-checked in the tests) but linear in n.
+    Evaluated by an entrywise-power matrix product over the block chain,
+    one log-space loop for all q; identical to brute-force enumeration
+    (cross-checked in the tests) but linear in n.
     """
-    d = state.state_depth
     if n < d:
         raise ValueError(f"need n >= {d} for this measure")
-    pi, P = state.stationary, state.transitions
     q = np.asarray(q, dtype=float)[..., None]
     with np.errstate(divide="ignore", invalid="ignore"):  # q * log(0)
         vec = np.where(pi > 0, q * np.log(pi), -np.inf)
@@ -182,22 +177,26 @@ def correlation_entropy(system: ShiftSystem, potential: Potential, q_grid,
     difference drops the constant that (1/n) log S(n) would carry as an
     O(1/n) bias.  q = 1 is excluded from the grid; the limit there is
     estimated from the formula side at 1 +/- LIMIT_OFFSET and reported
-    separately.
+    separately.  One Perron solve: an ``equilibrium_states`` stack over
+    the grid, the two points around 1 and q = 1 itself, whose last member
+    is the equilibrium state (its pressure, chain and entropy).
     """
     q_grid = np.asarray(sorted(float(q) for q in q_grid))
     if (q_grid == 1.0).any():
         raise ValueError("q = 1 is excluded from correlation grids")
     if n < 10:
         raise ValueError("n must be >= 10")
-    state = equilibrium_markov(system, potential)
-    # the grid and the two points around 1, in one stacked solve
-    q_all = np.append(q_grid, [1.0 + LIMIT_OFFSET, 1.0 - LIMIT_OFFSET])
-    t = transfer_pressure(system, potential, q_all) - q_all * state.pressure
-    formula = -t[:-2] / (q_grid - 1.0)
-    direct = np.subtract(*_log_measure_power_sums(state, q_grid, n)) / (q_grid - 1.0)
-    limit = 0.5 * (-t[-2] / LIMIT_OFFSET + t[-1] / LIMIT_OFFSET)
+    q_all = np.append(q_grid, [1.0 + LIMIT_OFFSET, 1.0 - LIMIT_OFFSET, 1.0])
+    states = equilibrium_states(system, potential, q_all)
+    t = states.pressure - q_all * states.pressure[-1]
+    formula = -t[:-3] / (q_grid - 1.0)
+    sums = _log_measure_power_sums(states.stationary[-1],
+                                   states.transitions[-1], states.state_depth,
+                                   q_grid, n)
+    direct = np.subtract(*sums) / (q_grid - 1.0)
+    limit = 0.5 * (-t[-3] / LIMIT_OFFSET + t[-2] / LIMIT_OFFSET)
     return CorrelationEntropyCurve(q_grid, formula, direct, limit,
-                                   state.entropy)
+                                   states.entropy[-1])
 
 
 def local_entropy_check(system: ShiftSystem, potential: Potential,

@@ -51,12 +51,13 @@ class TransferMatrix:
 
     States are admissible (r-1)-blocks for a depth-r potential (the
     alphabet itself when r = 1); the entry for an allowed transition is
-    exp(potential on the transition window).  With ``scales`` (exponents
-    q) ``matrix`` is the stack (Q, n, n) for q * potential, built in one
-    step; an overflowing weight raises OverflowError, as math.exp does.
+    exp(q * potential on the transition window).  ``matrix`` is the stack
+    (..., n, n) of these matrices over the exponents q of ``scales``,
+    built in one step; the default q = 1.0 gives the one matrix (n, n) of
+    the potential itself.  An overflowing weight raises OverflowError.
     """
 
-    def __init__(self, system: ShiftSystem, potential: Potential, scales=None):
+    def __init__(self, system: ShiftSystem, potential: Potential, scales=1.0):
         if potential.system is not system and \
                 not np.array_equal(potential.system.adjacency, system.adjacency):
             raise ValueError("potential does not match the system")
@@ -66,13 +67,11 @@ class TransferMatrix:
         self.graph = system.block_graph(max(r - 1, 1))
         src, dst, arc_words = self.graph.arcs
         self.values = potential.values(arc_words[:, :r])  # one per arc
-        if scales is None:
-            weights = [math.exp(v) for v in self.values]
-        else:
-            with np.errstate(over="ignore"):
-                weights = np.exp(np.multiply.outer(scales, self.values))
-            if np.isinf(weights).any():
-                raise OverflowError("math range error")
+        with np.errstate(over="ignore"):
+            weights = np.exp(np.multiply.outer(scales, self.values))
+        if np.isinf(weights).any():
+            raise OverflowError("overflow: a transfer weight exp(q * value) "
+                                "exceeds the float range")
         M = np.zeros(np.shape(scales) + (len(self.graph.words),) * 2)
         M[..., src, dst] = weights
         self.matrix = M
@@ -143,12 +142,13 @@ def power_iteration(matrix):
     return lam[()], v, u / (u * v).sum(axis=-1, keepdims=True)
 
 
-def transfer_pressure(system: ShiftSystem, potential: Potential, scales=None):
-    """Classical pressure log(Perron eigenvalue) of the weighted matrix, or
-    the array of those of q * potential over ``scales`` (one stacked solve);
-    ``power_iteration`` raises NoUniquePerronError on a reducible system."""
+def transfer_pressure(system: ShiftSystem, potential: Potential, scales=1.0):
+    """Classical pressure log(Perron eigenvalue) of q * potential for the
+    exponents q of ``scales`` (default the potential itself), from one
+    stacked solve; ``power_iteration`` raises NoUniquePerronError on a
+    reducible system."""
     lam, _, _ = power_iteration(TransferMatrix(system, potential, scales))
-    return math.log(lam) if scales is None else np.log(lam)
+    return np.log(lam)
 
 
 def topological_entropy(system: ShiftSystem) -> float:
@@ -182,6 +182,10 @@ class MarkovMeasure:
     the underlying system, ``stationary`` the stationary probability
     vector and ``transitions`` the row-stochastic transition matrix on
     those states.  The states are found by their sorted base-k codes.
+    ``equilibrium_states`` builds stacks of chains (..., n) and
+    (..., n, n) on one set of states, with an entropy per chain; cylinder
+    masses and integrals are then stacks too, while sampling and
+    ``log_cylinder_measure`` need one chain.
     """
 
     def __init__(self, system: ShiftSystem, states, stationary, transitions):
@@ -202,11 +206,10 @@ class MarkovMeasure:
         n = len(self.states)
         pi = np.asarray(stationary, dtype=float)
         P = np.asarray(transitions, dtype=float)
-        if pi.shape != (n,) or P.shape != (n, n):
+        if pi.shape[-1:] != (n,) or P.shape != pi.shape + (n,):
             raise ValueError("shape mismatch between states and chain data")
-        stationary, entropy = _checked_chains(pi, P)
-        self.stationary, self.transitions = stationary, P
-        self.entropy = float(entropy)
+        self.stationary, self.entropy = _checked_chains(pi, P)
+        self.transitions = P
 
     def _with_chains(self, stationary, transitions,
                      entropy) -> Iterable["MarkovMeasure"]:
@@ -352,64 +355,55 @@ def _checked_chains(stationary, transitions) -> tuple:
 
 
 class EquilibriumState(MarkovMeasure):
-    """Gibbs Markov measure built from Perron data of a transfer matrix."""
+    """Gibbs Markov measure of q * potential, or a stack of them, as
+    ``equilibrium_states`` builds and checks it: ``pressure`` is
+    log(lambda) and ``potential_integral`` the integral of the potential
+    itself, with pressure = entropy + q * potential_integral."""
 
-    def __init__(self, system, states, stationary, transitions,
-                 eigenvalue: float, potential: Potential):
+    def __init__(self, system, states, stationary, transitions, pressure,
+                 potential_integral):
         super().__init__(system, states, stationary, transitions)
-        self.eigenvalue = float(eigenvalue)
-        self.potential = potential
-        self.potential_integral = self.integrate(potential)
-        gap = math.log(self.eigenvalue) - (self.entropy + self.potential_integral)
-        if abs(gap) > GIBBS_TOL:
-            raise RuntimeError(
-                f"Gibbs identity violated by {gap:.3e} at construction")
-
-    @property
-    def pressure(self) -> float:
-        return math.log(self.eigenvalue)
+        self.pressure = pressure
+        self.potential_integral = potential_integral
 
 
-def _gibbs_chains(M, lam, v, u) -> tuple:
-    """(stationary, transitions) of the equilibrium chain(s), from Perron data."""
-    P = M * v[..., None, :] / (np.asarray(lam)[..., None, None] * v[..., :, None])
+def equilibrium_states(system: ShiftSystem, potential: Potential,
+                       scales) -> EquilibriumState:
+    """Equilibrium states of q * potential for the exponents q of
+    ``scales``, from one Perron solve, as one EquilibriumState stacked
+    along the axes of ``scales`` (a 0-d ``scales`` gives one measure).
+
+    For right/left Perron vectors v, u, transition probabilities are
+    M[a,b] v[b] / (Mv)[a], which is M[a,b] v[b] / (lambda v[a]) to
+    within the Perron bracket's relative width (at most 1e-13), and the
+    stationary vector is proportional to u*v.  Rows sum to 1 to
+    rounding, and the stationary identity |pi P - pi| is of the order of
+    the bracket's width, far inside the 1e-9 that ``MarkovMeasure``
+    checks.  The integral of the potential is the
+    sum of pi_s P_st times its value on each arc s -> t, and the Gibbs
+    identity log(lambda) = entropy + q * integral is checked for every
+    member.  A reducible system has a reducible matrix support, on which
+    ``power_iteration`` raises NoUniquePerronError.
+    """
+    tm = TransferMatrix(system, potential, scales)
+    lam, v, u = power_iteration(tm)
+    P = tm.matrix * v[..., None, :]
     P = P / P.sum(axis=-1, keepdims=True)
-    pi = u * v
-    return pi / pi.sum(axis=-1, keepdims=True), P
+    pi = u * v / (u * v).sum(axis=-1, keepdims=True)
+    src, dst, _ = tm.graph.arcs
+    state = EquilibriumState(system, tm.graph.words, pi, P, np.log(lam),
+                             (pi[..., src] * P[..., src, dst]) @ tm.values)
+    gap = np.abs(state.pressure - (state.entropy
+                                   + scales * state.potential_integral)).max()
+    if gap > GIBBS_TOL:
+        raise RuntimeError(f"Gibbs identity violated by {gap:.3e} at construction")
+    return state
 
 
 def equilibrium_markov(system: ShiftSystem, potential: Potential) -> EquilibriumState:
-    """Equilibrium state of a locally constant potential.
-
-    Transition probabilities are M[a,b] v[b] / (lambda v[a]) and the
-    stationary vector is proportional to u*v, for right/left Perron
-    vectors v, u.  Rows are renormalized, which makes them sum to 1 to
-    rounding; the stationary identity |pi P - pi| is of the order of the
-    Perron bracket's relative width (at most 1e-13), far inside the 1e-9
-    that ``MarkovMeasure`` checks.  A reducible system has a reducible
-    matrix support, on which ``power_iteration`` raises NoUniquePerronError.
-    """
-    tm = TransferMatrix(system, potential)
-    lam, v, u = power_iteration(tm)
-    pi, P = _gibbs_chains(tm.matrix, lam, v, u)
-    return EquilibriumState(system, tm.graph.words, pi, P, lam, potential)
-
-
-def scaled_equilibria(system: ShiftSystem, potential: Potential, scales):
-    """Pressures of q * potential for the exponents q of ``scales`` and the
-    potential's integrals against their equilibrium states (the chains of
-    ``equilibrium_markov``, checked as one stack with each Gibbs identity):
-    one solve, and sums of pi_s P_st times the value on the arc s -> t."""
-    tm = TransferMatrix(system, potential, scales)
-    lam, v, u = power_iteration(tm)
-    pi, P = _gibbs_chains(tm.matrix, lam, v, u)
-    pi, entropy = _checked_chains(pi, P)
-    src, dst, _ = tm.graph.arcs
-    integral = (pi[:, src] * P[:, src, dst]) @ tm.values
-    gap = np.abs(np.log(lam) - (entropy + scales * integral)).max()
-    if gap > GIBBS_TOL:
-        raise RuntimeError(f"Gibbs identity violated by {gap:.3e} at construction")
-    return np.log(lam), integral
+    """Equilibrium state of a locally constant potential: the
+    ``equilibrium_states`` of the one exponent q = 1."""
+    return equilibrium_states(system, potential, 1.0)
 
 
 def vp_residual(system: ShiftSystem, potential: Potential,
@@ -510,8 +504,6 @@ def power_pressure_check(system: ShiftSystem, potential: Potential, k: int):
     """Pressure of the k-th power system under the k-step Birkhoff sum,
     against k times the base pressure.  Returns (lhs, rhs)."""
     rhs = k * transfer_pressure(system, potential)
-    if k == 1:
-        return transfer_pressure(system, potential), rhs
     power, blocks = power_system(system, k)
     lifted = power_sum_potential(system, potential, k, power, blocks)
     lhs = transfer_pressure(power, lifted)

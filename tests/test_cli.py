@@ -152,13 +152,13 @@ class TestTasks:
         header, _ = report.results[0].tables["correlation"]
         assert header == ("q", "h_formula", "h_direct")
 
-    def test_correlation_solves_perron_twice(self, perron_solves):
-        # the equilibrium state, then one stack for the three formula
-        # points and the two around q = 1; the check reads the entropy
-        # off the curve
+    def test_correlation_solves_perron_once(self, perron_solves):
+        # one stack for the three formula points, the two around q = 1
+        # and q = 1 itself, whose member is the equilibrium state; the
+        # check reads the entropy off the curve
         report = run(make_config("correlation", budget={"n": 14}))
         assert report.passed
-        assert len(perron_solves) == 2
+        assert len(perron_solves) == 1
 
     def test_vp_check_task(self):
         report = run(make_config("vp_check", budget={"samples": 25}))
@@ -402,6 +402,28 @@ class TestMainEntry:
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith("InconclusiveError: ") and "alpha" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("task, system, table, budget", [
+        # e^800 on the oracle's one matrix
+        ("capacity", {"kind": "full_shift", "k": 2}, {"0": 0, "1": 800}, {}),
+        # e^720 on the oracle's q-stack
+        ("spectrum", {"kind": "sft", "adjacency": [[1, 1], [1, 0]]},
+         {"0": 0, "1": 1}, {"q_grid": [1, 720]}),
+    ])
+    def test_oracle_overflow_exits_three(self, tmp_path, capsys, task,
+                                         system, table, budget):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "system": system, "budget": budget,
+            "potential": {"kind": "table", "depth": 1, "table": table},
+        }))
+        code = main([task, "--config", str(cfg),
+                     "--out", str(tmp_path / "out")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("OverflowError: ") and err.count("\n") == 1
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 

@@ -424,10 +424,14 @@ class TestStackedWeights:
 
 def _plain_bisection(spec, pot, cover, tol, n_range):
     """Bisection with one classification per visited alpha, made of one
-    ``log_weight_m`` call per N: (value, bracket, trace, weak count)."""
+    ``log_weight_m`` call per N: (value, bracket, trace, weak count).
+    Every N takes one margin, widened from DEPTH_MARGIN to reach the
+    deepest listed word from the window's first N."""
     calc = _StringCalculus(spec, pot, cover)
     ns = list(range(n_range[0], n_range[1] + 1))
     top = ns[len(ns) // 2:]
+    deepest = max(map(len, spec.words), default=0) - cover.depth + 1
+    margin = max(DEPTH_MARGIN, deepest - top[0])
     gvals = list(pot.table.values())
     k = cover.system.alphabet_size
     lo = min(gvals) - math.log(k) - 1.0
@@ -435,7 +439,7 @@ def _plain_bisection(spec, pot, cover, tol, n_range):
     trace = []
 
     def classify(alpha):
-        logs = [calc.log_weight_m(alpha, N, N + DEPTH_MARGIN)[0] for N in top]
+        logs = [calc.log_weight_m(alpha, N, N + margin)[0] for N in top]
         if -math.inf in logs:
             raise InconclusiveError("inconclusive-at-depth: covering "
                                     "weight vanished identically")
@@ -458,24 +462,31 @@ def _plain_bisection(spec, pot, cover, tol, n_range):
     return 0.5 * (lo + hi), (lo, hi), trace, weak
 
 
+def _replay_systems(n_range):
+    """Twelve seeded trials (trial, system, potential, cover, subsets of
+    ``_random_subsets``).  The union's deep word lies below the entry
+    level of the whole window (the trie walk); in every other pair of
+    trials also below the cap N + DEPTH_MARGIN, so the margin widens."""
+    rng = np.random.default_rng(83)
+    for trial in range(12):
+        dim = int(rng.integers(2, 5))
+        system = ShiftSystem(random_irreducible_adjacency(rng, dim))
+        depth = int(rng.integers(1, 3))
+        pot = random_potential(rng, system, depth)
+        t = depth + trial % 2
+        deep = n_range[1] + t + (1, DEPTH_MARGIN + 1)[trial // 2 % 2]
+        yield trial, system, pot, Cover(system, t), \
+            _random_subsets(rng, system, deep)
+
+
 class TestCriticalAlpha:
     def test_rounds_replay_plain_bisection_randomized(self):
-        rng = np.random.default_rng(83)
         n_range = (4, 8)
         tols = (1e-3, 3e-5, 1e-6)
         visited, raised = [], []
-        for trial in range(12):
-            dim = int(rng.integers(2, 5))
-            system = ShiftSystem(random_irreducible_adjacency(rng, dim))
-            depth = int(rng.integers(1, 3))
-            pot = random_potential(rng, system, depth)
-            t = depth + trial % 2
-            cover = Cover(system, t)
-            # the deep word lies below the entry level of the whole window
-            # (the trie walk); in every other pair of trials also below the
-            # cap N + DEPTH_MARGIN, which is then raised to reach it
-            deep = n_range[1] + t + (1, DEPTH_MARGIN + 1)[trial // 2 % 2]
-            for spec, _ in _random_subsets(rng, system, deep):
+        for trial, _, pot, cover, subsets in _replay_systems(n_range):
+            t = cover.depth
+            for spec, _ in subsets:
                 tol = tols[trial % 3]
                 try:
                     want = _plain_bisection(spec, pot, cover, tol, n_range)
@@ -497,6 +508,18 @@ class TestCriticalAlpha:
         assert len(raised) >= 5 and any(raised)
         # some runs end part-way through a round
         assert any(count % ROUND_LEVELS for count in visited)
+
+    def test_deep_cylinder_unions_match_oracle(self):
+        # a listed word deeper than N + DEPTH_MARGIN: with the cap pinned
+        # at that word for every N, the caps' distance from N shrinks
+        # along the window and bends the slope (5 of these 12 unions
+        # raised "not monotone", one read 1.4454 for 1.4306); one margin
+        # for the window keeps every union at the pressure of its system
+        n_range = (4, 8)
+        for _, system, pot, cover, subsets in _replay_systems(n_range):
+            spec, _ = subsets[-1]
+            est = critical_alpha(spec, pot, cover, 1e-4, n_range)
+            assert abs(est.value - transfer_pressure(system, pot)) <= 5e-4
 
     def test_vanished_weight_raises_only_where_visited(self, full2, phi_log2,
                                                       monkeypatch):

@@ -269,7 +269,7 @@ class TestTransferMatrix:
                     for j, u in enumerate(tm.states):
                         if s[1:] == u[:-1] and system.allows(s[-1], u[-1]):
                             window = (s + u[-1:])[:r]
-                            expected[i, j] = math.exp(pot.table[window])
+                            expected[i, j] = np.exp(pot.table[window])
                 assert (tm.matrix == expected).all()
 
 
@@ -357,7 +357,7 @@ class TestEquilibriumMarkov:
                                            abs=1e-12)
         assert mu.potential_integral == pytest.approx((2 / 3) * math.log(2),
                                                       abs=1e-12)
-        assert math.log(mu.eigenvalue) == pytest.approx(math.log(3), abs=1e-12)
+        assert mu.pressure == pytest.approx(math.log(3), abs=1e-12)
 
     def test_parry_measure(self, golden):
         mu = equilibrium_markov(golden, Potential.zero(golden))
@@ -372,8 +372,21 @@ class TestEquilibriumMarkov:
             system = ShiftSystem(random_irreducible_adjacency(rng, dim))
             pot = random_potential(rng, system, int(rng.integers(1, 3)))
             mu = equilibrium_markov(system, pot)
-            gap = math.log(mu.eigenvalue) - mu.entropy - mu.potential_integral
+            gap = mu.pressure - mu.entropy - mu.potential_integral
             assert abs(gap) <= 1e-9
+
+    def test_gibbs_identity_is_enforced_for_every_member(self, golden,
+                                                        monkeypatch):
+        # the builder's one raise guards the single state and each member
+        # of a q-stack (t_curve, correlation_entropy)
+        from ergopress import transfer
+
+        phi = Potential.depth_one(golden, [0.0, 1.0])
+        monkeypatch.setattr(transfer, "GIBBS_TOL", -1.0)
+        for build in (lambda: equilibrium_markov(golden, phi),
+                      lambda: t_curve(golden, phi, [-1.0, 2.0])):
+            with pytest.raises(RuntimeError, match="Gibbs identity"):
+                build()
 
     def test_periodic_systems_stationary_and_gibbs(self):
         rng = np.random.default_rng(31)
@@ -385,7 +398,7 @@ class TestEquilibriumMarkov:
                 mu = equilibrium_markov(system, random_potential(rng, system, 1))
                 pi, P = mu.stationary, mu.transitions
                 assert np.abs(pi @ P - pi).max() <= 1e-12
-                gap = math.log(mu.eigenvalue) - mu.entropy - mu.potential_integral
+                gap = mu.pressure - mu.entropy - mu.potential_integral
                 assert abs(gap) <= 1e-12
 
     def test_cylinder_measure_brute(self, golden):
