@@ -10,7 +10,8 @@ theta = +/-pi is the point at infinity.  In this chart the map reads
     theta -> 2*atan(2*tan(theta/2)),
 
 a north-south circle homeomorphism: the origin repels, infinity
-attracts, and the topological entropy is zero.
+attracts, and the topological entropy is zero.  Orbits advance in the
+line chart, where x -> 2x is exact and the pole is x = +/-inf.
 
 The reference potential is arccot(x) for x < 0 and arccot(-x) for
 x >= 0, which in the angle chart is simply (pi + |theta|)/2: value
@@ -62,9 +63,23 @@ class LineDoublingModel:
     def x_from_angle(self, theta):
         return np.tan(np.asarray(theta, dtype=float) / 2.0)
 
+    def map_line(self, x):
+        """The doubling itself, x -> 2x; +/-inf is the fixed pole."""
+        return 2.0 * x
+
     def map_angle(self, theta):
         """x -> 2x through the chart: exactly +/-pi at +/-pi."""
-        return self.angle_from_x(2.0 * self.x_from_angle(theta))
+        return self.angle_from_x(self.map_line(self.x_from_angle(theta)))
+
+    def orbit(self, theta, steps: int):
+        """theta and its next steps - 1 images: x advances by map_line, and
+        near the pole overflows to its image +/-inf, read back as +/-pi."""
+        x = self.x_from_angle(theta)
+        yield np.asarray(theta, dtype=float)
+        for _ in range(steps - 1):
+            with np.errstate(over="ignore"):
+                x = self.map_line(x)
+            yield self.angle_from_x(x)
 
     def inverse_angle(self, theta):
         """x -> x/2 through the chart: exactly +/-pi at +/-pi."""
@@ -111,8 +126,7 @@ def circle_cover_pressure(model: LineDoublingModel, phi=None,
         raise ValueError("invalid-budget: need 2 <= n_lo < n_hi")
     if style not in ("circle", "line"):
         raise ValueError(f"unknown cover style {style!r}")
-    if phi is None:
-        phi = model.phi_angle
+    phi = model.phi_angle if phi is None else phi
     width = 2 * PI / arc_count
     grid = -PI + width * np.arange(arc_count)
     if style == "line":
@@ -120,7 +134,6 @@ def circle_cover_pressure(model: LineDoublingModel, phi=None,
         # it merge into one admissible tail element
         grid = grid[1:]
 
-    zero_phi = phi is zero_potential_angle
     phi_pole = float(np.asarray(phi(PI)).reshape(-1)[0])
 
     # partition points of every level at once: a point joins the partition
@@ -131,48 +144,42 @@ def circle_cover_pressure(model: LineDoublingModel, phi=None,
         points.append(model.inverse_angle(points[-1]))
     P, first = np.unique(_wrap(np.concatenate(points)), return_index=True)
     level = first // len(grid)
-    a = None if subset_angle is None else _wrap(np.array([subset_angle]))[0]
+    if subset_angle is not None:  # the number of points up to the angle
+        upto = np.searchsorted(P, _wrap(np.array([subset_angle]))[0], "right")
 
-    count_only = zero_phi and subset_angle is None
-    loglam: dict[int, float] = {}
-    sums = np.zeros(len(P))
-    th = P.copy()
-    for N in range(1, n_hi + 1):
-        if not count_only:
+    if phi is zero_potential_angle and subset_angle is None:
+        # every partition cell counts once, and N has those of level < N
+        counts = np.cumsum(np.bincount(level, minlength=n_hi))
+        loglam = {N: math.log(counts[N - 1])
+                  for N in range(n_lo - 1, n_hi + 1)}
+    else:
+        loglam = {}
+        sums = np.zeros(len(P))
+        for N, th in enumerate(model.orbit(P, n_hi), start=1):
             sums += phi(th)
-            th = model.map_angle(th)
-        if N < n_lo - 1:
-            continue
-        part = level < N
-        if count_only:  # every partition cell counts once
-            loglam[N] = math.log(np.count_nonzero(part))
-            continue
-        left = sums[part]
-        right = np.roll(left, -1)
-        sup = np.maximum(left, right)
-        # the cell wrapping past the last partition point contains the
-        # pole whenever the pole is not itself a partition point; either
-        # way its supremum is the full orbit sum at the fixed pole
-        sup[-1] = max(sup[-1], N * phi_pole)
-        if a is not None:
-            idx = (np.searchsorted(P[part], a, side="right") - 1) % len(left)
-            sup = sup[[idx]]
-        m = sup.max()
-        loglam[N] = float(m + np.log(np.exp(sup - m).sum()))
+            if N < n_lo - 1:
+                continue
+            part = level < N
+            left = sums[part]
+            # the cell wrapping past the last point contains the pole (or
+            # ends at it): its supremum is the full orbit sum at the pole
+            sup = np.empty_like(left)
+            np.maximum(left[:-1], left[1:], out=sup[:-1])
+            sup[-1] = max(left[-1], left[0], N * phi_pole)
+            if subset_angle is not None:  # the one cell holding the angle
+                sup = sup[[(np.count_nonzero(part[:upto]) - 1) % len(sup)]]
+            m = sup.max()
+            loglam[N] = float(m + np.log(np.exp(sup - m).sum()))
     ns = list(range(n_lo, n_hi + 1))
     slopes = {N: loglam[N] - loglam[N - 1] for N in ns}
     rows = [(N, loglam[N], slopes[N]) for N in ns]
     top = ns[len(ns) // 2:]
     value = _slope(top, [loglam[N] for N in top])
-    diag = {
-        "rows": rows,
-        "style": style,
-        "arc_count": arc_count,
-    }
+    diag = {"rows": rows, "style": style, "arc_count": arc_count}
+    top_slopes = [slopes[N] for N in top]
     return PressureEstimate(value, arc_count, (n_lo, n_hi),
-                            (min(slopes[N] for N in top),
-                             max(slopes[N] for N in top)),
-                            "CP_upper", diag)
+                            (min(top_slopes), max(top_slopes)), "CP_upper",
+                            diag)
 
 
 def compactification_transfer_check(model: LineDoublingModel, phi=None,
@@ -180,11 +187,9 @@ def compactification_transfer_check(model: LineDoublingModel, phi=None,
                                     n_range: tuple = (16, 40)):
     """Pressure estimated with line-admissible covers and with plain
     circle covers; the two must agree within their combined tolerances."""
-    line_est = circle_cover_pressure(model, phi, arc_count, n_range,
-                                     style="line")
-    circle_est = circle_cover_pressure(model, phi, arc_count, n_range,
-                                       style="circle")
-    return line_est, circle_est
+    return tuple(circle_cover_pressure(model, phi, arc_count, n_range,
+                                       style=style)
+                 for style in ("line", "circle"))
 
 
 # ---------------------------------------------------------------------------

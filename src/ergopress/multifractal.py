@@ -26,8 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .shifts import Potential, ShiftSystem
-from .transfer import (equilibrium_markov, equilibrium_states,
-                       topological_entropy)
+from .transfer import equilibrium_markov, equilibrium_states
 
 CURVE_TOL = 1e-9
 GRID_ATOL = 1e-12  # how far a q may sit from a grid point it names
@@ -44,7 +43,6 @@ class TQCurve:
     alpha_values: np.ndarray
     spectrum_values: np.ndarray
     pressure: float
-    entropy_top: float  # topological entropy, equals T(0)
 
     def __post_init__(self):
         q = self.q_grid
@@ -82,19 +80,17 @@ class TQCurve:
 
 def t_curve(system: ShiftSystem, potential: Potential, q_grid) -> TQCurve:
     """Exact T, alpha and spectrum values on a grid of distinct exponents
-    q, from two Perron solves: the topological entropy (its own, so that
-    T(0) = entropy stays a check) and one ``equilibrium_states`` stack for
-    the grid and q = 1, whose last member gives the pressure."""
+    q, from one Perron solve: an ``equilibrium_states`` stack for the
+    grid and q = 1, whose last member gives the pressure."""
     q_grid = np.asarray(sorted(float(q) for q in q_grid))
     if (np.diff(q_grid) == 0).any():
         raise ValueError("q values must be distinct")
-    h_top = topological_entropy(system)
     states = equilibrium_states(system, potential, np.append(q_grid, 1.0))
     base_pressure = states.pressure[-1]
     t_vals = states.pressure[:-1] - q_grid * base_pressure
     a_vals = base_pressure - states.potential_integral[:-1]
     spec = t_vals + q_grid * a_vals
-    return TQCurve(q_grid, t_vals, a_vals, spec, base_pressure, h_top)
+    return TQCurve(q_grid, t_vals, a_vals, spec, base_pressure)
 
 
 def spectrum(system: ShiftSystem, potential: Potential, q_grid) -> list[tuple]:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -114,6 +115,17 @@ class TestTasks:
         assert header == ("q", "T", "alpha", "E")
         assert len(rows) == 41
 
+    @pytest.mark.parametrize("grid,solves", [([-1.0, 0.0, 1.0], 2),
+                                             ([0.5, 1.0, 2.0], 1)])
+    def test_spectrum_solves_entropy_only_for_its_check(self, perron_solves,
+                                                        grid, solves):
+        # the topological entropy is solved only when T(0) is on the grid
+        report = run(make_config("spectrum", budget={"q_grid": grid}))
+        assert report.passed
+        names = [c.name for c in report.results[0].checks]
+        assert ("T(0) equals topological entropy" in names) == (solves == 2)
+        assert len(perron_solves) == solves
+
     def test_spectrum_on_unequal_steps(self):
         # T decreases, so where a step of 1 follows a step of 0.5 the plain
         # second difference is negative; the convexity test must not fire
@@ -190,6 +202,28 @@ class TestTasks:
                                  system={"kind": "line_doubling"},
                                  potential={"kind": "named", "name": "arccot"}))
         assert report.passed
+
+    def test_near_pi_check_reports_the_farther_estimate(self, monkeypatch):
+        from ergopress import compactify
+
+        estimate = compactify.circle_cover_pressure
+
+        def line_off(*args, **kwargs):
+            est = estimate(*args, **kwargs)
+            if kwargs["style"] == "line":
+                est = dataclasses.replace(est, value=est.value + 0.1)
+            return est
+
+        monkeypatch.setattr(compactify, "circle_cover_pressure", line_off)
+        report = run(make_config("transfer_check",
+                                 system={"kind": "line_doubling"},
+                                 potential={"kind": "named", "name": "arccot"}))
+        result = report.results[0]
+        check = next(c for c in result.checks
+                     if c.name == "both estimates near pi")
+        assert not check.passed
+        assert check.value == result.values["line"]
+        assert abs(result.values["line"] - math.pi) > 0.05
 
     def test_property_suite(self):
         report = run(make_config("property_suite", budget={"tol": 1e-4}))
@@ -357,10 +391,10 @@ class TestMainEntry:
 
     def test_failing_t0_check_exits_one(self, tmp_path, capsys,
                                         monkeypatch):
-        from ergopress import multifractal
+        from ergopress import cli
 
-        entropy = multifractal.topological_entropy
-        monkeypatch.setattr(multifractal, "topological_entropy",
+        entropy = cli.topological_entropy
+        monkeypatch.setattr(cli, "topological_entropy",
                             lambda system: entropy(system) + 1e-6)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({

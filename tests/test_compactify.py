@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -69,6 +70,25 @@ class TestModel:
             pytest.approx(2 * math.atan(x / 2), abs=1e-12)
         assert model.map_angle(theta) < PI
 
+    def test_orbit_follows_iterated_map_angle(self):
+        model = LineDoublingModel()
+        rng = np.random.default_rng(5)
+        near_pole = PI - rng.uniform(0.0, 1e-5, 50)
+        theta = np.concatenate([rng.uniform(-PI, PI, 200), near_pole,
+                                -near_pole])
+        ref = theta.copy()
+        for th in model.orbit(theta, 80):
+            np.testing.assert_allclose(th, ref, rtol=0, atol=1e-12)
+            ref = model.map_angle(ref)
+
+    def test_orbit_keeps_the_pole_exactly(self):
+        # the chart image overflows to +/-inf after about 970 doublings
+        model = LineDoublingModel()
+        orbit = list(model.orbit(np.array([-PI, PI]), 1100))
+        assert len(orbit) == 1100
+        for th in orbit:
+            np.testing.assert_array_equal(th, [-PI, PI])
+
     def test_properness_on_intervals(self):
         # the preimage of [a, b] is [a/2, b/2]: compact again, so in the
         # chart it stays off the pole
@@ -126,6 +146,40 @@ class TestCoverPressure:
                                     arc_count=64, n_range=(64, 128),
                                     style="circle")
         assert abs(est.bracket[0]) <= 1e-2
+
+    def test_long_window_through_the_overflow(self):
+        # orbits at the pole overflow to +/-inf past N ~ 970 without a
+        # RuntimeWarning, at the value that stepping through map_angle gave
+        model = LineDoublingModel()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            est = circle_cover_pressure(model, arc_count=8,
+                                        n_range=(16, 1100))
+        assert est.value == pytest.approx(3.1415926535896963, abs=1e-12)
+
+    @pytest.mark.parametrize("style", ["circle", "line"])
+    @pytest.mark.parametrize("arc_count,n_range",
+                             [(16, (2, 6)), (256, (16, 80)),
+                              (256, (64, 128))])
+    def test_count_rows_equal_distinct_point_counts(self, style, arc_count,
+                                                    n_range):
+        # the cell count for N is the number of distinct points in the
+        # first N pullback levels, counted here level by level
+        model = LineDoublingModel()
+        grid = -PI + 2 * PI / arc_count * np.arange(arc_count)
+        if style == "line":
+            grid = grid[1:]
+        points = [grid]
+        for _ in range(n_range[1] - 1):
+            points.append(model.inverse_angle(points[-1]))
+        logs = {N: math.log(len(np.unique(_wrap(np.concatenate(points[:N])))))
+                for N in range(n_range[0] - 1, n_range[1] + 1)}
+        est = circle_cover_pressure(model, phi=zero_potential_angle,
+                                    arc_count=arc_count, n_range=n_range,
+                                    style=style)
+        assert est.diagnostics["rows"] == [
+            (N, logs[N], logs[N] - logs[N - 1])
+            for N in range(n_range[0], n_range[1] + 1)]
 
     def test_invalid_budget(self):
         model = LineDoublingModel()
@@ -192,10 +246,8 @@ class TestCoverPressure:
         if phi is zero_potential_angle and subset_angle is None:
             return math.log(len(P))
         sums = np.zeros(len(P))
-        th = P.copy()
-        for _ in range(N):
+        for th in model.orbit(P, N):
             sums += phi(th)
-            th = model.map_angle(th)
         sup = np.maximum(sums, np.roll(sums, -1))
         pole = 0.0 if phi is zero_potential_angle else float(phi(PI))
         sup[-1] = max(sup[-1], N * pole)

@@ -1,4 +1,5 @@
-"""Every demo script runs to completion."""
+"""Every demo script runs to completion, with RuntimeWarning an error as
+in the library tests, so an unguarded overflow fails instead of printing."""
 
 import os
 import subprocess
@@ -18,6 +19,7 @@ def test_demos_found():
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.stem)
 def test_demo_exits_cleanly(script):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    done = subprocess.run([sys.executable, str(script)], env=env,
+    done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                           str(script)], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr

@@ -35,10 +35,10 @@ class TestTCurve:
         assert np.abs(curve.t_values - exact).max() <= 1e-12
 
     def test_one_stacked_solve_per_grid(self, full2, phi_log2, perron_solves):
-        # topological entropy, then one stack for the equilibrium states
-        # of the whole grid and of q = 1, which gives the base pressure
+        # one stack for the equilibrium states of the whole grid and of
+        # q = 1, which gives the base pressure
         t_curve(full2, phi_log2, np.linspace(-2.0, 2.0, 9))
-        assert len(perron_solves) == 2
+        assert len(perron_solves) == 1
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_stack_matches_per_q_equilibrium_states(self, seed):
