@@ -119,25 +119,26 @@ def power_iteration(matrix):
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(
                 f"no-convergence: eigensolver failed: {exc}") from exc
-        top = values.real.argmax(axis=-1)[..., None, None]
-        shift = np.maximum(values.real.max(axis=-1, keepdims=True), 0.0)
-        x = np.abs(np.take_along_axis(vectors, top, -1)[..., 0])
+        top = values.real.argmax(axis=-1)[..., None] == np.arange(mats.shape[-1])
+        x = np.abs((vectors @ top[..., None])[..., 0])  # the top column
         x = x / x.sum(axis=-1, keepdims=True)
-        for _ in range(MAX_POWER_STEPS):
+        for step in range(MAX_POWER_STEPS):
             img = (mats @ x[..., None])[..., 0]
-            positive = x > 0
-            ratio = img / np.where(positive, x, np.inf)
+            ratio = img / x  # inf or nan where x has a zero: not closed
             lo, hi = ratio.min(axis=-1), ratio.max(axis=-1)
-            closed = positive.all(axis=-1) & (hi - lo <= 1e-13 * hi)
+            closed = (hi - lo <= 1e-13 * hi) & (hi < np.inf)
             if closed.all():
                 return lo, hi, x
+            if not step:
+                shift = np.maximum(values.real.max(axis=-1, keepdims=True), 0.0)
             x_next = img + shift * x
             x = np.where(closed[..., None], x,
                          x_next / x_next.sum(axis=-1, keepdims=True))
         raise ConvergenceError("no-convergence: Perron bracket did not close")
 
-    lo, hi, v = bracket(M)
-    lo_left, hi_left, u = bracket(np.swapaxes(M, -1, -2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lo, hi, v = bracket(M)
+        lo_left, hi_left, u = bracket(np.swapaxes(M, -1, -2))
     lam = 0.5 * (np.maximum(lo, lo_left) + np.minimum(hi, hi_left))
     return lam[()], v, u / (u * v).sum(axis=-1, keepdims=True)
 
@@ -286,13 +287,18 @@ class MarkovMeasure:
         probabilities, cum_P[s, c] < u iff rank(cum_P[s, c]) < rank(u)
         (rank = number of cuts below), so tables indexed by (s, rank(u))
         give the next state, its log transition probability and its own
-        table row.  rank(u) comes from a guide table of G buckets over
-        [0, 1), G a power of two above twice the number of cuts: bucket
-        floor(u G) (exact) holds the rank of its left end, and a short
-        loop raises it while the next cut lies below u.  The words are
-        written by time step, so memory follows them, and returned as the
-        transpose of that array.  Raises ValueError when the length is
-        below the state depth d.
+        table row.  One ``rng.random`` call draws a block of time steps
+        (at most 8192 draws, at least one step) in the order of one call
+        per step, and ranks them at once by a guide table of G buckets
+        over [0, 1), G a power of two at least eight times the number of
+        cuts: bucket floor(u G) (exact) holds the rank of its left end and
+        its first cut c, and rank(u) is that rank plus (c < u); only the
+        draws in a bucket holding several cuts are ranked by a search.
+        Each step then follows one table row per sample, and the block's
+        symbols and log probabilities are gathered afterwards, the logs
+        added step by step.  The words are written by time step, so
+        memory follows them, and returned as the transpose of that array.
+        Raises ValueError when the length is below the state depth d.
         """
         d = self.state_depth
         if length < d:
@@ -310,24 +316,30 @@ class MarkovMeasure:
                          n_states - 1)
         next_symbol, next_row = self.states[nxt, -1].ravel(), (nxt * stride).ravel()
         next_log = np.take_along_axis(log_P, nxt, axis=1).ravel()
-        buckets = 2 << len(cuts).bit_length()
-        guide = np.searchsorted(cuts, np.arange(buckets) / buckets)
-        cuts = np.append(cuts, np.inf)  # rank len(cuts) is never passed
+        buckets = 8 << len(cuts).bit_length()
+        first = np.searchsorted(cuts, np.arange(buckets + 1) / buckets)
+        guide, split = first[:-1], np.append(cuts, np.inf)[first[:-1]]
+        crowded = np.diff(first) > 1  # rank -1 sends a draw to the search
+        guide[crowded], split[crowded] = -1, np.inf
         state = np.minimum(np.searchsorted(np.cumsum(self.stationary),
                                            rng.random(count)), n_states - 1)
         logm = log_pi[state]
         words = np.empty((length, count), dtype=self.states.dtype)
         words[:d] = self.states[state].T
         row = state * stride
-        for t in range(d, length):
-            u = rng.random(count)
-            rank = guide.take((u * buckets).astype(np.intp))
-            while (behind := cuts.take(rank) < u).any():
-                rank += behind
-            at = row + rank
-            logm += next_log.take(at)
-            words[t] = next_symbol.take(at)
-            row = next_row.take(at)
+        steps = max(8192 // max(count, 1), 1)
+        for t in range(d, length, steps):
+            u = rng.random((min(steps, length - t), count))
+            bucket = (u * buckets).astype(np.intp)
+            rank = guide.take(bucket) + (split.take(bucket) < u)
+            if (search := rank < 0).any():
+                rank[search] = np.searchsorted(cuts, u[search])
+            for at in rank:  # rank becomes the table index, row by row
+                at += row
+                row = next_row.take(at)
+            words[t:t + len(rank)] = next_symbol.take(rank)
+            for logs in next_log.take(rank):
+                logm += logs
         return words.T, logm
 
 
@@ -443,15 +455,22 @@ def perturbed_invariant_measures(base: MarkovMeasure, count: int, rng,
 
 def _stationary_vector(P: np.ndarray) -> np.ndarray:
     """Stationary vectors of a row-stochastic matrix, or of a stack of
-    them along leading axes: the minimum-norm least-squares solutions of
-    pi (P - I) = 0, sum(pi) = 1, by one batched pseudo-inverse with
+    them along leading axes: the solutions of pi (P - I) = 0, sum(pi) = 1,
+    clipped at 0 and renormalized.  The balance rows sum to zero, so the
+    first is dropped and the square systems go to one batched
+    ``np.linalg.solve``, regular for irreducible chains.  When LAPACK
+    reports a singular member, the stack takes the minimum-norm
+    least-squares solutions instead, by one batched pseudo-inverse with
     ``lstsq``'s cutoff (a reducible chain, such as ``delta_measure``'s
-    identity, yields the uniform vector), clipped at 0 and renormalized.
+    identity, yields the uniform vector).
     """
     dim = P.shape[-1]
     lhs = np.concatenate([np.swapaxes(P, -1, -2) - np.eye(dim),
                           np.ones(P.shape[:-2] + (1, dim))], axis=-2)
-    pi = np.linalg.pinv(lhs, (dim + 1) * np.finfo(float).eps)[..., -1]
+    try:
+        pi = np.linalg.solve(lhs[..., 1:, :], np.eye(dim)[-1])
+    except np.linalg.LinAlgError:
+        pi = np.linalg.pinv(lhs, (dim + 1) * np.finfo(float).eps)[..., -1]
     pi = np.maximum(pi, 0.0)
     return pi / pi.sum(axis=-1, keepdims=True)
 

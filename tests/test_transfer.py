@@ -443,7 +443,7 @@ def _per_state_sample(mu, length, count, seed):
     for _ in range(length - 1):
         draws = ref_rng.random(count)
         nxt = np.array([min(np.searchsorted(cum_P[s], x, side="left"), n - 1)
-                        for s, x in zip(state, draws)])
+                        for s, x in zip(state, draws)], dtype=np.intp)
         ref_logm += np.log(mu.transitions[state, nxt])
         state = nxt
         path.append(state)
@@ -566,8 +566,20 @@ class TestArrayMeasure:
                                    rtol=1e-14, atol=1e-15)
         np.testing.assert_array_equal(entropy, [m.entropy for m in members])
 
+    def test_irreducible_perturbed_stack_is_solved_square(self, monkeypatch):
+        # the pseudo-inverse is only the fallback for a singular member
+        def refuse(*args, **kwargs):
+            raise AssertionError("pinv reached on an irreducible stack")
+
+        monkeypatch.setattr(np.linalg, "pinv", refuse)
+        for seed, d in ((9, 1), (16, 2)):
+            _, _, mu = self._random_measure(seed, d)
+            pi, P, _ = perturbed_chains(mu, 50, np.random.default_rng(seed))
+            assert np.abs((pi[:, None, :] @ P)[:, 0] - pi).max() <= 1e-12
+
     def test_perturbed_delta_base_is_accepted(self, full2):
-        # P = I is reducible: the minimum-norm solution is uniform
+        # P = I is reducible: the square solve fails and the minimum-norm
+        # solution is uniform
         for m in perturbed_invariant_measures(delta_measure(full2, 1), 5,
                                               np.random.default_rng(12)):
             np.testing.assert_array_equal(m.transitions, np.eye(2))
@@ -581,14 +593,20 @@ class TestArrayMeasure:
         mu = equilibrium_markov(system, Potential.depth_one(
             system, rng.normal(size=40)))
         assert (mu.transitions == 0).any()
-        words, logm = mu.sample_words(25, 300, np.random.default_rng(14))
-        ref_words, ref_logm = _per_state_sample(mu, 25, 300, 14)
-        np.testing.assert_array_equal(words, ref_words)
-        np.testing.assert_array_equal(logm, ref_logm)
+        # blocks of 8192 draws: one sample, one step per block, a last
+        # block cut short (2048 samples take 4 steps a block), none
+        for length, count in ((25, 300), (25, 1), (6, 9000), (11, 2048),
+                              (25, 0)):
+            words, logm = mu.sample_words(length, count,
+                                          np.random.default_rng(14))
+            ref_words, ref_logm = _per_state_sample(mu, length, count, 14)
+            assert words.shape == (count, length)
+            np.testing.assert_array_equal(words, ref_words)
+            np.testing.assert_array_equal(logm, ref_logm)
 
     def test_sampler_matches_per_state_search_on_clustered_cuts(self):
-        # ten cuts 1e-3 apart share one guide bucket, so draws there walk
-        # the correction loop up to ten steps
+        # ten cuts 1e-3 apart share guide buckets, so draws there are
+        # ranked by the search
         row = np.array([0.5] + [1e-3] * 9 + [0.491])
         P = np.tile(row, (11, 1))
         system = ShiftSystem(np.ones((11, 11), dtype=np.int64))
@@ -598,6 +616,23 @@ class TestArrayMeasure:
         np.testing.assert_array_equal(words, ref_words)
         np.testing.assert_array_equal(logm, ref_logm)
         assert np.isin(words, np.arange(1, 10)).any()
+        # rows ending one ulp below 1 and at 1: the last of 64 buckets
+        # holds the cuts 127/128, 255/256 and 1 - 2**-53, and every step
+        # into symbol 2 is drawn there
+        cum = np.array([[0.375, 127 / 128, 1 - 2 ** -53],
+                        [0.25, 255 / 256, 1.0],
+                        [0.5, 127 / 128, 1.0]])
+        P = np.diff(cum, prepend=0.0)
+        np.testing.assert_array_equal(np.cumsum(P, axis=1), cum)
+        pi, *_ = np.linalg.lstsq(np.vstack([P.T - np.eye(3), np.ones(3)]),
+                                 np.eye(4)[-1], rcond=None)
+        system = ShiftSystem(np.ones((3, 3), dtype=np.int64))
+        mu = MarkovMeasure(system, [(0,), (1,), (2,)], pi, P)
+        words, logm = mu.sample_words(40, 500, np.random.default_rng(19))
+        ref_words, ref_logm = _per_state_sample(mu, 40, 500, 19)
+        np.testing.assert_array_equal(words, ref_words)
+        np.testing.assert_array_equal(logm, ref_logm)
+        assert (words[:, 1:] == 2).any()
 
     def test_sampling_shorter_than_the_states_raises(self, full2):
         mu = equilibrium_markov(full2, random_potential(
