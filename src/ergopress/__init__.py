@@ -37,7 +37,7 @@ from .transfer import (
     delta_measure,
     equilibrium_markov,
     inverse_vp_probe,
-    perturbed_invariant_measures,
+    perturbed_chains,
     power_iteration,
     power_pressure_check,
     topological_entropy,

@@ -29,7 +29,8 @@ from . import compactify
 from .coverpressure import (Cover, InconclusiveError, capacity_pressures,
                             critical_alpha, pressure_refined)
 from .multifractal import correlation_entropy, legendre_check, t_curve
-from .shifts import Potential, ShiftSystem, SubsetSpec, make_full_shift
+from .shifts import (Potential, ShiftSystem, SubsetSpec, block_codes_fit,
+                     make_full_shift)
 from .transfer import (
     ConvergenceError,
     IncreaseDepthError,
@@ -133,13 +134,11 @@ class ExperimentConfig:
                      f"integers >= the potential depth {depth}")
             if kind != "line_doubling":
                 # a depth-t cover runs on blocks of length max(t - 1, 1),
-                # whose base-k codes must fit in int64; k >= 2, so the
-                # exponent can stop at 64 (no huge power for a huge t)
+                # whose base-k codes must fit in int64
                 k = system["k"] if kind == "full_shift" else len(adj)
-                blocks = min(max(d[-1] - 1, 1), 64)
-                _require(k ** blocks < 1 << 63, "budget.depths",
-                         f"must keep {k}**(depth - 1) below 2**63, the "
-                         "int64 range of the block codes")
+                _require(block_codes_fit(k, max(d[-1] - 1, 1)),
+                         "budget.depths", f"must keep {k}**(depth - 1) below "
+                         "2**63, the int64 range of the block codes")
         # inverse_vp needs a block depth max(depth, 2) below n
         least_n = {"correlation": 10, "inverse_vp": max(4, depth + 1)}
         if "n" in budget and task in least_n:
@@ -386,8 +385,9 @@ def _task_vp_check(cfg: ExperimentConfig) -> TaskResult:
     rng = np.random.default_rng(cfg.seed)
     mu = equilibrium_markov(system, potential)
     # vp_residual without re-solving the pressure, over one stack of chains
-    pi, P, entropy = perturbed_chains(mu, count, rng)
-    worst = float(np.min(mu.pressure - (entropy + mu.integrate(potential, (pi, P)))))
+    chains = perturbed_chains(mu, count, rng)
+    worst = float(np.min(mu.pressure
+                         - (chains.entropy + chains.integrate(potential))))
     at_eq = mu.pressure - (mu.entropy + mu.integrate(potential))
     checks = [
         Check("residual nonnegative over random invariant measures",

@@ -177,9 +177,8 @@ def circle_cover_pressure(model: LineDoublingModel, phi=None,
     value = _slope(top, [loglam[N] for N in top])
     diag = {"rows": rows, "style": style, "arc_count": arc_count}
     top_slopes = [slopes[N] for N in top]
-    return PressureEstimate(value, arc_count, (n_lo, n_hi),
-                            (min(top_slopes), max(top_slopes)), "CP_upper",
-                            diag)
+    return PressureEstimate(value, (n_lo, n_hi),
+                            (min(top_slopes), max(top_slopes)), diag)
 
 
 def compactification_transfer_check(model: LineDoublingModel, phi=None,
@@ -234,9 +233,6 @@ class GapCertificate:
     compactified_inventory: list
     estimator: PressureEstimate
     entropy_estimate: float
-
-    def holds(self) -> bool:
-        return self.gap > 0
 
 
 def gap_example(arc_count: int = 64, n_range: tuple = (16, 40)) -> GapCertificate:

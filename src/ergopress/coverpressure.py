@@ -82,10 +82,8 @@ class PressureEstimate:
     """A pressure value with the diagnostics of how it was obtained."""
 
     value: float
-    cover_depth: int
     n_range: tuple
     bracket: tuple
-    mode: str  # "P" | "CP_lower" | "CP_upper"
     diagnostics: dict = field(default_factory=dict)
 
     @property
@@ -112,11 +110,9 @@ class _StringCalculus:
 
     def __init__(self, subset: SubsetSpec, potential: Potential, cover: Cover):
         system = cover.system
-        if potential.system is not system and \
-                not np.array_equal(potential.system.adjacency, system.adjacency):
+        if not system.same_as(potential.system):
             raise ValueError("potential does not match the cover's system")
-        if subset.system is not system and \
-                not np.array_equal(subset.system.adjacency, system.adjacency):
+        if not system.same_as(subset.system):
             raise ValueError("subset does not match the cover's system")
         r, t = potential.depth, cover.depth
         if t < r:
@@ -459,10 +455,10 @@ def capacity_pressures(subset: SubsetSpec, potential: Potential, cover: Cover,
         window = [N for N in slopes if N >= n_half]
         svals = [slopes[N] for N in window]
         diag = {"rows": [(N, loglam[N], slopes[N]) for N in window]}
-    lo = PressureEstimate(min(svals), cover.depth, (n_half, N_max),
-                          (min(svals), max(svals)), "CP_lower", dict(diag))
-    hi = PressureEstimate(max(svals), cover.depth, (n_half, N_max),
-                          (min(svals), max(svals)), "CP_upper", dict(diag))
+    lo = PressureEstimate(min(svals), (n_half, N_max),
+                          (min(svals), max(svals)), dict(diag))
+    hi = PressureEstimate(max(svals), (n_half, N_max),
+                          (min(svals), max(svals)), dict(diag))
     return lo, hi
 
 
@@ -510,8 +506,7 @@ def critical_alpha(subset: SubsetSpec, potential: Potential, cover: Cover,
     if tol <= 0:
         raise ValueError("tol must be positive")
     if subset.is_empty:
-        return PressureEstimate(-math.inf, cover.depth, n_range,
-                                (-math.inf, -math.inf), "P",
+        return PressureEstimate(-math.inf, n_range, (-math.inf, -math.inf),
                                 {"degenerate": True})
     calc = _calculus(subset, potential, cover)
     n_lo, n_hi = n_range
@@ -573,8 +568,7 @@ def critical_alpha(subset: SubsetSpec, potential: Potential, cover: Cover,
         "weak_classifications": weak,
         "trace": trace,
     }
-    return PressureEstimate(value, cover.depth, (n_lo, n_hi),
-                            (alpha_lo, alpha_hi), "P", diag)
+    return PressureEstimate(value, (n_lo, n_hi), (alpha_lo, alpha_hi), diag)
 
 
 def pressure_refined(subset: SubsetSpec, potential: Potential, depths,

@@ -55,6 +55,10 @@ class ShiftSystem:
             graph = self._graphs[depth] = BlockGraph(self.adjacency, depth)
         return graph
 
+    def same_as(self, other: "ShiftSystem") -> bool:
+        """True iff ``other`` is this system or has the same adjacency."""
+        return other is self or np.array_equal(other.adjacency, self.adjacency)
+
     def allows(self, a: int, b: int) -> bool:
         return bool(self.adjacency[a, b])
 
@@ -93,6 +97,13 @@ def strongly_connected(M):
     for _ in range((n - 1).bit_length()):
         reach = np.minimum(reach @ reach, 1.0)
     return reach.all(axis=(-2, -1))
+
+
+def block_codes_fit(k: int, depth: int) -> bool:
+    """True iff base-k codes of depth-blocks stay below 2**63 (int64).  The
+    exponent stops at 64, enough for k >= 2, so a huge depth costs no huge
+    power."""
+    return k ** min(depth, 64) < 1 << 63
 
 
 def make_full_shift(k: int) -> ShiftSystem:
@@ -150,14 +161,15 @@ class BlockGraph:
     """The admissible d-blocks of a 0/1 matrix, one arc per appended symbol.
 
     ``words`` are the blocks (``_grow_words``), ``codes`` their base-k
-    codes, which ``index`` searches.  ``arcs`` is (src, dst, arc_words),
-    sorted by source and then appended symbol: block src plus one symbol
-    is the (d+1)-word in arc_words, whose last d symbols are block dst.
+    codes, which ``index`` and ``find`` search.  ``arcs`` is (src, dst,
+    arc_words), sorted by source and then appended symbol: block src plus
+    one symbol is the (d+1)-word in arc_words, whose last d symbols are
+    block dst.
     """
 
     def __init__(self, adjacency, depth: int):
         A = np.asarray(adjacency) != 0
-        if len(A) ** depth >= 1 << 63:
+        if not block_codes_fit(len(A), depth):
             raise ValueError(f"{depth}-block codes overflow int64")
         self.adjacency = A
         self.words = _grow_words(A, depth)
@@ -167,8 +179,17 @@ class BlockGraph:
             array.setflags(write=False)
 
     def index(self, blocks) -> np.ndarray:
-        """Rows of ``words`` holding the given blocks (along the last axis)."""
+        """Rows of ``words`` holding the given blocks (along the last axis),
+        each of which must be one of them."""
         return np.searchsorted(self.codes, np.asarray(blocks) @ self._place)
+
+    def find(self, blocks) -> np.ndarray:
+        """Rows of ``words`` holding the given blocks of symbols in
+        range(k) (along the last axis), -1 for a block that is not one of
+        them."""
+        codes = np.asarray(blocks) @ self._place
+        at = np.minimum(np.searchsorted(self.codes, codes), len(self.codes) - 1)
+        return np.where(self.codes[at] == codes, at, -1)
 
     @cached_property
     def arcs(self) -> tuple:
@@ -188,12 +209,11 @@ class Potential:
     """
 
     def __init__(self, system: ShiftSystem, depth: int,
-                 table: Mapping[tuple, float], name: str = ""):
+                 table: Mapping[tuple, float]):
         if depth < 1:
             raise ValueError("potential depth must be >= 1")
         self.system = system
         self.depth = int(depth)
-        self.name = name
         tab = {}
         for key, val in table.items():
             key = tuple(int(a) for a in key)
@@ -216,19 +236,18 @@ class Potential:
 
     @classmethod
     def zero(cls, system: ShiftSystem) -> "Potential":
-        return cls.depth_one(system, [0.0] * system.alphabet_size, name="zero")
+        return cls.depth_one(system, [0.0] * system.alphabet_size)
 
     @classmethod
     def constant(cls, system: ShiftSystem, c: float) -> "Potential":
-        return cls.depth_one(system, [c] * system.alphabet_size,
-                             name=f"const({c})")
+        return cls.depth_one(system, [c] * system.alphabet_size)
 
     @classmethod
-    def depth_one(cls, system: ShiftSystem, values, name: str = "") -> "Potential":
+    def depth_one(cls, system: ShiftSystem, values) -> "Potential":
         values = list(values)
         if len(values) != system.alphabet_size:
             raise ValueError("need one value per symbol")
-        return cls(system, 1, {(a,): v for a, v in enumerate(values)}, name)
+        return cls(system, 1, {(a,): v for a, v in enumerate(values)})
 
     def values(self, blocks) -> np.ndarray:
         """Values of an array of admissible r-blocks (along the last axis)."""
@@ -236,8 +255,7 @@ class Potential:
 
     def sup_minus(self, other: "Potential") -> float:
         """sup |self - other| over the space (tables must share the system)."""
-        if other.system is not self.system and \
-                not np.array_equal(other.system.adjacency, self.system.adjacency):
+        if not self.system.same_as(other.system):
             raise ValueError("potentials live on different systems")
         words = self.system.block_graph(max(self.depth, other.depth)).words
         gaps = np.abs(self.values(words[:, :self.depth])
@@ -250,7 +268,6 @@ class Potential:
         scaled = Potential.__new__(Potential)
         scaled.system, scaled.depth, scaled.graph = \
             self.system, self.depth, self.graph
-        scaled.name = f"{q}*{self.name}" if self.name else ""
         scaled.vector = q * self.vector
         return scaled
 

@@ -17,8 +17,6 @@ which every cover-based estimate in this package is validated.
 from __future__ import annotations
 
 import math
-from functools import cached_property
-from typing import Iterable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -58,11 +56,8 @@ class TransferMatrix:
     """
 
     def __init__(self, system: ShiftSystem, potential: Potential, scales=1.0):
-        if potential.system is not system and \
-                not np.array_equal(potential.system.adjacency, system.adjacency):
+        if not system.same_as(potential.system):
             raise ValueError("potential does not match the system")
-        self.system = system
-        self.potential = potential
         r = potential.depth
         self.graph = system.block_graph(max(r - 1, 1))
         src, dst, arc_words = self.graph.arcs
@@ -76,10 +71,6 @@ class TransferMatrix:
         M[..., src, dst] = weights
         self.matrix = M
         self.matrix.setflags(write=False)
-
-    @cached_property
-    def states(self) -> tuple:
-        return tuple(map(tuple, self.graph.words.tolist()))
 
     @property
     def dimension(self) -> int:
@@ -171,40 +162,29 @@ def block_recode(system: ShiftSystem, potential: Potential):
     B = np.zeros((len(graph.words),) * 2, dtype=np.int64)
     B[src, dst] = 1
     recoded = ShiftSystem(B)
-    values = potential.values(graph.words).tolist()
-    return recoded, Potential.depth_one(recoded, values,
-                                        name=f"recode[{potential.name}]")
+    return recoded, Potential.depth_one(recoded,
+                                        potential.values(graph.words).tolist())
 
 
 class MarkovMeasure:
     """Shift-invariant Markov measure presented on block states.
 
-    ``states`` is an integer array whose rows are admissible d-blocks of
-    the underlying system, ``stationary`` the stationary probability
-    vector and ``transitions`` the row-stochastic transition matrix on
-    those states.  The states are found by their sorted base-k codes.
-    ``equilibrium_states`` builds stacks of chains (..., n) and
-    (..., n, n) on one set of states, with an entropy per chain; cylinder
-    masses and integrals are then stacks too, while sampling and
-    ``log_cylinder_measure`` need one chain.
+    The states are the admissible ``depth``-blocks of the system, the rows
+    of ``graph = system.block_graph(depth)`` in the graph's order.
+    ``stationary`` is the stationary probability vector and
+    ``transitions`` the row-stochastic transition matrix on those states,
+    or stacks of them (..., n) and (..., n, n) with an entropy per chain,
+    as ``equilibrium_states`` and ``perturbed_chains`` build them.
+    Cylinder masses and integrals of a stack are stacks too, while
+    sampling and ``log_cylinder_measure`` need one chain.
     """
 
-    def __init__(self, system: ShiftSystem, states, stationary, transitions):
+    def __init__(self, system: ShiftSystem, depth: int, stationary,
+                 transitions):
         self.system = system
-        self.states = np.asarray(states)
-        k = system.alphabet_size
-        if self.states.ndim != 2 or not self.states.size or \
-                self.states.min() < 0 or self.states.max() >= k:
-            raise ValueError("states must be a nonempty array of blocks")
-        self.state_depth = d = self.states.shape[1]
-        if k ** d >= 1 << 63:
-            raise ValueError(f"{d}-block codes overflow int64")
-        codes = self.states.astype(np.int64) @ _place(k, d)
-        self._rows = np.argsort(codes, kind="stable")
-        self._codes = codes[self._rows]
-        if (np.diff(self._codes) == 0).any():
-            raise ValueError("states must be distinct")
-        n = len(self.states)
+        self.graph = system.block_graph(depth)
+        self.state_depth = depth
+        n = len(self.graph.words)
         pi = np.asarray(stationary, dtype=float)
         P = np.asarray(transitions, dtype=float)
         if pi.shape[-1:] != (n,) or P.shape != pi.shape + (n,):
@@ -212,70 +192,52 @@ class MarkovMeasure:
         self.stationary, self.entropy = _checked_chains(pi, P)
         self.transitions = P
 
-    def _with_chains(self, stationary, transitions,
-                     entropy) -> Iterable["MarkovMeasure"]:
-        """Measures on these states for stacks of checked chains."""
-        shared = {name: self.__dict__[name] for name in
-                  ("system", "states", "state_depth", "_rows", "_codes")}
-        for pi, P, h in zip(stationary, transitions, entropy.tolist()):
-            measure = MarkovMeasure.__new__(MarkovMeasure)
-            measure.__dict__.update(shared, stationary=pi, transitions=P,
-                                    entropy=h)
-            yield measure
-
-    def log_masses(self, words, chains=None) -> np.ndarray:
+    def log_masses(self, words) -> np.ndarray:
         """log of the measure of the cylinder of each row of an (m, L)
-        array of symbols (each in range(k)), -inf off the support.
+        array of symbols (each in range(k)), L >= 1, -inf off the support;
+        for a stack of chains, the stack's axes lead.
 
         For L >= d it is log pi of the first d-block plus the log
-        transition probabilities between consecutive d-blocks; for L < d
-        it is the log of the summed pi of the states with that prefix.
-        ``chains`` (stationary (..., n), transitions (..., n, n)) replaces
-        the own chain: one word lookup serves the stack, whose axes lead.
+        transition probabilities between consecutive d-blocks, each found
+        by ``graph.find``; for L < d it is the log of the summed pi of the
+        states with that prefix, the admissible L-blocks.
         """
-        pi, P = (self.stationary, self.transitions) if chains is None else chains
+        pi, P = self.stationary, self.transitions
         words = np.asarray(words, dtype=np.int64)
-        k, d = self.system.alphabet_size, self.state_depth
-        length = words.shape[1]
-        if length < d:  # the codes are sorted, so each prefix is a run
-            prefixes, first = np.unique(self._codes // k ** (d - length),
-                                        return_index=True)
-            mass = np.add.reduceat(pi[..., self._rows], first, axis=-1)
+        d, length = self.state_depth, words.shape[1]
+        if length < d:  # the states are sorted, so each prefix is a run
+            prefixes = self.system.block_graph(length)
+            prefix = prefixes.index(self.graph.words[:, :length])
+            starts = np.flatnonzero(np.diff(prefix, prepend=-1))
+            mass = np.add.reduceat(pi, starts, axis=-1)
             with np.errstate(divide="ignore"):
                 log_mass = np.log(mass)
-            codes = words @ _place(k, length)
-            at = np.minimum(np.searchsorted(prefixes, codes), len(prefixes) - 1)
-            return np.where(prefixes[at] == codes, log_mass[..., at], -np.inf)
-        steps = length - d + 1  # d-blocks in each word
-        codes = words[:, :steps] * k ** (d - 1)
-        for j in range(1, d):
-            codes += words[:, j:j + steps] * k ** (d - 1 - j)
-        at = np.minimum(np.searchsorted(self._codes, codes), len(self._codes) - 1)
-        found = (self._codes[at] == codes).all(axis=1)
-        rows = self._rows[at]
+            at = prefixes.find(words)
+            return np.where(at >= 0, log_mass[..., at], -np.inf)
+        steps = np.arange(length - d + 1)[:, None]  # d-blocks in each word
+        rows = self.graph.find(words[:, steps + np.arange(d)])
         with np.errstate(divide="ignore"):
             log_pi, log_P = np.log(pi), np.log(P)
         total = log_pi[..., rows[:, 0]] \
             + log_P[..., rows[:, :-1], rows[:, 1:]].sum(axis=-1)
-        return np.where(found, total, -np.inf)
+        return np.where((rows >= 0).all(axis=1), total, -np.inf)
 
     def log_cylinder_measure(self, symbols) -> float:
         """log of the measure of the cylinder of a symbol word."""
         word = [int(a) for a in symbols]
         if not all(0 <= a < self.system.alphabet_size for a in word):
             return -math.inf
+        if not word:  # the whole space
+            return 0.0
         return float(self.log_masses(np.array(word, dtype=np.int64)[None, :])[0])
 
-    def integrate(self, potential: Potential, chains=None):
+    def integrate(self, potential: Potential):
         """Integral of a locally constant potential against the measure:
         the cylinder masses of the potential's admissible r-words dotted
-        with its values (an array of them with ``chains``, as in
-        ``log_masses``)."""
-        if potential.system is not self.system and not np.array_equal(
-                potential.system.adjacency, self.system.adjacency):
+        with its values (one integral per chain of a stack)."""
+        if not self.system.same_as(potential.system):
             raise ValueError("potential does not match the system")
-        return np.exp(self.log_masses(potential.graph.words, chains)) \
-            @ potential.vector
+        return np.exp(self.log_masses(potential.graph.words)) @ potential.vector
 
     def sample_words(self, length: int, count: int, rng) -> tuple:
         """Sample symbol words of the given length; also return the
@@ -303,7 +265,8 @@ class MarkovMeasure:
         d = self.state_depth
         if length < d:
             raise ValueError(f"need length >= {d} for this measure")
-        n_states = len(self.states)
+        states = self.graph.words
+        n_states = len(states)
         with np.errstate(divide="ignore"):
             log_pi, log_P = np.log(self.stationary), np.log(self.transitions)
         cum_P = np.cumsum(self.transitions, axis=1)
@@ -314,7 +277,7 @@ class MarkovMeasure:
                           minlength=n_states * stride)
         nxt = np.minimum(nxt.reshape(n_states, stride).cumsum(axis=1),
                          n_states - 1)
-        next_symbol, next_row = self.states[nxt, -1].ravel(), (nxt * stride).ravel()
+        next_symbol, next_row = states[nxt, -1].ravel(), (nxt * stride).ravel()
         next_log = np.take_along_axis(log_P, nxt, axis=1).ravel()
         buckets = 8 << len(cuts).bit_length()
         first = np.searchsorted(cuts, np.arange(buckets + 1) / buckets)
@@ -324,8 +287,8 @@ class MarkovMeasure:
         state = np.minimum(np.searchsorted(np.cumsum(self.stationary),
                                            rng.random(count)), n_states - 1)
         logm = log_pi[state]
-        words = np.empty((length, count), dtype=self.states.dtype)
-        words[:d] = self.states[state].T
+        words = np.empty((length, count), dtype=states.dtype)
+        words[:d] = states[state].T
         row = state * stride
         steps = max(8192 // max(count, 1), 1)
         for t in range(d, length, steps):
@@ -341,11 +304,6 @@ class MarkovMeasure:
             for logs in next_log.take(rank):
                 logm += logs
         return words.T, logm
-
-
-def _place(k: int, d: int) -> np.ndarray:
-    """Base-k place values of d-symbol words, most significant first."""
-    return k ** np.arange(d - 1, -1, -1, dtype=np.int64)
 
 
 def _checked_chains(stationary, transitions) -> tuple:
@@ -372,9 +330,9 @@ class EquilibriumState(MarkovMeasure):
     log(lambda) and ``potential_integral`` the integral of the potential
     itself, with pressure = entropy + q * potential_integral."""
 
-    def __init__(self, system, states, stationary, transitions, pressure,
+    def __init__(self, system, depth, stationary, transitions, pressure,
                  potential_integral):
-        super().__init__(system, states, stationary, transitions)
+        super().__init__(system, depth, stationary, transitions)
         self.pressure = pressure
         self.potential_integral = potential_integral
 
@@ -403,7 +361,8 @@ def equilibrium_states(system: ShiftSystem, potential: Potential,
     P = P / P.sum(axis=-1, keepdims=True)
     pi = u * v / (u * v).sum(axis=-1, keepdims=True)
     src, dst, _ = tm.graph.arcs
-    state = EquilibriumState(system, tm.graph.words, pi, P, np.log(lam),
+    depth = tm.graph.words.shape[1]
+    state = EquilibriumState(system, depth, pi, P, np.log(lam),
                              (pi[..., src] * P[..., src, dst]) @ tm.values)
     gap = np.abs(state.pressure - (state.entropy
                                    + scales * state.potential_integral)).max()
@@ -420,7 +379,8 @@ def equilibrium_markov(system: ShiftSystem, potential: Potential) -> Equilibrium
 
 def vp_residual(system: ShiftSystem, potential: Potential,
                 measure: MarkovMeasure) -> float:
-    """Pressure minus (entropy + potential integral) of an invariant measure.
+    """Pressure minus (entropy + potential integral) of an invariant
+    measure, one residual per chain of a stack.
 
     Nonnegative by the variational principle; zero exactly at the
     equilibrium state.
@@ -430,9 +390,9 @@ def vp_residual(system: ShiftSystem, potential: Potential,
 
 
 def perturbed_chains(base: MarkovMeasure, count: int, rng,
-                     scale: float = 0.8) -> tuple:
-    """Random invariant Markov chains near a base chain, as stacks
-    (stationary, transitions, entropy) on the base's states.
+                     scale: float = 0.8) -> MarkovMeasure:
+    """Random invariant Markov chains near a base chain, as one measure
+    stacking ``count`` chains on the base's states.
 
     Rows of the transition matrix are reweighted by exp of Gaussian noise
     (support preserved) and renormalized, and the stationary vectors are
@@ -443,14 +403,8 @@ def perturbed_chains(base: MarkovMeasure, count: int, rng,
     noise = rng.normal(0.0, scale, size=(count,) + P0.shape)
     P = np.where(P0 > 0, P0 * np.exp(noise), 0.0)
     P = P / P.sum(axis=-1, keepdims=True)
-    stationary, entropy = _checked_chains(_stationary_vector(P), P)
-    return stationary, P, entropy
-
-
-def perturbed_invariant_measures(base: MarkovMeasure, count: int, rng,
-                                 scale: float = 0.8) -> Iterable[MarkovMeasure]:
-    """The chains of ``perturbed_chains`` as measures sharing its states."""
-    return base._with_chains(*perturbed_chains(base, count, rng, scale))
+    return MarkovMeasure(base.system, base.state_depth, _stationary_vector(P),
+                         P)
 
 
 def _stationary_vector(P: np.ndarray) -> np.ndarray:
@@ -483,7 +437,7 @@ def delta_measure(system: ShiftSystem, symbol: int) -> MarkovMeasure:
     pi = np.zeros(k)
     pi[symbol] = 1.0
     P = np.eye(k)
-    return MarkovMeasure(system, [(a,) for a in range(k)], pi, P)
+    return MarkovMeasure(system, 1, pi, P)
 
 
 def power_system(system: ShiftSystem, k: int) -> tuple:
@@ -500,8 +454,8 @@ def power_system(system: ShiftSystem, k: int) -> tuple:
     return ShiftSystem(B), blocks
 
 
-def power_sum_potential(system: ShiftSystem, potential: Potential, k: int,
-                        power: ShiftSystem, blocks: list) -> Potential:
+def power_sum_potential(potential: Potential, k: int, power: ShiftSystem,
+                        blocks: list) -> Potential:
     """The k-step Birkhoff sum of the potential, as a potential on the
     k-block power system (depth 2 there: windows may spill into the next
     block when the original depth exceeds 1)."""
@@ -516,7 +470,7 @@ def power_sum_potential(system: ShiftSystem, potential: Potential, k: int,
     for p in range(k):  # in window order, as the Birkhoff sum runs
         sums += windows[:, p]
     table = dict(zip(zip(src.tolist(), dst.tolist()), sums.tolist()))
-    return Potential(power, 2, table, name=f"S_{k}[{potential.name}]")
+    return Potential(power, 2, table)
 
 
 def power_pressure_check(system: ShiftSystem, potential: Potential, k: int):
@@ -524,7 +478,7 @@ def power_pressure_check(system: ShiftSystem, potential: Potential, k: int):
     against k times the base pressure.  Returns (lhs, rhs)."""
     rhs = k * transfer_pressure(system, potential)
     power, blocks = power_system(system, k)
-    lifted = power_sum_potential(system, potential, k, power, blocks)
+    lifted = power_sum_potential(potential, k, power, blocks)
     lhs = transfer_pressure(power, lifted)
     return lhs, rhs
 
@@ -576,8 +530,7 @@ def inverse_vp_probe(system: ShiftSystem, potential: Potential,
     if b >= n:
         raise ValueError("block depth must be smaller than n")
     tol = freq_tol if freq_tol is not None else 1.0 / math.sqrt(n)
-    if potential.system is not system and \
-            not np.array_equal(potential.system.adjacency, system.adjacency):
+    if not system.same_as(potential.system):
         raise ValueError("potential does not match the system")
 
     r = potential.depth

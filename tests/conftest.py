@@ -25,7 +25,7 @@ def golden():
 @pytest.fixture(scope="session")
 def phi_log2(full2):
     """Depth-1 potential (0, log 2) on the full 2-shift: pressure log 3."""
-    return Potential.depth_one(full2, [0.0, math.log(2.0)], name="log2-weight")
+    return Potential.depth_one(full2, [0.0, math.log(2.0)])
 
 
 def random_irreducible_adjacency(rng, dim):

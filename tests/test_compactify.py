@@ -298,7 +298,6 @@ class TestGapExample:
         assert cert.sup_over_invariant_measures == pytest.approx(PI / 2,
                                                                  abs=1e-12)
         assert cert.gap == pytest.approx(PI / 2, abs=1e-12)
-        assert cert.holds()
 
     def test_estimator_side(self, cert):
         assert abs(cert.estimator.value - PI) <= 1e-2

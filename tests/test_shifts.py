@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -22,6 +23,14 @@ from ergopress.shifts import (
 
 def _rows(array):
     return [tuple(row) for row in array.tolist()]
+
+
+def _found(graph, k, d):
+    """``graph.find`` over every d-tuple of k symbols, as blocks or None."""
+    words = _rows(graph.words)
+    every = list(itertools.product(range(k), repeat=d))
+    return [words[i] if i >= 0 else None for i in graph.find(every)], \
+        [w if w in words else None for w in every]
 
 
 class TestShiftSystem:
@@ -132,13 +141,20 @@ class TestBlockGraph:
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_words_match_oracle(self, k):
         rng = np.random.default_rng(k)
+        misses = 0
         for _ in range(4):
             adj = random_irreducible_adjacency(rng, k)
             for d in range(1, 5):
                 graph = BlockGraph(adj, d)
                 assert _rows(graph.words) == oracles.enumerate_words(adj, d)
-                assert (graph.index(graph.words) == np.arange(len(
-                    graph.words))).all()
+                rows = np.arange(len(graph.words))
+                assert (graph.index(graph.words) == rows).all()
+                assert (graph.find(graph.words) == rows).all()
+                # inadmissible tuples are misses
+                got, expected = _found(graph, k, d)
+                assert got == expected
+                misses += got.count(None)
+        assert misses
 
     @staticmethod
     def _reduced_cases():
@@ -158,7 +174,11 @@ class TestBlockGraph:
             for d in range(1, 4):
                 expected = [w for w in oracles.enumerate_words(sub, d)
                             if set(w) <= live]
-                assert _rows(BlockGraph(reduced, d).words) == expected
+                graph = BlockGraph(reduced, d)
+                assert _rows(graph.words) == expected
+                if expected:  # blocks of the full shift off it are misses
+                    got, live_blocks = _found(graph, k, d)
+                    assert got == live_blocks
 
     def test_arcs_are_the_one_symbol_extensions(self):
         rng = np.random.default_rng(5)
@@ -200,8 +220,9 @@ class TestBlockGraph:
     def test_codes_that_overflow_int64_are_refused(self):
         cycle = np.roll(np.eye(3, dtype=np.int64), 1, axis=1)
         assert len(BlockGraph(cycle, 39).words) == 3
-        with pytest.raises(ValueError, match="overflow"):
-            BlockGraph(cycle, 40)
+        for depth in (40, 10 ** 12):  # no huge power is formed
+            with pytest.raises(ValueError, match="overflow"):
+                BlockGraph(cycle, depth)
 
 
 class TestPotential:

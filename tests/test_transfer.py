@@ -17,7 +17,7 @@ from ergopress import (
     equilibrium_markov,
     inverse_vp_probe,
     make_full_shift,
-    perturbed_invariant_measures,
+    perturbed_chains,
     power_iteration,
     power_pressure_check,
     topological_entropy,
@@ -26,7 +26,8 @@ from ergopress import (
 )
 from ergopress.multifractal import t_curve
 from ergopress.transfer import (ConvergenceError, IncreaseDepthError,
-                                perturbed_chains, power_system)
+                                _stationary_vector, power_sum_potential,
+                                power_system)
 
 
 class TestPowerIteration:
@@ -265,8 +266,9 @@ class TestTransferMatrix:
                 pot = random_potential(rng, system, r)
                 tm = TransferMatrix(system, pot)
                 expected = np.zeros((tm.dimension,) * 2)
-                for i, s in enumerate(tm.states):
-                    for j, u in enumerate(tm.states):
+                states = list(map(tuple, tm.graph.words.tolist()))
+                for i, s in enumerate(states):
+                    for j, u in enumerate(states):
                         if s[1:] == u[:-1] and system.allows(s[-1], u[-1]):
                             window = (s + u[-1:])[:r]
                             expected[i, j] = np.exp(pot.table[window])
@@ -467,7 +469,7 @@ class TestArrayMeasure:
 
     @staticmethod
     def _brute(mu, word):
-        return oracles.markov_log_mass([tuple(s) for s in mu.states.tolist()],
+        return oracles.markov_log_mass(list(map(tuple, mu.graph.words.tolist())),
                                        mu.stationary, mu.transitions, word)
 
     @pytest.mark.parametrize("seed", [3, 4, 5])
@@ -494,29 +496,21 @@ class TestArrayMeasure:
         got = mu.log_masses(np.array([[1, 1, 0], [0, 1, 1], [0, 1, 0]]))
         assert got[0] == got[1] == -math.inf and got[2] > -math.inf
         assert mu.log_masses(np.array([[1]]))[0] == pytest.approx(
-            math.log(mu.stationary[mu.states[:, 0] == 1].sum()), rel=1e-12)
+            math.log(mu.stationary[mu.graph.words[:, 0] == 1].sum()), rel=1e-12)
         assert mu.log_cylinder_measure((2, 0)) == -math.inf  # no symbol 2
         assert mu.log_cylinder_measure(()) == pytest.approx(0.0, abs=1e-15)
 
-    def test_states_in_permuted_order(self):
-        rng, system, mu = self._random_measure(7, 2)
-        perm = rng.permutation(len(mu.states))
-        shuffled = MarkovMeasure(system, mu.states[perm], mu.stationary[perm],
-                                 mu.transitions[np.ix_(perm, perm)])
-        for r in (1, 2, 3, 5):
-            words = np.array(oracles.enumerate_words(system.adjacency, r))
-            np.testing.assert_allclose(shuffled.log_masses(words),
-                                       mu.log_masses(words), rtol=1e-12)
-            pot = random_potential(rng, system, r)
-            assert shuffled.integrate(pot) == pytest.approx(mu.integrate(pot),
-                                                            rel=1e-12)
-        assert shuffled.entropy == pytest.approx(mu.entropy, rel=1e-12)
-
     def test_malformed_states_rejected(self, full2):
-        chain = ([0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]])
-        for states in ([(0,), (0,)], [(0,), (2,)], [(0,), (-1,)], [0, 1]):
-            with pytest.raises(ValueError, match="states"):
-                MarkovMeasure(full2, states, *chain)
+        # the states are the graph's depth-blocks: depth 0 has none, and
+        # the chain data must match the states' count
+        half = [0.5, 0.5]
+        for depth, pi, P, match in (
+                (0, half, [half, half], "n must be >= 1"),
+                (2, half, [half, half], "shape mismatch"),
+                (1, half, [half], "shape mismatch"),
+                (1, [half], [half, half], "shape mismatch")):
+            with pytest.raises(ValueError, match=match):
+                MarkovMeasure(full2, depth, pi, P)
 
     def test_delta_measure_masses(self, full2, golden):
         delta = delta_measure(full2, 1)
@@ -529,10 +523,11 @@ class TestArrayMeasure:
 
     def test_perturbed_stack_matches_one_at_a_time(self):
         _, system, mu = self._random_measure(9, 1)
-        stack = list(perturbed_invariant_measures(
-            mu, 40, np.random.default_rng(11), scale=0.5))
+        stack = perturbed_chains(mu, 40, np.random.default_rng(11), scale=0.5)
+        assert stack.graph is mu.graph and stack.entropy.shape == (40,)
         rng = np.random.default_rng(11)
-        for got in stack:
+        for pi_got, P_got, h_got in zip(stack.stationary, stack.transitions,
+                                        stack.entropy):
             # the chain drawn, normalized and solved as one matrix
             noise = rng.normal(0.0, 0.5, size=mu.transitions.shape)
             P = np.where(mu.transitions > 0, mu.transitions * np.exp(noise), 0)
@@ -541,15 +536,13 @@ class TestArrayMeasure:
             pi, *_ = np.linalg.lstsq(np.vstack([P.T - np.eye(dim),
                                                 np.ones(dim)]),
                                      np.eye(dim + 1)[-1], rcond=None)
-            one = MarkovMeasure(system, mu.states, pi, P)
-            np.testing.assert_allclose(got.transitions, one.transitions,
+            one = MarkovMeasure(system, 1, pi, P)
+            np.testing.assert_allclose(P_got, one.transitions,
                                        rtol=1e-12, atol=1e-15)
-            np.testing.assert_allclose(got.stationary, one.stationary,
+            np.testing.assert_allclose(pi_got, one.stationary,
                                        rtol=1e-12, atol=1e-15)
-            assert got.entropy == pytest.approx(one.entropy, rel=1e-12)
-            pi, P = got.stationary, got.transitions
-            assert np.abs(pi @ P - pi).max() <= 1e-12
-            assert got.states is mu.states
+            assert h_got == pytest.approx(one.entropy, rel=1e-12)
+            assert np.abs(pi_got @ P_got - pi_got).max() <= 1e-12
 
     @pytest.mark.parametrize("depth", [1, 2, 3, 4])
     def test_stacked_integrals_match_one_at_a_time(self, depth):
@@ -557,14 +550,19 @@ class TestArrayMeasure:
         # potentials chain transitions
         rng, system, mu = self._random_measure(16, 2)
         pot = random_potential(rng, system, depth)
-        pi, P, entropy = perturbed_chains(mu, 30, np.random.default_rng(17))
-        got = mu.integrate(pot, (pi, P))
-        members = list(perturbed_invariant_measures(
-            mu, 30, np.random.default_rng(17)))
+        stack = perturbed_chains(mu, 30, np.random.default_rng(17))
+        got = stack.integrate(pot)
+        # each member from the stack's own solve, before its renormalisation
+        P = stack.transitions
+        members = [MarkovMeasure(system, 2, pi, one_P)
+                   for pi, one_P in zip(_stationary_vector(P), P)]
         assert got.shape == (30,)
+        np.testing.assert_array_equal(stack.stationary,
+                                      [m.stationary for m in members])
         np.testing.assert_allclose(got, [m.integrate(pot) for m in members],
                                    rtol=1e-14, atol=1e-15)
-        np.testing.assert_array_equal(entropy, [m.entropy for m in members])
+        np.testing.assert_array_equal(stack.entropy,
+                                      [m.entropy for m in members])
 
     def test_irreducible_perturbed_stack_is_solved_square(self, monkeypatch):
         # the pseudo-inverse is only the fallback for a singular member
@@ -574,17 +572,20 @@ class TestArrayMeasure:
         monkeypatch.setattr(np.linalg, "pinv", refuse)
         for seed, d in ((9, 1), (16, 2)):
             _, _, mu = self._random_measure(seed, d)
-            pi, P, _ = perturbed_chains(mu, 50, np.random.default_rng(seed))
+            stack = perturbed_chains(mu, 50, np.random.default_rng(seed))
+            pi, P = stack.stationary, stack.transitions
             assert np.abs((pi[:, None, :] @ P)[:, 0] - pi).max() <= 1e-12
 
     def test_perturbed_delta_base_is_accepted(self, full2):
         # P = I is reducible: the square solve fails and the minimum-norm
         # solution is uniform
-        for m in perturbed_invariant_measures(delta_measure(full2, 1), 5,
-                                              np.random.default_rng(12)):
-            np.testing.assert_array_equal(m.transitions, np.eye(2))
-            np.testing.assert_allclose(m.stationary, [0.5, 0.5], rtol=1e-12)
-            assert m.entropy == 0.0
+        stack = perturbed_chains(delta_measure(full2, 1), 5,
+                                 np.random.default_rng(12))
+        np.testing.assert_array_equal(stack.transitions, np.tile(np.eye(2),
+                                                                 (5, 1, 1)))
+        np.testing.assert_allclose(stack.stationary, np.full((5, 2), 0.5),
+                                   rtol=1e-12)
+        np.testing.assert_array_equal(stack.entropy, np.zeros(5))
 
     def test_sampler_matches_per_state_search_on_40_states(self):
         rng = np.random.default_rng(13)
@@ -610,7 +611,7 @@ class TestArrayMeasure:
         row = np.array([0.5] + [1e-3] * 9 + [0.491])
         P = np.tile(row, (11, 1))
         system = ShiftSystem(np.ones((11, 11), dtype=np.int64))
-        mu = MarkovMeasure(system, [(a,) for a in range(11)], row, P)
+        mu = MarkovMeasure(system, 1, row, P)
         words, logm = mu.sample_words(40, 500, np.random.default_rng(18))
         ref_words, ref_logm = _per_state_sample(mu, 40, 500, 18)
         np.testing.assert_array_equal(words, ref_words)
@@ -627,7 +628,7 @@ class TestArrayMeasure:
         pi, *_ = np.linalg.lstsq(np.vstack([P.T - np.eye(3), np.ones(3)]),
                                  np.eye(4)[-1], rcond=None)
         system = ShiftSystem(np.ones((3, 3), dtype=np.int64))
-        mu = MarkovMeasure(system, [(0,), (1,), (2,)], pi, P)
+        mu = MarkovMeasure(system, 1, pi, P)
         words, logm = mu.sample_words(40, 500, np.random.default_rng(19))
         ref_words, ref_logm = _per_state_sample(mu, 40, 500, 19)
         np.testing.assert_array_equal(words, ref_words)
@@ -647,10 +648,10 @@ class TestArrayMeasure:
 class TestMarkovMeasure:
     def test_validation(self, full2):
         with pytest.raises(ValueError):
-            MarkovMeasure(full2, [(0,), (1,)], [0.7, 0.3],
+            MarkovMeasure(full2, 1, [0.7, 0.3],
                           [[0.5, 0.5], [0.5, 0.5]])  # not stationary
         with pytest.raises(ValueError):
-            MarkovMeasure(full2, [(0,), (1,)], [0.5, 0.5],
+            MarkovMeasure(full2, 1, [0.5, 0.5],
                           [[0.9, 0.2], [0.5, 0.5]])  # rows do not sum to 1
 
     def test_delta_measure(self, full2):
@@ -666,7 +667,7 @@ class TestVariationalResiduals:
         assert abs(vp_residual(full2, phi_log2, mu)) <= 1e-9
 
     def test_uniform_measure_value(self, full2, phi_log2):
-        uniform = MarkovMeasure(full2, [(0,), (1,)], [0.5, 0.5],
+        uniform = MarkovMeasure(full2, 1, [0.5, 0.5],
                                 [[0.5, 0.5], [0.5, 0.5]])
         expected = math.log(3) - (math.log(2) + 0.5 * math.log(2))
         assert vp_residual(full2, phi_log2, uniform) == \
@@ -680,8 +681,15 @@ class TestVariationalResiduals:
     def test_nonnegative_over_random_measures(self, full2, phi_log2):
         rng = np.random.default_rng(41)
         mu = equilibrium_markov(full2, phi_log2)
-        for measure in perturbed_invariant_measures(mu, 40, rng):
-            assert vp_residual(full2, phi_log2, measure) >= -1e-9
+        stack = perturbed_chains(mu, 40, rng)
+        residuals = vp_residual(full2, phi_log2, stack)
+        assert residuals.shape == (40,) and (residuals >= -1e-9).all()
+        # one residual per chain: each member alone gives its own
+        for pi, P, residual in zip(stack.stationary, stack.transitions,
+                                   residuals):
+            one = MarkovMeasure(full2, 1, pi, P)
+            assert vp_residual(full2, phi_log2, one) == \
+                pytest.approx(residual, rel=1e-12, abs=1e-15)
 
 
 class TestPowerPressure:
@@ -702,8 +710,7 @@ class TestPowerPressure:
     def test_block_matrix_eigenvalue_is_nine(self, full2, phi_log2):
         power, blocks = power_system(full2, 2)
         assert power.alphabet_size == 4
-        from ergopress.transfer import power_sum_potential
-        lifted = power_sum_potential(full2, phi_log2, 2, power, blocks)
+        lifted = power_sum_potential(phi_log2, 2, power, blocks)
         lam = max(np.linalg.eigvals(
             TransferMatrix(power, lifted).matrix).real)
         assert lam == pytest.approx(9.0, abs=1e-9)
@@ -731,7 +738,7 @@ class TestInverseVpProbe:
         # symbol frequencies only: the typical family is a binomial slice
         zero = Potential.zero(full2)
         p1 = 3 / 4
-        mu = MarkovMeasure(full2, [(0,), (1,)], [1 - p1, p1],
+        mu = MarkovMeasure(full2, 1, [1 - p1, p1],
                            [[1 - p1, p1], [1 - p1, p1]])
         n = 16
         value = inverse_vp_probe(full2, zero, mu, n, block_depth=1)
@@ -756,7 +763,7 @@ class TestInverseVpProbe:
         # chain's entropy from above as the depth grows
         zero = Potential.zero(full2)
         p1 = 3 / 4
-        mu = MarkovMeasure(full2, [(0,), (1,)], [1 - p1, p1],
+        mu = MarkovMeasure(full2, 1, [1 - p1, p1],
                            [[1 - p1, p1], [1 - p1, p1]])
         values = [inverse_vp_probe(full2, zero, mu, n, block_depth=1)
                   for n in (16, 20)]
@@ -795,8 +802,10 @@ class TestInverseVpProbe:
                 n = 8 if k < 4 else 7
                 system = ShiftSystem(random_irreducible_adjacency(rng, k))
                 phi = random_potential(rng, system, r)
-                mu = next(iter(perturbed_invariant_measures(
-                    equilibrium_markov(system, phi), 1, rng)))
+                chain = perturbed_chains(equilibrium_markov(system, phi), 1,
+                                         rng)
+                mu = MarkovMeasure(system, chain.state_depth,
+                                   chain.stationary[0], chain.transitions[0])
                 words = oracles.enumerate_words(system.adjacency, b)
                 blocks = {w: math.exp(mu.log_cylinder_measure(w))
                           for w in words}
@@ -815,7 +824,7 @@ class TestInverseVpProbe:
 
     @staticmethod
     def _coin(full2, p1=3 / 4):
-        return MarkovMeasure(full2, [(0,), (1,)], [1 - p1, p1],
+        return MarkovMeasure(full2, 1, [1 - p1, p1],
                              [[1 - p1, p1], [1 - p1, p1]])
 
     def test_binomial_reference_at_n_200(self, full2):
@@ -850,7 +859,7 @@ class TestInverseVpProbe:
         lexsort = np.lexsort
         monkeypatch.setattr(np, "lexsort",
                             lambda keys: merges.append(0) or lexsort(keys))
-        mu = MarkovMeasure(make_full_shift(2), [(0,), (1,)], [0.5, 0.5],
+        mu = MarkovMeasure(make_full_shift(2), 1, [0.5, 0.5],
                            [[0.5, 0.5], [0.5, 0.5]])
         with pytest.raises(IncreaseDepthError, match="at depth 100"):
             inverse_vp_probe(golden, Potential.zero(golden), mu, 100,
