@@ -155,8 +155,9 @@ class ExperimentConfig:
             nr = budget["n_range"]
             _require(isinstance(nr, list) and len(nr) == 2
                      and _int_at_least(nr[0], 2) and _int_at_least(nr[1], 2)
-                     and nr[0] < nr[1],
-                     "budget.n_range", "must be [lo, hi] with 2 <= lo < hi")
+                     and nr[0] + 2 <= nr[1],
+                     "budget.n_range", "must be [lo, hi] with 2 <= lo and "
+                     "lo + 2 <= hi (a slope needs two Ns in the top half)")
         if "q_grid" in budget:
             q = budget["q_grid"]
             ok = (isinstance(q, list) and q and all(map(_finite, q))) or \
@@ -184,7 +185,7 @@ class ExperimentConfig:
         if kind == "sft":
             try:
                 return ShiftSystem(self.system_spec["adjacency"])
-            except ValueError as exc:
+            except (TypeError, ValueError) as exc:
                 raise ConfigError(f"config-error at 'system.adjacency': {exc}")
         return None  # line_doubling has no symbolic system
 
@@ -201,7 +202,7 @@ class ExperimentConfig:
             table = {tuple(int(c) for c in key.split(",")): float(v)
                      for key, v in self.potential_spec["table"].items()}
             return Potential(system, self.potential_spec["depth"], table)
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"config-error at 'potential.table': {exc}")
 
     def build_subset(self, system: ShiftSystem) -> SubsetSpec:
@@ -295,7 +296,6 @@ def _task_pressure(cfg: ExperimentConfig) -> TaskResult:
                             est.value, tol, "estimate-only"))
     lo, hi = capacity_pressures(subset, potential, Cover(system, depths[-1]),
                                 max(8, n_max))
-    rows = [(n, f"{ll:.12g}", f"{s:.12g}") for n, ll, s in hi.diagnostics["rows"]]
     # both -inf for an empty subset, as the bracket ends above
     margin = 0.0 if hi.value == est.value else hi.value - est.value
     checks.append(Check("chain P <= upper capacity + 2tol",
@@ -303,7 +303,7 @@ def _task_pressure(cfg: ExperimentConfig) -> TaskResult:
                         margin, 2 * tol, "internal chain"))
     return TaskResult("pressure", values, checks,
                       {"pressure_diagnostics": (("N", "log_lambda", "slope"),
-                                                rows)})
+                                                hi.diagnostics["rows"])})
 
 
 def _task_capacity(cfg: ExperimentConfig) -> TaskResult:
@@ -322,19 +322,17 @@ def _task_capacity(cfg: ExperimentConfig) -> TaskResult:
         checks.append(Check("upper capacity vs transfer oracle",
                             abs(hi.value - oracle) <= tol, hi.value, tol,
                             f"transfer={oracle:.12g}"))
-    rows = [(n, f"{ll:.12g}", f"{s:.12g}") for n, ll, s in hi.diagnostics["rows"]]
     return TaskResult("capacity", values, checks,
                       {"capacity_diagnostics": (("N", "log_lambda", "slope"),
-                                                rows)})
+                                                hi.diagnostics["rows"])})
 
 
 def _task_spectrum(cfg: ExperimentConfig) -> TaskResult:
     system = cfg.build_system()
     potential = cfg.build_potential(system)
     curve = t_curve(system, potential, _q_grid(cfg.budget))
-    rows = [(f"{q:.12g}", f"{t:.12g}", f"{a:.12g}", f"{e:.12g}")
-            for q, t, a, e in zip(curve.q_grid, curve.t_values,
-                                  curve.alpha_values, curve.spectrum_values)]
+    rows = list(zip(curve.q_grid, curve.t_values, curve.alpha_values,
+                    curve.spectrum_values))
     checks = []
     i0 = curve.index_of(0.0)
     if i0 is not None:  # its own solve, so that T(0) = entropy is a check
@@ -362,9 +360,7 @@ def _task_correlation(cfg: ExperimentConfig) -> TaskResult:
     grid = _q_grid(cfg.budget) if "q_grid" in cfg.budget \
         else np.array([0.5, 2.0, 3.0])
     curve = correlation_entropy(system, potential, grid, n)
-    rows = [(f"{q:.12g}", f"{f:.12g}", f"{d:.12g}")
-            for q, f, d in zip(curve.q_grid, curve.formula_values,
-                               curve.direct_values)]
+    rows = list(zip(curve.q_grid, curve.formula_values, curve.direct_values))
     checks = [
         Check("formula vs direct cylinder sums", curve.max_mismatch() <= tol,
               curve.max_mismatch(), tol, "cylinder sums"),
@@ -553,8 +549,10 @@ def run(config: ExperimentConfig) -> RunReport:
 def emit_tables(report: RunReport, out_dir) -> list[Path]:
     """Write the report's tables as CSV plus a JSON summary.
 
-    File contents depend only on the config and seed (timings and other
-    run-specific data stay out), so reruns are byte-identical.
+    Float cells are written with 12 significant digits, other cells as
+    ``str`` gives them.  File contents depend only on the config and seed
+    (timings and other run-specific data stay out), so reruns are
+    byte-identical.
     """
     out = Path(out_dir)
     try:
@@ -568,7 +566,8 @@ def emit_tables(report: RunReport, out_dir) -> list[Path]:
         for name, (header, rows) in result.tables.items():
             path = out / f"{name}.csv"
             lines = [",".join(header)]
-            lines += [",".join(str(c) for c in row) for row in rows]
+            lines += [",".join(f"{c:.12g}" if isinstance(c, float)
+                               else str(c) for c in row) for row in rows]
             path.write_text("\n".join(lines) + "\n")
             written.append(path)
         summary["values"][result.task] = _jsonable(result.values)

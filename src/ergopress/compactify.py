@@ -122,8 +122,8 @@ def circle_cover_pressure(model: LineDoublingModel, phi=None,
     if arc_count < 8 or arc_count % 2:
         raise ValueError("invalid-budget: need an even arc count >= 8")
     n_lo, n_hi = n_range
-    if not (2 <= n_lo < n_hi):
-        raise ValueError("invalid-budget: need 2 <= n_lo < n_hi")
+    if not (2 <= n_lo and n_lo + 2 <= n_hi):
+        raise ValueError("invalid-budget: need 2 <= n_lo and n_lo + 2 <= n_hi")
     if style not in ("circle", "line"):
         raise ValueError(f"unknown cover style {style!r}")
     phi = model.phi_angle if phi is None else phi

@@ -19,11 +19,13 @@ combinatorics and the two covering sums of interest become exact:
 
 Both computations run on a small state space (the trailing symbols a
 word needs to extend: max(t, potential depth) - 1 of them, at least 1),
-so costs are linear in the word length instead of exponential.  The
-word sums come from one forward sweep over word lengths, a log-space
-matrix-vector product per step, cached and extended on demand: every N
-reads the same sweep, so a whole N-window up to N_max costs O(N_max)
-steps rather than a fresh dynamic program per N.
+so costs are linear in the word length instead of exponential.  Each
+arc carries one window, the one a string-length step completes, and
+both sums step with it.  The word sums come from one forward sweep over
+word lengths, a log-space matrix-vector product per step, cached and
+extended on demand: every N reads the same sweep, so a whole N-window
+up to N_max costs O(N_max) steps rather than a fresh dynamic program
+per N.
 
 The topological pressure of a subset is the critical alpha at which the
 variable-length sum switches from growing to vanishing with N; it is
@@ -101,11 +103,12 @@ class _StringCalculus:
 
     States are the sdepth-blocks of ``graph``, a ``BlockGraph`` of the
     reduced sub-adjacency for a sub-SFT, of the parent adjacency otherwise.
-    The dense matrix ``v_append`` holds window values on its arcs, -inf
-    elsewhere: ``v_append[i, j]`` is the window a word ending in i
-    completes when it grows into j (the arc word's last r symbols).
-    ``v_string[e]`` is the window one string-length increment completes
-    along arc e of ``graph.arcs``.
+    Each arc carries one window: ``v_string[e]`` is the window that one
+    string-length step completes along arc e of ``graph.arcs``, the one
+    at position len - t of the word the step grows to.  Both covering
+    sums step with it, the sweep through the dense log matrix
+    ``v_dense`` (``v_string`` on the arcs, -inf elsewhere) and the
+    c-factor recursion through its exponentials.
     """
 
     def __init__(self, subset: SubsetSpec, potential: Potential, cover: Cover):
@@ -130,11 +133,10 @@ class _StringCalculus:
         st = self.graph.words
         n = len(st)
         src, dst, arc_words = self.graph.arcs
-        self.v_append = np.full((n, n), -np.inf)
         lo = sd + 1 - t
-        self.v_append[src, dst] = potential.values(arc_words[:, -r:])
         self.v_string = potential.values(arc_words[:, lo:lo + r])
-        self._zero = np.where(self.v_append > -np.inf, 0.0, -np.inf)
+        self.v_dense = np.full((n, n), -np.inf)
+        self.v_dense[src, dst] = self.v_string
 
         # seed words: the states themselves, or the listed cylinder words
         # (those shorter than a state extended to every state below them)
@@ -147,57 +149,50 @@ class _StringCalculus:
                     [st[(st[:, :length] == u).all(axis=1)] for u in group]))
             else:
                 self._fold_seeds(np.array(list(group), dtype=np.int64))
-        self._lmin = min(self._seeds, default=sd)
-        self._forward: list[np.ndarray] = []
-        self._entry_cache: dict = {}
+        # every seed and every entry length is at least sd
+        self._forward = [self._seeds.get(sd, np.full(n, -np.inf))]
         self._stack_cache: dict = {}
 
-    def _seed_log(self, word: tuple, n_target: int) -> float:
-        """Sum of the complete Birkhoff windows of a seed word, clipped to
-        window positions < n_target."""
-        return self.potential.word_sum(word, min(len(word) - self.r + 1,
-                                                 n_target))
+    def _seed_log(self, word: tuple) -> float:
+        """Sum of a seed word's windows 0..len - t: a word of length
+        N + t - 1 holds the N windows of a string of length N."""
+        return self.potential.word_sum(word, len(word) - self.t + 1)
 
     def _fold_seeds(self, words: np.ndarray):
-        """Fold equal-length seed words into ``_seeds[length]``: row j holds,
-        per end state, the log-sum of exp(window sum of a word without its
-        last j windows), 0 <= j <= t - r (the windows a string of length N
-        still counts when the word enters j steps past N + r - 1)."""
+        """Fold equal-length seed words into ``_seeds[length]``: per end
+        state, the log-sum of exp(``_seed_log``) over the words."""
         if not len(words):
             return
         length, n = words.shape[1], len(self.graph.words)
         end = self.graph.index(words[:, -self.sdepth:])
-        count = max(length - self.r + 1, 0)
-        sums = np.zeros((len(words), count + 1))
+        count = max(length - self.t + 1, 0)
+        v = np.zeros(len(words))
         if count:
-            windows = sliding_window_view(words, self.r, axis=1)
-            np.cumsum(self.potential.values(windows), axis=1, out=sums[:, 1:])
-        rows = np.empty((self.t - self.r + 1, n))
-        for j in range(len(rows)):
-            v = sums[:, count - j]
-            top = np.full(n, -np.inf)
-            np.maximum.at(top, end, v)
-            total = np.bincount(end, np.exp(v - top[end]), minlength=n)
-            with np.errstate(divide="ignore"):
-                rows[j] = np.log(total) + top
+            # summed in order, as ``word_sum`` sums
+            windows = sliding_window_view(words, self.r, axis=1)[:, :count]
+            v = np.cumsum(self.potential.values(windows), axis=1)[:, -1]
+        top = np.full(n, -np.inf)
+        np.maximum.at(top, end, v)
+        total = np.bincount(end, np.exp(v - top[end]), minlength=n)
+        with np.errstate(divide="ignore"):
+            row = np.log(total) + top
         old = self._seeds.get(length)
-        self._seeds[length] = rows if old is None else np.logaddexp(old, rows)
+        self._seeds[length] = row if old is None else np.logaddexp(old, row)
 
     # -- entry families at word length L0 = N + t - 1 -----------------------
 
     def _sweep(self, length: int) -> np.ndarray:
         """Per-state log-sums of the seed words of length <= ``length``,
-        grown to that length, with every complete window counted.  One
-        forward sweep, cached and extended on demand, serves every N."""
+        grown to that length through ``v_dense``, each word with its
+        windows 0..length - t.  One forward sweep, cached and extended on
+        demand, serves every N."""
         forward = self._forward
-        if not forward:
-            forward.append(self._seeds[self._lmin][0])
-        while self._lmin + len(forward) <= length:
-            grown = _log_matvec(forward[-1], self.v_append)
-            seeds = self._seeds.get(self._lmin + len(forward))
+        while self.sdepth + len(forward) <= length:
+            grown = _log_matvec(forward[-1], self.v_dense)
+            seeds = self._seeds.get(self.sdepth + len(forward))
             forward.append(grown if seeds is None
-                           else np.logaddexp(grown, seeds[0]))
-        return forward[length - self._lmin]
+                           else np.logaddexp(grown, seeds))
+        return forward[length - self.sdepth]
 
     def _entry_logs(self, N: int) -> tuple[np.ndarray, list]:
         """Log-weights of the meeting words of length N + t - 1.
@@ -205,27 +200,16 @@ class _StringCalculus:
         Returns (per-state log-sums for words whose subtree continues
         homogeneously, list of (word, deeper listed words) for explicit
         trie roots coming from listed cylinders deeper than the entry
-        level).  Windows at positions >= N do not count, so the sweep is
-        read at N + r - 1 and then grown t - r steps at zero weight, while
-        seed words of those lengths enter with their sums clipped.  Cached
-        per N: the sums do not depend on the exponent.
+        level).  The sweep read at N + t - 1 holds each word's windows
+        0..N - 1, the ones a string of length N counts and the c-factor
+        recursion continues from.
         """
-        if N in self._entry_cache:
-            return self._entry_cache[N]
-        m, L0 = N + self.r - 1, N + self.t - 1
-        logW = self._sweep(m) if m >= self._lmin \
-            else np.full(len(self.graph.words), -np.inf)
-        for length in range(m + 1, L0 + 1):
-            logW = _log_matvec(logW, self._zero)
-            if length in self._seeds:
-                logW = np.logaddexp(logW, self._seeds[length][length - m])
+        L0 = N + self.t - 1
         roots: dict = {}
         for u in self.words:
             if len(u) > L0:
                 roots.setdefault(u[:L0], []).append(u)
-        result = (logW, list(roots.items()))
-        self._entry_cache[N] = result
-        return result
+        return self._sweep(L0), list(roots.items())
 
     # -- fixed-length covering sum ------------------------------------------
 
@@ -235,7 +219,7 @@ class _StringCalculus:
         if self.empty:
             return -math.inf
         logW, trie = self._entry_logs(N)
-        parts = np.concatenate([logW, [self._seed_log(v, N) for v, _ in trie]])
+        parts = np.concatenate([logW, [self._seed_log(v) for v, _ in trie]])
         if not parts.size:
             return -math.inf
         return float(np.logaddexp.reduce(parts))
@@ -288,7 +272,7 @@ class _StringCalculus:
         entries = [self._entry_logs(N) for N in ns]
         tries = [trie for _, trie in entries]
         shift = np.array([max([logW.max(initial=-math.inf)]
-                              + [self._seed_log(v, N) for v, _ in trie])
+                              + [self._seed_log(v) for v, _ in trie])
                           for N, (logW, trie) in zip(ns, entries)])
         shift[shift == -math.inf] = 0.0
         logWs = np.array([logW for logW, _ in entries]).reshape(
@@ -345,25 +329,13 @@ class _StringCalculus:
         np.divide(capped, total, out=cap_mass, where=total > 0.0)
         return logs, caps, cap_mass
 
-    def log_weight_m(self, alpha: float, N: int, cap: int) -> tuple[float, dict]:
-        """Optimal covering weight for strings of length in [N, cap]: the
-        ``log_weights`` of one exponent and one N.
-
-        The returned value is an upper bound on the true infimum over all
-        covering families (which allows unbounded lengths); the details
-        report the cap used and how much of the optimum sits at it.
-        """
-        logs, caps, cap_mass = self.log_weights([alpha], [N], cap - N)
-        return float(logs[0, 0]), {"cap": int(caps[0]), "upper_bound": True,
-                                   "cap_mass": float(cap_mass[0, 0])}
-
     def _trie_cost(self, v: tuple, us: tuple, alpha: float, N: int, cap: int,
                    cg: np.ndarray, shift: float) -> tuple[float, float]:
         """Explicit tree walk above listed cylinder words deeper than the
         entry level.  Costs are in units of exp(shift - alpha*N), matching
         the caller's normalization."""
         m = len(v) - self.t + 1
-        own = math.exp(self._seed_log(v, m) - shift - alpha * (m - N))
+        own = math.exp(self._seed_log(v) - shift - alpha * (m - N))
         if any(len(u) == len(v) for u in us):
             # v is itself a listed word (antichain: then the only one
             # here); the subtree below it lies inside the subset
@@ -422,13 +394,15 @@ def weight_m(subset: SubsetSpec, alpha: float, potential: Potential,
     Always an upper bound for the unbounded-depth infimum.  When the
     subset lists cylinder words deeper than the cap, the cap is raised to
     reach them, since the covering structure below the entry level is
-    pinned by those words anyway; ``_StringCalculus.log_weight_m`` reports
-    the cap used and the fraction of the optimum sitting at it.
+    pinned by those words anyway; ``_StringCalculus.log_weights`` reports
+    the cap used and the fraction of the optimum sitting at it.  The
+    entry words carry the windows of one string-length step per arc, the
+    same ones that the fixed-length sum counts.
     """
     cap = depth_cap if depth_cap is not None else N + DEPTH_MARGIN
-    logm, _ = _calculus(subset, potential, cover).log_weight_m(
-        alpha, N, cap)
-    return math.exp(logm)
+    logs, _, _ = _calculus(subset, potential, cover).log_weights(
+        [alpha], [N], cap - N)
+    return math.exp(logs[0, 0])
 
 
 def capacity_pressures(subset: SubsetSpec, potential: Potential, cover: Cover,

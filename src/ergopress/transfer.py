@@ -176,7 +176,7 @@ class MarkovMeasure:
     or stacks of them (..., n) and (..., n, n) with an entropy per chain,
     as ``equilibrium_states`` and ``perturbed_chains`` build them.
     Cylinder masses and integrals of a stack are stacks too, while
-    sampling and ``log_cylinder_measure`` need one chain.
+    sampling needs one chain.
     """
 
     def __init__(self, system: ShiftSystem, depth: int, stationary,
@@ -221,15 +221,6 @@ class MarkovMeasure:
         total = log_pi[..., rows[:, 0]] \
             + log_P[..., rows[:, :-1], rows[:, 1:]].sum(axis=-1)
         return np.where((rows >= 0).all(axis=1), total, -np.inf)
-
-    def log_cylinder_measure(self, symbols) -> float:
-        """log of the measure of the cylinder of a symbol word."""
-        word = [int(a) for a in symbols]
-        if not all(0 <= a < self.system.alphabet_size for a in word):
-            return -math.inf
-        if not word:  # the whole space
-            return 0.0
-        return float(self.log_masses(np.array(word, dtype=np.int64)[None, :])[0])
 
     def integrate(self, potential: Potential):
         """Integral of a locally constant potential against the measure:

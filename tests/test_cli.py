@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -265,6 +267,15 @@ class TestEmitTables:
         assert (tmp_path / "capacity_diagnostics.csv").read_text() == \
             "N,log_lambda,slope\n"
 
+    def test_float_cells_take_twelve_digits(self, tmp_path):
+        report = RunReport(make_config("capacity"), [
+            TaskResult("capacity", {}, [],
+                       {"cells": (("N", "x", "note"),
+                                  [(3, 0.1 + 0.2, "a"), (4, -math.inf, 0.5)])})])
+        emit_tables(report, tmp_path)
+        assert (tmp_path / "cells.csv").read_text() == \
+            "N,x,note\n3,0.3,a\n4,-inf,0.5\n"
+
     def test_summary_records_oracles(self, tmp_path):
         report = run(make_config("capacity"))
         emit_tables(report, tmp_path)
@@ -303,6 +314,17 @@ class TestMainEntry:
         assert code == 0
         out = capsys.readouterr().out
         assert "[PASS]" in out
+
+    def test_readme_example_config(self, tmp_path, capsys):
+        # every key the README's example shows must still be accepted
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = re.search(r"Example config:\s*```json\n(.*?)```", readme,
+                          re.DOTALL)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(block.group(1))
+        code = main(["pressure", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")])
+        assert code == 0, capsys.readouterr().err
 
     def test_exit_two_on_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -355,6 +377,19 @@ class TestMainEntry:
         ("pressure", {"system": {"kind": "sft", "adjacency": [
             [1, 1, 0], [0, 1, 1], [1, 1, 1]]},
             "budget": {"n_max": 12, "depths": [1, 41]}}, "budget.depths"),
+        # one N in the top half: the slope would be 0 / 0
+        ("transfer-check", {"budget": {"n_range": [2, 3]}},
+         "budget.n_range"),
+        # entries of the wrong type
+        ("pressure", {"system": {"kind": "sft",
+                                 "adjacency": [[1, None], [1, 1]]}},
+         "system.adjacency"),
+        ("pressure", {"potential": {"kind": "table", "depth": 1,
+                                    "table": {"0": None, "1": 0.5}}},
+         "potential.table"),
+        ("pressure", {"potential": {"kind": "table", "depth": 1,
+                                    "table": {"0": [0.0], "1": 0.5}}},
+         "potential.table"),
     ])
     def test_malformed_config_exits_two_naming_field(
             self, tmp_path, capsys, task, overrides, field):

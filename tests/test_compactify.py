@@ -185,8 +185,9 @@ class TestCoverPressure:
         model = LineDoublingModel()
         with pytest.raises(ValueError):
             circle_cover_pressure(model, arc_count=6)
-        with pytest.raises(ValueError):
-            circle_cover_pressure(model, arc_count=64, n_range=(10, 5))
+        for n_range in ((10, 5), (2, 3)):
+            with pytest.raises(ValueError):
+                circle_cover_pressure(model, arc_count=64, n_range=n_range)
 
     def test_covering_sums_match_dense_sampling(self):
         # independent route: same pullback partition, suprema by sampling

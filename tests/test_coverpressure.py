@@ -208,8 +208,9 @@ class TestWeightM:
             pytest.approx(math.exp(-0.7 * 5))
         assert weight_m(fp, 0.7, zero, cover, 5, depth_cap=9) == \
             pytest.approx(math.exp(-0.7 * 9))
-        _, details = _StringCalculus(fp, zero, cover).log_weight_m(0.7, 5, 9)
-        assert details["upper_bound"] and details["cap_mass"] == 1.0
+        _, _, cap_mass = _StringCalculus(fp, zero, cover).log_weights(
+            [0.7], [5], 4)
+        assert cap_mass[0, 0] == 1.0
 
     def test_nonincreasing_in_alpha(self, golden):
         zero = Potential.zero(golden)
@@ -285,13 +286,14 @@ class TestWeightM:
         # to reach them and reported; the value is exact at that cap
         words = [(0, 1, 1, 0, 1), (0, 1, 1, 0, 0)]
         spec = SubsetSpec.cylinders(full2, words)
-        logm, details = _StringCalculus(spec, phi_log2, Cover(full2, 1)) \
-            .log_weight_m(0.8, 2, 2)
-        assert details["cap"] == 5
+        logs, caps, _ = _StringCalculus(spec, phi_log2, Cover(full2, 1)) \
+            .log_weights([0.8], [2], 0)
+        logm = logs[0, 0]
+        assert caps[0] == 5
         assert weight_m(spec, 0.8, phi_log2, Cover(full2, 1), 2,
                         depth_cap=2) == math.exp(logm)
         brute = oracles.weight_m_brute(full2.adjacency, phi_log2.table, 1, 1,
-                                       0.8, 2, details["cap"],
+                                       0.8, 2, int(caps[0]),
                                        subset_kind="cylinders",
                                        cylinder_words=words)
         assert math.exp(logm) == pytest.approx(brute, rel=1e-10)
@@ -309,8 +311,8 @@ class TestSweepCache:
         cases.append((SubsetSpec.sub_sft(system, sub_adj),
                       dict(subset_kind="sub_sft", sub_adjacency=sub_adj)))
         # one word of length 1 (shorter than a state once t >= 3) and
-        # words of lengths 2..6 under other first symbols: some enter the
-        # sweep, some past N + r - 1 with clipped sums, some in the trie
+        # words of lengths 2..6 under other first symbols: some seed the
+        # sweep before N + t - 1, some at it, some in the trie below it
         first = int(rng.integers(system.alphabet_size))
         words = [(first,)]
         for n in range(2, 7):
@@ -337,12 +339,12 @@ class TestSweepCache:
                     assert math.exp(calc.log_lambda(N)) == pytest.approx(
                         brute, rel=1e-10, abs=1e-12)
                     alpha = float(rng.normal())
-                    logm, details = calc.log_weight_m(alpha, N, N + 2)
+                    logs, caps, _ = calc.log_weights([alpha], [N], 2)
                     brute = oracles.weight_m_brute(
                         system.adjacency, pot.table, depth, t, alpha, N,
-                        details["cap"], **kw)
-                    assert math.exp(logm) == pytest.approx(brute, rel=1e-9,
-                                                           abs=1e-12)
+                        int(caps[0]), **kw)
+                    assert math.exp(logs[0, 0]) == pytest.approx(
+                        brute, rel=1e-9, abs=1e-12)
 
 
 def _random_walk(rng, adjacency, length):
@@ -395,10 +397,12 @@ class TestStackedWeights:
                 single = _StringCalculus(spec, pot, Cover(system, t))
                 for (a, alpha), (i, N) in itertools.product(
                         enumerate(alphas.tolist()), enumerate(ns)):
-                    logm, details = single.log_weight_m(alpha, N, N + margin)
+                    one, one_cap, one_mass = single.log_weights(
+                        [alpha], [N], margin)
+                    logm = one[0, 0]
                     assert logs[a, i] == logm
-                    assert cap_mass[a, i] == details["cap_mass"]
-                    assert caps[i] == details["cap"]
+                    assert cap_mass[a, i] == one_mass[0, 0]
+                    assert caps[i] == one_cap[0]
                     brute = oracles.weight_m_brute(
                         system.adjacency, pot.table, depth, t, alpha, N,
                         int(caps[i]), **kw)
@@ -424,7 +428,7 @@ class TestStackedWeights:
 
 def _plain_bisection(spec, pot, cover, tol, n_range):
     """Bisection with one classification per visited alpha, made of one
-    ``log_weight_m`` call per N: (value, bracket, trace, weak count).
+    ``log_weights`` call per N: (value, bracket, trace, weak count).
     Every N takes one margin, widened from DEPTH_MARGIN to reach the
     deepest listed word from the window's first N."""
     calc = _StringCalculus(spec, pot, cover)
@@ -439,7 +443,8 @@ def _plain_bisection(spec, pot, cover, tol, n_range):
     trace = []
 
     def classify(alpha):
-        logs = [calc.log_weight_m(alpha, N, N + margin)[0] for N in top]
+        logs = [calc.log_weights([alpha], [N], margin)[0][0, 0]
+                for N in top]
         if -math.inf in logs:
             raise InconclusiveError("inconclusive-at-depth: covering "
                                     "weight vanished identically")

@@ -253,7 +253,8 @@ class TestCorrelationEntropy:
                 got = _log_measure_power_sums(mu.stationary, mu.transitions,
                                               mu.state_depth, q, n)[0]
                 brute = oracles.measure_power_sum_brute(
-                    golden.adjacency, mu.log_cylinder_measure, q, n)
+                    golden.adjacency,
+                    lambda w: mu.log_masses(np.array([w]))[0], q, n)
                 assert got == pytest.approx(math.log(brute), abs=1e-10)
 
     def test_continuity_on_fine_grid(self, full2, phi_log2):

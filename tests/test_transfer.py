@@ -405,17 +405,17 @@ class TestEquilibriumMarkov:
 
     def test_cylinder_measure_brute(self, golden):
         mu = equilibrium_markov(golden, Potential.zero(golden))
-        total = sum(math.exp(mu.log_cylinder_measure(w))
+        total = sum(math.exp(mu.log_masses(np.array([w]))[0])
                     for w in oracles.enumerate_words(golden.adjacency, 5))
         assert total == pytest.approx(1.0, abs=1e-12)
-        assert mu.log_cylinder_measure((1, 1)) == -math.inf
+        assert mu.log_masses(np.array([(1, 1)]))[0] == -math.inf
 
     def test_sampled_words_consistent(self, full2, phi_log2):
         mu = equilibrium_markov(full2, phi_log2)
         rng = np.random.default_rng(1)
         words, logm = mu.sample_words(12, 50, rng)
         for w, lm in zip(words, logm):
-            assert mu.log_cylinder_measure(tuple(w)) == pytest.approx(lm)
+            assert mu.log_masses(np.array([w]))[0] == pytest.approx(lm)
 
     def test_sampled_words_match_per_state_search(self):
         # six states, one forbidden transition: a zero in the chain
@@ -483,11 +483,11 @@ class TestArrayMeasure:
             np.testing.assert_array_equal(np.isinf(got), np.isinf(brute))
             live = np.isfinite(brute)
             np.testing.assert_allclose(got[live], brute[live], rtol=1e-12)
-            assert [mu.log_cylinder_measure(w) for w in words] == \
+            assert [mu.log_masses(np.array([w]))[0] for w in words] == \
                 pytest.approx(got.tolist(), rel=1e-12)
             pot = random_potential(rng, system, r)
-            expected = sum(math.exp(mu.log_cylinder_measure(w)) * pot.table[w]
-                           for w in words)
+            expected = sum(math.exp(mu.log_masses(np.array([w]))[0])
+                           * pot.table[w] for w in words)
             assert mu.integrate(pot) == pytest.approx(expected, rel=1e-12)
 
     def test_words_off_the_support(self, golden):
@@ -497,8 +497,6 @@ class TestArrayMeasure:
         assert got[0] == got[1] == -math.inf and got[2] > -math.inf
         assert mu.log_masses(np.array([[1]]))[0] == pytest.approx(
             math.log(mu.stationary[mu.graph.words[:, 0] == 1].sum()), rel=1e-12)
-        assert mu.log_cylinder_measure((2, 0)) == -math.inf  # no symbol 2
-        assert mu.log_cylinder_measure(()) == pytest.approx(0.0, abs=1e-15)
 
     def test_malformed_states_rejected(self, full2):
         # the states are the graph's depth-blocks: depth 0 has none, and
@@ -785,7 +783,7 @@ class TestInverseVpProbe:
         value = inverse_vp_probe(golden, zero, mu, n)
         blocks = {}
         for w in oracles.enumerate_words(golden.adjacency, 2):
-            blocks[w] = math.exp(mu.log_cylinder_measure(w))
+            blocks[w] = math.exp(mu.log_masses(np.array([w]))[0])
         total, count = oracles.typical_cylinder_sum(
             golden.adjacency, zero.table, 1, 2, blocks, 1 / math.sqrt(n), n)
         assert count > 0
@@ -807,7 +805,7 @@ class TestInverseVpProbe:
                 mu = MarkovMeasure(system, chain.state_depth,
                                    chain.stationary[0], chain.transitions[0])
                 words = oracles.enumerate_words(system.adjacency, b)
-                blocks = {w: math.exp(mu.log_cylinder_measure(w))
+                blocks = {w: math.exp(mu.log_masses(np.array([w]))[0])
                           for w in words}
                 total, count = oracles.typical_cylinder_sum(
                     system.adjacency, phi.table, r, b, blocks,
