@@ -48,6 +48,15 @@ TASKS = ("pressure", "capacity", "spectrum", "correlation", "vp_check",
 # tasks that build a shift system and a potential from the config
 SYMBOLIC_TASKS = ("pressure", "capacity", "spectrum", "correlation",
                   "vp_check", "inverse_vp")
+# the keys some task reads, per config object; the top level stays open,
+# so callers may keep their own parameters beside a config
+KNOWN_KEYS = {
+    "system": ("kind", "k", "adjacency"),
+    "potential": ("kind", "depth", "table", "name", "value"),
+    "subset": ("kind", "adjacency", "words"),
+    "budget": ("tol", "n_max", "depths", "n", "samples", "arc_count",
+               "n_range", "q_grid"),
+}
 
 
 class ConfigError(ValueError):
@@ -57,6 +66,12 @@ class ConfigError(ValueError):
 def _require(cond: bool, path: str, message: str):
     if not cond:
         raise ConfigError(f"config-error at '{path}': {message}")
+
+
+def _require_known(spec: dict, path: str):
+    for key in spec:
+        _require(key in KNOWN_KEYS[path], f"{path}.{key}", "unknown key; "
+                 f"known: {', '.join(KNOWN_KEYS[path])}")
 
 
 @dataclass
@@ -76,6 +91,7 @@ class ExperimentConfig:
         system = raw.get("system", {"kind": "full_shift", "k": 2})
         _require(isinstance(system, dict) and "kind" in system, "system",
                  "must be an object with a 'kind'")
+        _require_known(system, "system")
         kind = system["kind"]
         _require(kind in ("full_shift", "sft", "line_doubling"),
                  "system.kind", "must be full_shift | sft | line_doubling")
@@ -93,6 +109,7 @@ class ExperimentConfig:
                      "system.adjacency", "must be a square 0/1 matrix")
         potential = raw.get("potential", {"kind": "zero"})
         _require(isinstance(potential, dict), "potential", "must be an object")
+        _require_known(potential, "potential")
         pkind = potential.get("kind", "table")
         _require(pkind in ("zero", "constant", "table", "named"),
                  "potential.kind", "must be zero | constant | table | named")
@@ -114,11 +131,13 @@ class ExperimentConfig:
             _require(isinstance(subset, dict) and subset.get("kind") in
                      ("whole", "sub_sft", "cylinders"),
                      "subset.kind", "must be whole | sub_sft | cylinders")
+            _require_known(subset, "subset")
             _require(subset["kind"] != "sub_sft"
                      or isinstance(subset.get("adjacency"), list),
                      "subset.adjacency", "must be a square 0/1 matrix")
         budget = raw.get("budget", {})
         _require(isinstance(budget, dict), "budget", "must be an object")
+        _require_known(budget, "budget")
         if "tol" in budget:
             _require(_finite(budget["tol"]) and budget["tol"] > 0,
                      "budget.tol", "must be a positive number")
@@ -233,7 +252,9 @@ def _q_grid(budget: dict) -> np.ndarray:
     q = budget.get("q_grid", {"lo": -5.0, "hi": 5.0, "step": 0.05})
     if isinstance(q, list):
         return np.asarray([float(x) for x in q])
-    n = int(round((q["hi"] - q["lo"]) / q["step"]))
+    # the last step that stays within hi, guarded against a quotient
+    # rounded just below a whole number of steps
+    n = math.floor((q["hi"] - q["lo"]) / q["step"] + 1e-9)
     return np.round(q["lo"] + q["step"] * np.arange(n + 1), 12)
 
 
@@ -617,13 +638,15 @@ def main(argv=None) -> int:
             print(f"config-error: invalid JSON: {exc}", file=sys.stderr)
             return 2
     task = args.task.replace("-", "_")
-    raw["task"] = "property_suite" if task == "suite" else task
-    if args.tol is not None:
-        raw.setdefault("budget", {})["tol"] = args.tol
-    if args.seed is not None:
-        raw["seed"] = args.seed
-
     try:
+        _require(isinstance(raw, dict), "", "config must be a JSON object")
+        raw["task"] = "property_suite" if task == "suite" else task
+        if args.tol is not None:
+            budget = raw.setdefault("budget", {})
+            _require(isinstance(budget, dict), "budget", "must be an object")
+            budget["tol"] = args.tol
+        if args.seed is not None:
+            raw["seed"] = args.seed
         config = ExperimentConfig.from_dict(raw)
         report = run(config)
     except ConfigError as exc:

@@ -49,7 +49,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .shifts import BlockGraph, Potential, ShiftSystem, SubsetSpec
 
@@ -153,24 +152,14 @@ class _StringCalculus:
         self._forward = [self._seeds.get(sd, np.full(n, -np.inf))]
         self._stack_cache: dict = {}
 
-    def _seed_log(self, word: tuple) -> float:
-        """Sum of a seed word's windows 0..len - t: a word of length
-        N + t - 1 holds the N windows of a string of length N."""
-        return self.potential.word_sum(word, len(word) - self.t + 1)
-
     def _fold_seeds(self, words: np.ndarray):
         """Fold equal-length seed words into ``_seeds[length]``: per end
-        state, the log-sum of exp(``_seed_log``) over the words."""
-        if not len(words):
-            return
+        state, the log-sum of exp(window sum) over the words, each word
+        with its windows 0..length - t (a word of length N + t - 1 holds
+        the N windows of a string of length N)."""
         length, n = words.shape[1], len(self.graph.words)
         end = self.graph.index(words[:, -self.sdepth:])
-        count = max(length - self.t + 1, 0)
-        v = np.zeros(len(words))
-        if count:
-            # summed in order, as ``word_sum`` sums
-            windows = sliding_window_view(words, self.r, axis=1)[:, :count]
-            v = np.cumsum(self.potential.values(windows), axis=1)[:, -1]
+        v = self.potential.window_sums(words, length - self.t + 1)
         top = np.full(n, -np.inf)
         np.maximum.at(top, end, v)
         total = np.bincount(end, np.exp(v - top[end]), minlength=n)
@@ -194,22 +183,25 @@ class _StringCalculus:
                            else np.logaddexp(grown, seeds))
         return forward[length - self.sdepth]
 
-    def _entry_logs(self, N: int) -> tuple[np.ndarray, list]:
+    def _entry_logs(self, N: int) -> tuple[np.ndarray, list, np.ndarray]:
         """Log-weights of the meeting words of length N + t - 1.
 
         Returns (per-state log-sums for words whose subtree continues
         homogeneously, list of (word, deeper listed words) for explicit
         trie roots coming from listed cylinders deeper than the entry
-        level).  The sweep read at N + t - 1 holds each word's windows
-        0..N - 1, the ones a string of length N counts and the c-factor
-        recursion continues from.
+        level, the roots' own log-weights).  Each word carries its
+        windows 0..N - 1, the ones a string of length N counts and the
+        c-factor recursion continues from.
         """
         L0 = N + self.t - 1
         roots: dict = {}
         for u in self.words:
             if len(u) > L0:
                 roots.setdefault(u[:L0], []).append(u)
-        return self._sweep(L0), list(roots.items())
+        # most entry levels have no roots: no N lookups of an empty array
+        root_logs = self.potential.window_sums(list(roots), N) if roots \
+            else np.zeros(0)
+        return self._sweep(L0), list(roots.items()), root_logs
 
     # -- fixed-length covering sum ------------------------------------------
 
@@ -218,8 +210,8 @@ class _StringCalculus:
             raise ValueError("N must be >= 1")
         if self.empty:
             return -math.inf
-        logW, trie = self._entry_logs(N)
-        parts = np.concatenate([logW, [self._seed_log(v) for v, _ in trie]])
+        logW, _, root_logs = self._entry_logs(N)
+        parts = np.concatenate([logW, root_logs])
         if not parts.size:
             return -math.inf
         return float(np.logaddexp.reduce(parts))
@@ -270,12 +262,12 @@ class _StringCalculus:
         if ns in self._stack_cache:
             return self._stack_cache[ns]
         entries = [self._entry_logs(N) for N in ns]
-        tries = [trie for _, trie in entries]
-        shift = np.array([max([logW.max(initial=-math.inf)]
-                              + [self._seed_log(v) for v, _ in trie])
-                          for N, (logW, trie) in zip(ns, entries)])
+        tries = [trie for _, trie, _ in entries]
+        shift = np.array([max(logW.max(initial=-math.inf),
+                              roots.max(initial=-math.inf))
+                          for logW, _, roots in entries])
         shift[shift == -math.inf] = 0.0
-        logWs = np.array([logW for logW, _ in entries]).reshape(
+        logWs = np.array([logW for logW, _, _ in entries]).reshape(
             len(ns), len(self.graph.words))
         deepest = np.array([max((len(u) - self.t + 1 for _, us in trie
                                  for u in us), default=0) for trie in tries],
@@ -335,7 +327,8 @@ class _StringCalculus:
         entry level.  Costs are in units of exp(shift - alpha*N), matching
         the caller's normalization."""
         m = len(v) - self.t + 1
-        own = math.exp(self._seed_log(v) - shift - alpha * (m - N))
+        own = math.exp(self.potential.window_sums([v], m)[0] - shift
+                       - alpha * (m - N))
         if any(len(u) == len(v) for u in us):
             # v is itself a listed word (antichain: then the only one
             # here); the subtree below it lies inside the subset
@@ -489,7 +482,7 @@ def critical_alpha(subset: SubsetSpec, potential: Potential, cover: Cover,
     deepest = max(map(len, subset.words), default=0) - cover.depth + 1
     margin = max(DEPTH_MARGIN, deepest - top[0])
 
-    gvals = list(potential.table.values())
+    gvals = potential.vector.tolist()
     k = cover.system.alphabet_size
     alpha_lo = min(gvals) - math.log(k) - 1.0
     alpha_hi = max(gvals) + math.log(k) + 1.0

@@ -9,7 +9,7 @@ cover refinement exact.
 
 Potentials are locally constant of finite depth r: the value at a point
 depends only on its first r coordinates, so Birkhoff sums over cylinders
-have exact suprema (plain table sums once the word is long enough).
+have exact suprema (plain window sums once the word is long enough).
 """
 
 from __future__ import annotations
@@ -184,12 +184,14 @@ class BlockGraph:
         return np.searchsorted(self.codes, np.asarray(blocks) @ self._place)
 
     def find(self, blocks) -> np.ndarray:
-        """Rows of ``words`` holding the given blocks of symbols in
-        range(k) (along the last axis), -1 for a block that is not one of
-        them."""
-        codes = np.asarray(blocks) @ self._place
+        """Rows of ``words`` holding the given blocks (along the last
+        axis), -1 for a block that is not one of them, such as one with a
+        symbol outside range(k), whose code may equal a block's."""
+        blocks = np.asarray(blocks)
+        codes = blocks @ self._place
         at = np.minimum(np.searchsorted(self.codes, codes), len(self.codes) - 1)
-        return np.where(self.codes[at] == codes, at, -1)
+        inside = ((blocks >= 0) & (blocks < len(self.adjacency))).all(axis=-1)
+        return np.where((self.codes[at] == codes) & inside, at, -1)
 
     @cached_property
     def arcs(self) -> tuple:
@@ -202,10 +204,10 @@ class BlockGraph:
 class Potential:
     """Locally constant potential of depth r >= 1.
 
-    ``table`` maps every admissible r-word (tuple of symbols) to a real
-    value; evaluation at a point only reads coordinates 0..r-1.  ``vector``
-    holds the same values aligned with ``graph.words`` (the system's cached
-    r-block graph), and ``values`` looks arrays of r-blocks up in it.
+    ``vector`` holds the value of every admissible r-word, aligned with
+    ``graph.words`` (the system's cached r-block graph); evaluation at a
+    point only reads coordinates 0..r-1.  ``values`` looks r-blocks up in
+    it, ``window_sums`` adds words' windows, and ``table`` is a dict copy.
     """
 
     def __init__(self, system: ShiftSystem, depth: int,
@@ -214,25 +216,30 @@ class Potential:
             raise ValueError("potential depth must be >= 1")
         self.system = system
         self.depth = int(depth)
-        tab = {}
-        for key, val in table.items():
-            key = tuple(int(a) for a in key)
-            if len(key) != depth:
-                raise ValueError(f"table key {key} has wrong length")
-            if not system.is_admissible(key):
-                raise ValueError(f"table key {key} is not admissible")
-            val = float(val)
-            if not np.isfinite(val):
-                raise ValueError("potential values must be finite")
-            tab[key] = val
-        self.graph = system.block_graph(self.depth)
+        keys = [tuple(map(int, key)) for key in table]
+        values = np.fromiter(map(float, table.values()), float, len(keys))
+        wrong = np.fromiter(map(len, keys), np.int64, len(keys)) != self.depth
+        if wrong.any():
+            raise ValueError(f"table key {keys[wrong.argmax()]} has wrong "
+                             "length")
         try:
-            vector = [tab[s] for s in map(tuple, self.graph.words.tolist())]
-        except KeyError as exc:
-            raise ValueError(f"table misses admissible word {exc.args[0]}") \
-                from None
-        self.table = tab
-        self.vector = np.array(vector)
+            words = np.array(keys, dtype=np.int64)
+        except OverflowError:  # clipped, such symbols stay outside range(k)
+            words = np.clip(np.array(keys, dtype=object), -1,
+                            system.alphabet_size).astype(np.int64)
+        self.graph = system.block_graph(self.depth)
+        rows = self.graph.find(words.reshape(len(keys), self.depth))
+        if (rows < 0).any():
+            raise ValueError(f"table key {keys[(rows < 0).argmax()]} is not "
+                             "admissible")
+        if not np.isfinite(values).all():
+            raise ValueError("potential values must be finite")
+        self.vector = np.full(len(self.graph.words), np.nan)
+        self.vector[rows] = values
+        missing = np.isnan(self.vector)
+        if missing.any():
+            word = tuple(self.graph.words[missing.argmax()].tolist())
+            raise ValueError(f"table misses admissible word {word}")
 
     @classmethod
     def zero(cls, system: ShiftSystem) -> "Potential":
@@ -253,6 +260,18 @@ class Potential:
         """Values of an array of admissible r-blocks (along the last axis)."""
         return self.vector[self.graph.index(blocks)]
 
+    def window_sums(self, words, count: int) -> np.ndarray:
+        """Birkhoff sums: per row of admissible symbols (along the last
+        axis), the sum of its first ``count`` depth-r windows, added in
+        window order.  Rows need count + r - 1 symbols."""
+        words = np.asarray(words)
+        if words.shape[-1] < count + self.depth - 1:
+            raise ValueError("word too short for an exact Birkhoff sum")
+        sums = np.zeros(words.shape[:-1])
+        for p in range(count):
+            sums += self.values(words[..., p:p + self.depth])
+        return sums
+
     def sup_minus(self, other: "Potential") -> float:
         """sup |self - other| over the space (tables must share the system)."""
         if not self.system.same_as(other.system):
@@ -263,26 +282,14 @@ class Potential:
         return float(gaps.max(initial=0.0))
 
     def scaled(self, q: float) -> "Potential":
-        """q times the potential, on the same graph; the table is built
-        from the vector only when read."""
-        scaled = Potential.__new__(Potential)
-        scaled.system, scaled.depth, scaled.graph = \
-            self.system, self.depth, self.graph
-        scaled.vector = q * self.vector
-        return scaled
+        """q times the potential, on the same graph."""
+        return Potential(self.system, self.depth,
+                         dict(zip(self.table, (q * self.vector).tolist())))
 
     @cached_property
     def table(self) -> dict:
         return dict(zip(map(tuple, self.graph.words.tolist()),
                         self.vector.tolist()))
-
-    def word_sum(self, symbols, n: int) -> float:
-        """Sum of the first n depth-r windows of ``symbols`` (needs len >= n+r-1)."""
-        s = tuple(symbols)
-        r = self.depth
-        if len(s) < n + r - 1:
-            raise ValueError("word too short for an exact Birkhoff sum")
-        return sum(self.table[s[j:j + r]] for j in range(n))
 
 
 class SubsetSpec:

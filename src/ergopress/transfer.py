@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .shifts import (
     Potential,
@@ -162,8 +161,7 @@ def block_recode(system: ShiftSystem, potential: Potential):
     B = np.zeros((len(graph.words),) * 2, dtype=np.int64)
     B[src, dst] = 1
     recoded = ShiftSystem(B)
-    return recoded, Potential.depth_one(recoded,
-                                        potential.values(graph.words).tolist())
+    return recoded, Potential.depth_one(recoded, potential.vector.tolist())
 
 
 class MarkovMeasure:
@@ -194,8 +192,8 @@ class MarkovMeasure:
 
     def log_masses(self, words) -> np.ndarray:
         """log of the measure of the cylinder of each row of an (m, L)
-        array of symbols (each in range(k)), L >= 1, -inf off the support;
-        for a stack of chains, the stack's axes lead.
+        array of symbols, L >= 1, -inf off the support; for a stack of
+        chains, the stack's axes lead.
 
         For L >= d it is log pi of the first d-block plus the log
         transition probabilities between consecutive d-blocks, each found
@@ -431,47 +429,39 @@ def delta_measure(system: ShiftSystem, symbol: int) -> MarkovMeasure:
     return MarkovMeasure(system, 1, pi, P)
 
 
-def power_system(system: ShiftSystem, k: int) -> tuple:
-    """The k-th power shift presented on the alphabet of admissible k-blocks.
-
-    Returns (power system, list of blocks).  Block u may be followed by
-    block w iff the last symbol of u may precede the first symbol of w.
+def power_system(system: ShiftSystem, k: int) -> ShiftSystem:
+    """The k-th power shift presented on the alphabet of admissible k-blocks,
+    symbol i being row i of ``system.block_graph(k).words``.  Block u may
+    be followed by block w iff the last symbol of u may precede the first
+    symbol of w.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     words = system.block_graph(k).words
-    B = system.adjacency[np.ix_(words[:, -1], words[:, 0])]
-    blocks = list(map(tuple, words.tolist()))
-    return ShiftSystem(B), blocks
+    return ShiftSystem(system.adjacency[np.ix_(words[:, -1], words[:, 0])])
 
 
-def power_sum_potential(potential: Potential, k: int, power: ShiftSystem,
-                        blocks: list) -> Potential:
-    """The k-step Birkhoff sum of the potential, as a potential on the
-    k-block power system (depth 2 there: windows may spill into the next
-    block when the original depth exceeds 1)."""
-    r = potential.depth
-    if r > k + 1:
+def power_sum_potential(potential: Potential, k: int,
+                        power: ShiftSystem) -> Potential:
+    """The k-step Birkhoff sum of the potential, as a potential on its
+    system's k-block ``power_system`` (depth 2 there: windows may spill
+    into the next block when the original depth exceeds 1)."""
+    if potential.depth > k + 1:
         raise ValueError("potential depth too large for this power")
+    words = potential.system.block_graph(k).words
     src, dst = np.nonzero(power.adjacency)
-    words = np.array(blocks, dtype=np.int64).reshape(len(blocks), k)
-    joined = np.hstack([words[src], words[dst]])
-    windows = potential.values(sliding_window_view(joined, r, axis=1)[:, :k])
-    sums = np.zeros(len(src))
-    for p in range(k):  # in window order, as the Birkhoff sum runs
-        sums += windows[:, p]
-    table = dict(zip(zip(src.tolist(), dst.tolist()), sums.tolist()))
-    return Potential(power, 2, table)
+    sums = potential.window_sums(np.hstack([words[src], words[dst]]), k)
+    return Potential(power, 2, dict(zip(zip(src.tolist(), dst.tolist()),
+                                        sums.tolist())))
 
 
 def power_pressure_check(system: ShiftSystem, potential: Potential, k: int):
     """Pressure of the k-th power system under the k-step Birkhoff sum,
     against k times the base pressure.  Returns (lhs, rhs)."""
     rhs = k * transfer_pressure(system, potential)
-    power, blocks = power_system(system, k)
-    lifted = power_sum_potential(potential, k, power, blocks)
-    lhs = transfer_pressure(power, lifted)
-    return lhs, rhs
+    power = power_system(system, k)
+    lifted = power_sum_potential(potential, k, power)
+    return transfer_pressure(power, lifted), rhs
 
 
 def inverse_vp_probe(system: ShiftSystem, potential: Potential,
@@ -572,11 +562,9 @@ def inverse_vp_probe(system: ShiftSystem, potential: Potential,
     words = states.words
     state = np.arange(len(words))
     counts = np.zeros((len(words), len(target)), dtype=np.min_scalar_type(n))
-    logs = np.zeros(len(words))
     for p in range(counted - b + 1):
         counts[state, blocks.index(words[:, p:p + b])] += 1
-    for p in range(min(sd - r, n - 1) + 1):
-        logs += potential.values(words[:, p:p + r])
+    logs = potential.window_sums(words, min(sd - r, n - 1) + 1)
     keep = (counts <= hi).all(axis=1)
     for length in range(counted, n + 1):
         if length > counted:  # append one symbol along every arc

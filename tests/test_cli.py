@@ -13,6 +13,7 @@ from ergopress.cli import (
     ExperimentConfig,
     RunReport,
     TaskResult,
+    _q_grid,
     emit_tables,
     main,
     run,
@@ -86,6 +87,22 @@ class TestConfigValidation:
     def test_bad_potential_kind(self):
         with pytest.raises(ConfigError, match="potential.kind"):
             make_config("pressure", potential={"kind": "wavelet"})
+
+    def test_top_level_keys_unchecked(self):
+        # a direct-call job keeps its own parameters beside the config
+        make_config("spectrum", sample_count=2000, n=200)
+
+    @pytest.mark.parametrize("grid, expected", [
+        ({"lo": 0.0, "hi": 1.0, "step": 0.35}, [0.0, 0.35, 0.7]),
+        ({"lo": 0.0, "hi": 0.3, "step": 0.1}, [0.0, 0.1, 0.2, 0.3]),
+        ({"lo": -1.0, "hi": -1.0, "step": 0.5}, [-1.0]),
+    ])
+    def test_q_grid_stops_at_hi(self, grid, expected):
+        assert _q_grid({"q_grid": grid}).tolist() == expected
+
+    def test_default_q_grid(self):
+        grid = _q_grid({})
+        assert len(grid) == 201 and grid[0] == -5.0 and grid[-1] == 5.0
 
 
 class TestTasks:
@@ -390,6 +407,14 @@ class TestMainEntry:
         ("pressure", {"potential": {"kind": "table", "depth": 1,
                                     "table": {"0": [0.0], "1": 0.5}}},
          "potential.table"),
+        # keys no task reads
+        ("pressure", {"budget": {"nmax": 12}}, "budget.nmax"),
+        ("pressure", {"system": {"kind": "full_shift", "k": 2, "size": 2}},
+         "system.size"),
+        ("pressure", {"potential": {"kind": "constant", "valu": 1.0}},
+         "potential.valu"),
+        ("pressure", {"subset": {"kind": "cylinders", "word": [[0]]}},
+         "subset.word"),
     ])
     def test_malformed_config_exits_two_naming_field(
             self, tmp_path, capsys, task, overrides, field):
@@ -494,6 +519,21 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err.startswith("OverflowError: ") and err.count("\n") == 1
         assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text, args, field", [
+        ("[1, 2]", [], ""),
+        ('{"budget": 5}', ["--tol", "1e-3"], "budget"),
+    ])
+    def test_non_object_config_exits_two(self, tmp_path, capsys, text, args,
+                                         field):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        code = main(["pressure", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")] + args)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config-error at '{field}': ")
         assert not (tmp_path / "out").exists()
 
     def test_exit_two_on_bad_json(self, tmp_path, capsys):

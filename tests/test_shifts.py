@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -156,6 +157,14 @@ class TestBlockGraph:
                 misses += got.count(None)
         assert misses
 
+    def test_symbols_outside_the_alphabet_are_misses(self, full2):
+        graph = full2.block_graph(2)
+        # (0, 2) and (1, -1) have the base-2 codes of (1, 0) and (0, 1)
+        blocks = [(0, 2), (1, -1), (2, 0), (-1, 3), (0, 1), (1, 0)]
+        assert graph.find(blocks).tolist() == [-1, -1, -1, -1, 1, 2]
+        assert graph.find(np.array(blocks)[:, None]).tolist() == \
+            [[-1], [-1], [-1], [-1], [1], [2]]
+
     @staticmethod
     def _reduced_cases():
         rng = np.random.default_rng(11)
@@ -227,13 +236,24 @@ class TestBlockGraph:
 
 class TestPotential:
     def test_table_must_cover_admissible_words(self, golden):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"word \(1, 0\)"):
             Potential(golden, 2, {(0, 0): 1.0, (0, 1): 2.0})  # misses (1, 0)
 
-    def test_inadmissible_key_rejected(self, golden):
-        with pytest.raises(ValueError):
+    def test_wrong_key_length_named(self, golden):
+        with pytest.raises(ValueError, match=r"\(0, 1, 0\) has wrong length"):
+            Potential(golden, 2, {(0, 0): 1.0, (0, 1, 0): 2.0})
+
+    def test_inadmissible_key_rejected(self, golden, full2):
+        with pytest.raises(ValueError, match=r"\(1, 1\) is not admissible"):
             Potential(golden, 2, {(0, 0): 1.0, (0, 1): 2.0, (1, 0): 3.0,
                                   (1, 1): 4.0})
+        # symbols outside range(k), whose base-2 codes are those of the
+        # blocks (1, 0) and (0, 1)
+        table = {(0, 0): 1.0, (0, 1): 2.0, (1, 0): 3.0, (1, 1): 4.0}
+        for key in ((0, 2), (1, -1), (0, 2 ** 70)):
+            with pytest.raises(ValueError,
+                               match=re.escape(f"{key} is not admissible")):
+                Potential(full2, 2, table | {key: 5.0})
 
     def test_nonfinite_rejected(self, full2):
         with pytest.raises(ValueError):
@@ -269,22 +289,23 @@ class TestPotential:
 class TestBirkhoffSup:
     """On a word of length >= n + r - 1 every summand of the n-term
     Birkhoff sum is fixed, so its sup over the cylinder is the plain
-    window sum ``Potential.word_sum``."""
+    window sum, one per row from ``Potential.window_sums``."""
 
     def test_exact_regime_plain_sum(self, full2, phi_log2):
-        assert phi_log2.word_sum((1, 0, 1), 3) == pytest.approx(2 * math.log(2))
+        assert phi_log2.window_sums([(1, 0, 1)], 3)[0] == \
+            pytest.approx(2 * math.log(2))
 
     def test_zero_potential(self, full2):
-        assert Potential.zero(full2).word_sum((0, 1, 1), 3) == 0.0
+        assert Potential.zero(full2).window_sums([(0, 1, 1)], 3)[0] == 0.0
 
     def test_invalid_n(self, full2, phi_log2):
         # n summands of a depth-r potential need n + r - 1 symbols
         with pytest.raises(ValueError):
-            phi_log2.word_sum((0, 1), 3)
+            phi_log2.window_sums([(0, 1)], 3)
         pot = Potential(full2, 2, {(0, 0): 0.0, (0, 1): 1.0,
                                    (1, 0): 0.25, (1, 1): 0.5})
         with pytest.raises(ValueError):
-            pot.word_sum((1, 0), 2)
+            pot.window_sums([(1, 0)], 2)
 
     def test_matches_brute_force_randomized(self):
         rng = np.random.default_rng(5)
@@ -297,7 +318,34 @@ class TestBirkhoffSup:
             w = words[int(rng.integers(len(words)))]
             n = int(rng.integers(1, len(w) - depth + 2))
             expected = oracles.window_sum(pot.table, depth, w, n)
-            assert pot.word_sum(w, n) == pytest.approx(expected)
+            assert pot.window_sums([w], n)[0] == pytest.approx(expected)
+
+    def test_rows_sum_separately_in_window_order(self):
+        rng = np.random.default_rng(8)
+        system = ShiftSystem(random_irreducible_adjacency(rng, 3))
+        for depth in (1, 2, 3):
+            pot = random_potential(rng, system, depth)
+            words = np.array(_words(system, depth + 4))
+            for n in range(6):
+                # a sum from 0 in window order gives the same bits
+                expected = [sum(pot.table[w[j:j + depth]] for j in range(n))
+                            for w in _rows(words)]
+                assert pot.window_sums(words, n).tolist() == expected
+            stacked = np.stack([words, words[::-1]])
+            np.testing.assert_array_equal(
+                pot.window_sums(stacked, 5),
+                [pot.window_sums(words, 5), pot.window_sums(words[::-1], 5)])
+
+    def test_count_zero_is_zero_per_row(self, full2):
+        pot = Potential(full2, 2, {(0, 0): 0.5, (0, 1): 1.0,
+                                   (1, 0): 0.25, (1, 1): 2.0})
+        assert pot.window_sums([(0, 1), (1, 1)], 0).tolist() == [0.0, 0.0]
+        assert pot.window_sums(np.zeros((3, 1), dtype=np.int64), 0).tolist() \
+            == [0.0] * 3  # r - 1 symbols hold no window
+        assert pot.window_sums(np.zeros((0, 4), dtype=np.int64), 2).shape \
+            == (0,)
+        with pytest.raises(ValueError):
+            pot.window_sums(np.zeros((2, 0), dtype=np.int64), 0)
 
 
 class TestSubsetSpec:

@@ -495,6 +495,10 @@ class TestArrayMeasure:
             np.random.default_rng(6), golden, 3))
         got = mu.log_masses(np.array([[1, 1, 0], [0, 1, 1], [0, 1, 0]]))
         assert got[0] == got[1] == -math.inf and got[2] > -math.inf
+        # symbols outside range(2), whose block codes are those of (1, 0)
+        # and (0, 1) on the state graph
+        for words in ([[0, 2], [1, -1]], [[0, 0, 2], [2, 0, 1]]):
+            assert (mu.log_masses(np.array(words)) == -math.inf).all()
         assert mu.log_masses(np.array([[1]]))[0] == pytest.approx(
             math.log(mu.stationary[mu.graph.words[:, 0] == 1].sum()), rel=1e-12)
 
@@ -706,9 +710,9 @@ class TestPowerPressure:
         assert abs(lhs - rhs) <= 1e-9
 
     def test_block_matrix_eigenvalue_is_nine(self, full2, phi_log2):
-        power, blocks = power_system(full2, 2)
+        power = power_system(full2, 2)
         assert power.alphabet_size == 4
-        lifted = power_sum_potential(phi_log2, 2, power, blocks)
+        lifted = power_sum_potential(phi_log2, 2, power)
         lam = max(np.linalg.eigvals(
             TransferMatrix(power, lifted).matrix).real)
         assert lam == pytest.approx(9.0, abs=1e-9)
