@@ -1,10 +1,9 @@
 """Correlation entropies of an equilibrium state, two ways.
 
-The formula side is -T(q)/(q-1); the direct side sums q-th powers of
-cylinder measures at depths n and n + 1 and takes the growth between
-them (on a shift space the dynamical balls of small radius are exactly
-the cylinders).  For the Bernoulli measure
-of the full shift the two coincide at every depth.
+The formula side is -T(q)/(q-1); the direct side is the growth rate of
+the sums of q-th powers of cylinder measures (on a shift space the
+dynamical balls of small radius are exactly the cylinders), the Perron
+root of the entrywise q-th power of the measure's transition matrix.
 """
 
 import math
@@ -25,11 +24,11 @@ def main():
     phi = Potential.depth_one(full2, [0.0, math.log(2)])
     grid = np.round(np.concatenate([np.arange(-1.0, 0.999, 0.25),
                                     np.arange(1.25, 3.1, 0.25)]), 10)
-    ce = correlation_entropy(full2, phi, grid, n=20)
+    ce = correlation_entropy(full2, phi, grid)
 
     print("Correlation entropies, equilibrium of (0, log 2) "
           "(the (1/3, 2/3) Bernoulli measure):")
-    print("  q      formula    direct@n=20")
+    print("  q      formula    direct")
     for q, f, d in zip(ce.q_grid, ce.formula_values, ce.direct_values):
         print(f"  {q:+5.2f}  {f:9.6f}  {d:9.6f}")
     print(f"  largest mismatch: {ce.max_mismatch():.2e}")

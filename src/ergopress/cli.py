@@ -52,11 +52,14 @@ SYMBOLIC_TASKS = ("pressure", "capacity", "spectrum", "correlation",
 # so callers may keep their own parameters beside a config
 KNOWN_KEYS = {
     "system": ("kind", "k", "adjacency"),
-    "potential": ("kind", "depth", "table", "name", "value"),
+    "potential": ("kind", "depth", "table", "value"),
     "subset": ("kind", "adjacency", "words"),
     "budget": ("tol", "n_max", "depths", "n", "samples", "arc_count",
                "n_range", "q_grid"),
 }
+
+
+MAX_Q_POINTS = 2001  # ten times the default grid's 201 points
 
 
 class ConfigError(ValueError):
@@ -111,17 +114,14 @@ class ExperimentConfig:
         _require(isinstance(potential, dict), "potential", "must be an object")
         _require_known(potential, "potential")
         pkind = potential.get("kind", "table")
-        _require(pkind in ("zero", "constant", "table", "named"),
-                 "potential.kind", "must be zero | constant | table | named")
+        _require(pkind in ("zero", "constant", "table"),
+                 "potential.kind", "must be zero | constant | table")
         if pkind == "table":
             _require(isinstance(potential.get("depth"), int)
                      and potential["depth"] >= 1,
                      "potential.depth", "must be an integer >= 1")
             _require(isinstance(potential.get("table"), dict),
                      "potential.table", "must map words to values")
-        if pkind == "named":
-            _require(potential.get("name") == "arccot",
-                     "potential.name", "only 'arccot' is available")
         if pkind == "constant":
             _require(_finite(potential.get("value")), "potential.value",
                      "must be a finite number")
@@ -135,6 +135,9 @@ class ExperimentConfig:
             _require(subset["kind"] != "sub_sft"
                      or isinstance(subset.get("adjacency"), list),
                      "subset.adjacency", "must be a square 0/1 matrix")
+            _require(subset["kind"] != "cylinders"
+                     or isinstance(subset.get("words"), list),
+                     "subset.words", "must be a list of words")
         budget = raw.get("budget", {})
         _require(isinstance(budget, dict), "budget", "must be an object")
         _require_known(budget, "budget")
@@ -158,11 +161,11 @@ class ExperimentConfig:
                 _require(block_codes_fit(k, max(d[-1] - 1, 1)),
                          "budget.depths", f"must keep {k}**(depth - 1) below "
                          "2**63, the int64 range of the block codes")
-        # inverse_vp needs a block depth max(depth, 2) below n
-        least_n = {"correlation": 10, "inverse_vp": max(4, depth + 1)}
-        if "n" in budget and task in least_n:
-            _require(_int_at_least(budget["n"], least_n[task]), "budget.n",
-                     f"must be an integer >= {least_n[task]}")
+        if "n" in budget and task == "inverse_vp":
+            # a block depth max(depth, 2) below n
+            least_n = max(4, depth + 1)
+            _require(_int_at_least(budget["n"], least_n), "budget.n",
+                     f"must be an integer >= {least_n}")
         if "samples" in budget:
             _require(_int_at_least(budget["samples"], 1), "budget.samples",
                      "must be an integer >= 1")
@@ -185,6 +188,8 @@ class ExperimentConfig:
                   and q["step"] > 0 and q["lo"] <= q["hi"])
             _require(ok, "budget.q_grid", "must be a list of numbers or "
                      "{lo, hi, step} with lo <= hi and step > 0")
+            _require(_q_points(q) <= MAX_Q_POINTS, "budget.q_grid",
+                     f"must have at most {MAX_Q_POINTS} points")
             grid = _q_grid(budget)
             _require(len(np.unique(grid)) == len(grid), "budget.q_grid",
                      "must not repeat a value")
@@ -214,9 +219,6 @@ class ExperimentConfig:
             return Potential.zero(system)
         if kind == "constant":
             return Potential.constant(system, float(self.potential_spec["value"]))
-        if kind == "named":
-            raise ConfigError("config-error at 'potential.kind': the named "
-                              "potential only applies to the line model")
         try:
             table = {tuple(int(c) for c in key.split(",")): float(v)
                      for key, v in self.potential_spec["table"].items()}
@@ -234,7 +236,7 @@ class ExperimentConfig:
         try:
             if kind == "sub_sft":
                 return SubsetSpec.sub_sft(system, self.subset_spec[key])
-            return SubsetSpec.cylinders(system, self.subset_spec.get(key))
+            return SubsetSpec.cylinders(system, self.subset_spec[key])
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"config-error at 'subset.{key}': {exc}")
 
@@ -248,14 +250,21 @@ def _int_at_least(value, least: int) -> bool:
     return isinstance(value, int) and value >= least
 
 
+def _q_points(q) -> float:
+    """Number of points of a valid q-grid spec (inf past the float range):
+    a list's length, or the points up to the last step within hi, guarded
+    against a quotient rounded just below a whole number of steps."""
+    if isinstance(q, list):
+        return len(q)
+    with np.errstate(over="ignore"):
+        return np.floor(np.float64(q["hi"] - q["lo"]) / q["step"] + 1e-9) + 1
+
+
 def _q_grid(budget: dict) -> np.ndarray:
     q = budget.get("q_grid", {"lo": -5.0, "hi": 5.0, "step": 0.05})
     if isinstance(q, list):
         return np.asarray([float(x) for x in q])
-    # the last step that stays within hi, guarded against a quotient
-    # rounded just below a whole number of steps
-    n = math.floor((q["hi"] - q["lo"]) / q["step"] + 1e-9)
-    return np.round(q["lo"] + q["step"] * np.arange(n + 1), 12)
+    return np.round(q["lo"] + q["step"] * np.arange(int(_q_points(q))), 12)
 
 
 @dataclass
@@ -376,11 +385,10 @@ def _task_spectrum(cfg: ExperimentConfig) -> TaskResult:
 def _task_correlation(cfg: ExperimentConfig) -> TaskResult:
     system = cfg.build_system()
     potential = cfg.build_potential(system)
-    n = cfg.budget.get("n", 20)
     tol = cfg.budget.get("tol", 1e-3)
     grid = _q_grid(cfg.budget) if "q_grid" in cfg.budget \
         else np.array([0.5, 2.0, 3.0])
-    curve = correlation_entropy(system, potential, grid, n)
+    curve = correlation_entropy(system, potential, grid)
     rows = list(zip(curve.q_grid, curve.formula_values, curve.direct_values))
     checks = [
         Check("formula vs direct cylinder sums", curve.max_mismatch() <= tol,
@@ -389,8 +397,7 @@ def _task_correlation(cfg: ExperimentConfig) -> TaskResult:
               abs(curve.limit_at_one - curve.entropy) <= tol,
               curve.limit_at_one, tol, f"entropy={curve.entropy:.12g}"),
     ]
-    return TaskResult("correlation",
-                      {"limit_at_one": curve.limit_at_one, "n": n},
+    return TaskResult("correlation", {"limit_at_one": curve.limit_at_one},
                       checks,
                       {"correlation": (("q", "h_formula", "h_direct"), rows)})
 

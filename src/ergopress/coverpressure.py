@@ -69,8 +69,8 @@ class Cover:
     """
 
     def __init__(self, system: ShiftSystem, depth: int):
-        if depth < 1:
-            raise ValueError("cover depth must be >= 1")
+        if not float(depth).is_integer() or depth < 1:
+            raise ValueError("cover depth must be an integer >= 1")
         self.system = system
         self.depth = int(depth)
 

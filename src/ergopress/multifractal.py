@@ -13,9 +13,10 @@ potentials it is the Legendre transform of T, which is checked on the
 grid in both directions.
 
 Correlation entropies are computed twice: from the formula -T(q)/(q-1)
-and directly from cylinder-measure sums of the equilibrium state (on a
-shift space the dynamical balls of small radius are cylinders, so the
-ball-measure integral is a plain power sum over admissible words).
+and directly from the growth rate of cylinder-measure power sums of the
+equilibrium state (on a shift space the dynamical balls of small radius
+are cylinders, so the ball-measure integral is a plain power sum over
+admissible words), the Perron root of the chain's entrywise q-th power.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .shifts import Potential, ShiftSystem
-from .transfer import equilibrium_markov, equilibrium_states
+from .transfer import equilibrium_markov, equilibrium_states, power_iteration
 
 CURVE_TOL = 1e-9
 GRID_ATOL = 1e-12  # how far a q may sit from a grid point it names
@@ -142,54 +143,35 @@ class CorrelationEntropyCurve:
         return float(np.abs(self.formula_values - self.direct_values).max())
 
 
-def _log_measure_power_sums(pi, P, d: int, q, n: int) -> tuple:
-    """log of the sums over admissible n-words and over admissible
-    (n+1)-words of (cylinder measure)**q, for each q of an array, under
-    the Markov chain (pi, P) on d-block states.
-
-    Evaluated by an entrywise-power matrix product over the block chain,
-    one log-space loop for all q; identical to brute-force enumeration
-    (cross-checked in the tests) but linear in n.
-    """
-    if n < d:
-        raise ValueError(f"need n >= {d} for this measure")
-    q = np.asarray(q, dtype=float)[..., None]
-    with np.errstate(divide="ignore", invalid="ignore"):  # q * log(0)
-        vec = np.where(pi > 0, q * np.log(pi), -np.inf)
-        mat = np.where(P > 0, q[..., None] * np.log(P), -np.inf)
-    for _ in range(n - d):
-        vec = np.logaddexp.reduce(vec[..., :, None] + mat, axis=-2)
-    nxt = np.logaddexp.reduce(vec[..., :, None] + mat, axis=-2)
-    return np.logaddexp.reduce(vec, axis=-1), np.logaddexp.reduce(nxt, axis=-1)
-
-
-def correlation_entropy(system: ShiftSystem, potential: Potential, q_grid,
-                        n: int) -> CorrelationEntropyCurve:
+def correlation_entropy(system: ShiftSystem, potential: Potential,
+                        q_grid) -> CorrelationEntropyCurve:
     """Correlation entropies of the equilibrium state along a q-grid.
 
     The formula side is -T(q)/(q-1).  The direct side is
-    -(log S(n+1) - log S(n))/(q-1) for the cylinder-measure power sums S:
-    S(n) grows like a constant times exp(-(q-1) h_q n), and the
-    difference drops the constant that (1/n) log S(n) would carry as an
-    O(1/n) bias.  q = 1 is excluded from the grid; the limit there is
-    estimated from the formula side at 1 +/- LIMIT_OFFSET and reported
-    separately.  One Perron solve: an ``equilibrium_states`` stack over
-    the grid, the two points around 1 and q = 1 itself, whose last member
-    is the equilibrium state (its pressure, chain and entropy).
+    -log(rho_q)/(q-1) for the Perron root rho_q of the entrywise power
+    [P_ij^q] of the equilibrium chain (zero off its support), the growth
+    rate of the cylinder-measure power sums pi^q [P^q]^(n-d) 1; all rho_q
+    come from one stacked, Collatz-Wielandt certified
+    ``power_iteration``.  [P^q] is diagonally similar to the transfer
+    matrix of q * potential over lambda^q, so the sides agree when the
+    chain and the q-stack are both right.  q = 1 is excluded from the
+    grid; the limit there is estimated from the formula side at
+    1 +/- LIMIT_OFFSET.  One equilibrium solve: an ``equilibrium_states``
+    stack over the grid, the two points around 1 and q = 1 itself, whose
+    last member is the equilibrium state (its chain and entropy).
     """
     q_grid = np.asarray(sorted(float(q) for q in q_grid))
     if (q_grid == 1.0).any():
         raise ValueError("q = 1 is excluded from correlation grids")
-    if n < 10:
-        raise ValueError("n must be >= 10")
     q_all = np.append(q_grid, [1.0 + LIMIT_OFFSET, 1.0 - LIMIT_OFFSET, 1.0])
     states = equilibrium_states(system, potential, q_all)
     t = states.pressure - q_all * states.pressure[-1]
     formula = -t[:-3] / (q_grid - 1.0)
-    sums = _log_measure_power_sums(states.stationary[-1],
-                                   states.transitions[-1], states.state_depth,
-                                   q_grid, n)
-    direct = np.subtract(*sums) / (q_grid - 1.0)
+    P = states.transitions[-1]
+    with np.errstate(divide="ignore"):  # 0 ** q for q < 0, off the support
+        powers = np.where(P > 0, P ** q_grid[:, None, None], 0.0)
+    rho, _, _ = power_iteration(powers)
+    direct = -np.log(rho) / (q_grid - 1.0)
     limit = 0.5 * (-t[-3] / LIMIT_OFFSET + t[-2] / LIMIT_OFFSET)
     return CorrelationEntropyCurve(q_grid, formula, direct, limit,
                                    states.entropy[-1])

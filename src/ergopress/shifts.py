@@ -30,11 +30,9 @@ class ShiftSystem:
     """
 
     def __init__(self, adjacency):
-        A = np.asarray(adjacency, dtype=np.int64)
+        A = _zero_one(adjacency, "adjacency")
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError("adjacency must be a square matrix")
-        if not np.isin(A, (0, 1)).all():
-            raise ValueError("adjacency entries must be 0 or 1")
         k = A.shape[0]
         if k < 2:
             raise ValueError("invalid-system: alphabet size must be >= 2")
@@ -80,6 +78,15 @@ class ShiftSystem:
     def __repr__(self):
         return (f"ShiftSystem(k={self.alphabet_size}, "
                 f"irreducible={self.irreducible})")
+
+
+def _zero_one(entries, name: str) -> np.ndarray:
+    """The entries as an int64 array, checked to be 0 or 1 (booleans
+    included) before the cast, which would truncate a fraction."""
+    A = np.asarray(entries)
+    if not np.isin(A, (0, 1)).all():
+        raise ValueError(f"{name} entries must be 0 or 1")
+    return A.astype(np.int64)
 
 
 def strongly_connected(M):
@@ -212,8 +219,8 @@ class Potential:
 
     def __init__(self, system: ShiftSystem, depth: int,
                  table: Mapping[tuple, float]):
-        if depth < 1:
-            raise ValueError("potential depth must be >= 1")
+        if not float(depth).is_integer() or depth < 1:
+            raise ValueError("potential depth must be an integer >= 1")
         self.system = system
         self.depth = int(depth)
         keys = [tuple(map(int, key)) for key in table]
@@ -319,7 +326,7 @@ class SubsetSpec:
         if kind == self.WHOLE:
             pass
         elif kind == self.SUB_SFT:
-            B = np.asarray(sub_adjacency, dtype=np.int64)
+            B = _zero_one(sub_adjacency, "sub-adjacency")
             if B.shape != system.adjacency.shape:
                 raise ValueError("sub-adjacency shape mismatch")
             if (B > system.adjacency).any():

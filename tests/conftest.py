@@ -48,9 +48,10 @@ def random_potential(rng, system, depth):
 
 @pytest.fixture
 def perron_solves(monkeypatch):
-    """Counts calls of ``transfer.power_iteration`` (one per Perron solve);
-    read the count as ``len(perron_solves)``."""
-    from ergopress import transfer
+    """Counts calls of ``transfer.power_iteration`` (one per Perron solve),
+    also those ``multifractal`` makes through its own import of it; read
+    the count as ``len(perron_solves)``."""
+    from ergopress import multifractal, transfer
 
     calls = []
     original = transfer.power_iteration
@@ -59,5 +60,6 @@ def perron_solves(monkeypatch):
         calls.append(None)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(transfer, "power_iteration", counting)
+    for module in (transfer, multifractal):
+        monkeypatch.setattr(module, "power_iteration", counting)
     return calls

@@ -135,10 +135,10 @@ def test_07_legendre_duality(full2, phi_log2):
 
 def test_08_correlation_entropies(full2, phi_log2):
     started = time.perf_counter()
-    ce = correlation_entropy(full2, phi_log2, [0.5, 2.0, 3.0], 20)
+    ce = correlation_entropy(full2, phi_log2, [0.5, 2.0, 3.0])
     mismatch = ce.max_mismatch()
     h_top = -(-math.log(2))  # formula side at q=0 must equal entropy log 2
-    ce0 = correlation_entropy(full2, phi_log2, [0.0], 20)
+    ce0 = correlation_entropy(full2, phi_log2, [0.0])
     zero_err = abs(ce0.formula_values[0] - math.log(2))
     mu = equilibrium_markov(full2, phi_log2)
     limit_err = abs(ce.limit_at_one - mu.entropy)

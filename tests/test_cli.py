@@ -178,18 +178,19 @@ class TestTasks:
         assert values["bracket"] == list(direct.bracket)
 
     def test_correlation_task(self):
-        report = run(make_config("correlation", budget={"n": 14}))
+        report = run(make_config("correlation"))
         assert report.passed
         header, _ = report.results[0].tables["correlation"]
         assert header == ("q", "h_formula", "h_direct")
 
     def test_correlation_solves_perron_once(self, perron_solves):
         # one stack for the three formula points, the two around q = 1
-        # and q = 1 itself, whose member is the equilibrium state; the
-        # check reads the entropy off the curve
-        report = run(make_config("correlation", budget={"n": 14}))
+        # and q = 1 itself, whose member is the equilibrium state (the
+        # check reads the entropy off the curve), and one stack of the
+        # chain's entrywise powers for the direct side
+        report = run(make_config("correlation"))
         assert report.passed
-        assert len(perron_solves) == 1
+        assert len(perron_solves) == 2
 
     def test_vp_check_task(self):
         report = run(make_config("vp_check", budget={"samples": 25}))
@@ -211,15 +212,13 @@ class TestTasks:
 
     def test_gap_example_task(self):
         report = run(make_config("gap_example",
-                                 system={"kind": "line_doubling"},
-                                 potential={"kind": "named", "name": "arccot"}))
+                                 system={"kind": "line_doubling"}))
         assert report.passed
         assert report.results[0].values["gap"] == pytest.approx(math.pi / 2)
 
     def test_transfer_check_task(self):
         report = run(make_config("transfer_check",
-                                 system={"kind": "line_doubling"},
-                                 potential={"kind": "named", "name": "arccot"}))
+                                 system={"kind": "line_doubling"}))
         assert report.passed
 
     def test_near_pi_check_reports_the_farther_estimate(self, monkeypatch):
@@ -235,8 +234,7 @@ class TestTasks:
 
         monkeypatch.setattr(compactify, "circle_cover_pressure", line_off)
         report = run(make_config("transfer_check",
-                                 system={"kind": "line_doubling"},
-                                 potential={"kind": "named", "name": "arccot"}))
+                                 system={"kind": "line_doubling"}))
         result = report.results[0]
         check = next(c for c in result.checks
                      if c.name == "both estimates near pi")
@@ -368,7 +366,7 @@ class TestMainEntry:
          "budget.depths"),
         ("pressure", {"budget": {"n_max": 12, "tol": "x"}}, "budget.tol"),
         ("inverse-vp", {"budget": {"n": 3}}, "budget.n"),
-        ("correlation", {"budget": {"n": 2.5}}, "budget.n"),
+        ("inverse-vp", {"budget": {"n": 2.5}}, "budget.n"),
         ("gap-example", {"budget": {"arc_count": 7}}, "budget.arc_count"),
         ("transfer-check", {"budget": {"n_range": [40, 16]}},
          "budget.n_range"),
@@ -415,6 +413,24 @@ class TestMainEntry:
          "potential.valu"),
         ("pressure", {"subset": {"kind": "cylinders", "word": [[0]]}},
          "subset.word"),
+        # fractional 0/1 entries, which a cast to int would truncate
+        ("capacity", {"system": {"kind": "sft",
+                                 "adjacency": [[1, 0.5], [1, 1]]}},
+         "system.adjacency"),
+        ("pressure", {"subset": {"kind": "sub_sft",
+                                 "adjacency": [[1, 0.5], [1, 0.9]]}},
+         "subset.adjacency"),
+        # cylinders without their words
+        ("pressure", {"subset": {"kind": "cylinders"}}, "subset.words"),
+        # 10**301 grid points, counted before the grid is built
+        ("spectrum", {"budget": {"q_grid": {"lo": -5, "hi": 5,
+                                            "step": 1e-300}}},
+         "budget.q_grid"),
+        ("correlation", {"budget": {"q_grid": [2.0 + i / 1000
+                                               for i in range(2002)]}},
+         "budget.q_grid"),
+        ("pressure", {"potential": {"kind": "named"}},
+         "potential.kind"),
     ])
     def test_malformed_config_exits_two_naming_field(
             self, tmp_path, capsys, task, overrides, field):

@@ -37,6 +37,11 @@ class TestCover:
                         cover, 1) == pytest.approx(5.0)
         assert cover.diameter() == 0.125
 
+    def test_non_integral_depth_rejected(self, golden):
+        with pytest.raises(ValueError, match="an integer >= 1"):
+            Cover(golden, 1.5)
+        assert Cover(golden, 2.0).depth == 2
+
 
 class TestLambda:
     def test_full_shift_counts_strings(self, full2):

@@ -14,11 +14,11 @@ from ergopress import (
     legendre_check,
     local_entropy_check,
     log_lambda_n,
+    power_iteration,
     spectrum,
     t_curve,
     transfer_pressure,
 )
-from ergopress.multifractal import _log_measure_power_sums
 from ergopress.shifts import ShiftSystem
 
 Q_GRID = np.round(np.arange(-5.0, 5.0001, 0.05), 10)
@@ -185,39 +185,60 @@ class TestLegendre:
 
 class TestCorrelationEntropy:
     def test_bernoulli_q2_closed_form(self, full2, phi_log2):
-        ce = correlation_entropy(full2, phi_log2, [0.5, 2.0, 3.0], 20)
+        ce = correlation_entropy(full2, phi_log2, [0.5, 2.0, 3.0])
         i = list(ce.q_grid).index(2.0)
         assert ce.formula_values[i] == pytest.approx(math.log(9 / 5),
                                                      abs=1e-12)
         assert ce.direct_values[i] == pytest.approx(math.log(9 / 5), abs=1e-9)
 
     def test_formula_at_zero_is_entropy(self, full2, phi_log2):
-        ce = correlation_entropy(full2, phi_log2, [-1.0, 0.0, 2.0], 12)
+        ce = correlation_entropy(full2, phi_log2, [-1.0, 0.0, 2.0])
         i = list(ce.q_grid).index(0.0)
         assert ce.formula_values[i] == pytest.approx(math.log(2), abs=1e-12)
 
     def test_limit_at_one(self, full2, phi_log2):
-        ce = correlation_entropy(full2, phi_log2, [0.5, 2.0], 12)
+        ce = correlation_entropy(full2, phi_log2, [0.5, 2.0])
         mu = equilibrium_markov(full2, phi_log2)
         assert abs(ce.limit_at_one - mu.entropy) <= 1e-3
 
     def test_curve_carries_the_measure_entropy(self, golden):
         phi = Potential.depth_one(golden, [0.0, 1.0])
-        ce = correlation_entropy(golden, phi, [0.5, 2.0], 12)
+        ce = correlation_entropy(golden, phi, [0.5, 2.0])
         assert ce.entropy == equilibrium_markov(golden, phi).entropy
 
     def test_grid_excludes_one(self, full2, phi_log2):
         with pytest.raises(ValueError):
-            correlation_entropy(full2, phi_log2, [0.5, 1.0], 12)
+            correlation_entropy(full2, phi_log2, [0.5, 1.0])
 
     def test_direct_side_unbiased_on_a_markov_measure(self, golden):
-        # (1/n) log S(n) would miss by O(1/n), 2.5e-3 here; the
-        # differenced side converges geometrically, also at q <= 0, where
-        # forbidden transitions must stay forbidden
+        # the growth rate of S(n) carries no O(1/n) bias, also at q <= 0,
+        # where forbidden transitions must stay forbidden
         phi = Potential.depth_one(golden, [0.0, 1.0])
-        ce = correlation_entropy(golden, phi, [-2.0, -1.0, 0.0, 0.5, 2.0, 3.0],
-                                 100)
+        ce = correlation_entropy(golden, phi, [-2.0, -1.0, 0.0, 0.5, 2.0, 3.0])
         assert ce.max_mismatch() <= 1e-9
+
+    def test_slowly_mixing_power_chain(self):
+        # [P_ij^2] of this chain has |lambda_2| / lambda_1 >= 0.99, so the
+        # ratio S(n+1) / S(n) of the power sums has not settled at n = 200
+        # and misses by more than 1e-3; the Perron root has no such lag
+        system = ShiftSystem([[1, 1, 0], [1, 0, 1], [1, 1, 0]])
+        phi = Potential(system, 2, {(0, 0): -1.0, (0, 1): -0.8, (1, 0): 0.25,
+                                    (1, 2): -0.2, (2, 0): 0.5, (2, 1): 1.5})
+        grid = np.array([0.5, 2.0, 3.0])
+        ce = correlation_entropy(system, phi, grid)
+        assert ce.max_mismatch() <= 1e-9
+        mu = equilibrium_markov(system, phi)
+        P = mu.transitions
+        moduli = np.sort(np.abs(np.linalg.eigvals(P ** 2)))
+        assert moduli[-2] / moduli[-1] >= 0.99
+        finite_n = []
+        for q in grid:
+            power, v = P ** q, mu.stationary ** q
+            for _ in range(200 - mu.state_depth):  # S(200), normalized
+                v = v @ power
+                v /= v.sum()
+            finite_n.append(-math.log((v @ power).sum()) / (q - 1))
+        assert np.abs(finite_n - ce.formula_values).max() > 1e-3
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_stack_matches_per_q_reference(self, seed):
@@ -226,8 +247,9 @@ class TestCorrelationEntropy:
             rng, int(rng.integers(2, 6))))
         phi = random_potential(rng, system, int(rng.integers(1, 3)))
         grid = np.array([-2.0, -0.5, 0.5, 2.0, 3.0])
-        ce = correlation_entropy(system, phi, grid, 30)
+        ce = correlation_entropy(system, phi, grid)
         base = equilibrium_markov(system, phi)
+        P = base.transitions
 
         def t_of(q):
             return equilibrium_markov(system, phi.scaled(q)).pressure \
@@ -236,31 +258,50 @@ class TestCorrelationEntropy:
         np.testing.assert_allclose(
             ce.formula_values, [-t_of(q) / (q - 1) for q in grid],
             rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(
-            ce.direct_values,
-            [np.subtract(*_log_measure_power_sums(
-                base.stationary, base.transitions, base.state_depth, q, 30))
-             / (q - 1)
-             for q in grid], rtol=1e-12, atol=1e-12)
+        with np.errstate(divide="ignore"):
+            np.testing.assert_allclose(
+                ce.direct_values,
+                [-math.log(power_iteration(np.where(P > 0, P ** q, 0.0))[0])
+                 / (q - 1) for q in grid], rtol=1e-12, atol=1e-12)
         offset = 1e-3
         limit = 0.5 * (-t_of(1 + offset) + t_of(1 - offset)) / offset
         assert ce.limit_at_one == pytest.approx(limit, rel=1e-12, abs=1e-12)
 
     def test_power_sum_matches_enumeration(self, golden):
-        mu = equilibrium_markov(golden, Potential.zero(golden))
-        for q in (0.5, 2.0, 3.0):
+        # the enumerated sums are S(n) = pi^q A^(n-1) 1 = a rho^(n-1)
+        # + b lam^(n-1) for the eigenvalues rho > |lam| of the 2x2 matrix
+        # A = [P_ij^q], so S(n+1)/S(n) - rho = (b/a) theta^(n-1) (lam - rho)
+        # / (1 + (b/a) theta^(n-1)) with theta = lam / rho: once
+        # |b/a| |theta|^(n-1) <= 1/2 it is at most
+        # 2 |b/a| |theta|^(n-1) |rho - lam|
+        zero = Potential.zero(golden)
+        mu = equilibrium_markov(golden, zero)
+        grid = np.array([0.5, 2.0, 3.0])
+        ce = correlation_entropy(golden, zero, grid)
+        rhos = np.exp(-(grid - 1.0) * ce.direct_values)
+        P = mu.transitions
+        for q, rho in zip(grid, rhos):
+            values, right = np.linalg.eig(np.where(P > 0, P ** q, 0.0))
+            top = int(values.argmax())
+            lam = values[1 - top]
+            coef = (mu.stationary ** q @ right) \
+                * np.linalg.solve(right, np.ones(2))
+            assert values[top] == pytest.approx(rho, rel=1e-12)
             for n in (6, 10):
-                got = _log_measure_power_sums(mu.stationary, mu.transitions,
-                                              mu.state_depth, q, n)[0]
-                brute = oracles.measure_power_sum_brute(
+                brute = [oracles.measure_power_sum_brute(
                     golden.adjacency,
-                    lambda w: mu.log_masses(np.array([w]))[0], q, n)
-                assert got == pytest.approx(math.log(brute), abs=1e-10)
+                    lambda w: mu.log_masses(np.array([w]))[0], q, m)
+                    for m in (n, n + 1)]
+                decay = abs(coef[1 - top] / coef[top]) \
+                    * abs(lam / rho) ** (n - 1)
+                assert decay <= 0.5
+                assert abs(brute[1] / brute[0] - rho) \
+                    <= 2 * decay * abs(rho - lam)
 
     def test_continuity_on_fine_grid(self, full2, phi_log2):
         grid = np.round(np.concatenate([np.arange(-2, 0.999, 0.01),
                                         np.arange(1.01, 3.001, 0.01)]), 10)
-        ce = correlation_entropy(full2, phi_log2, grid, 12)
+        ce = correlation_entropy(full2, phi_log2, grid)
         q = ce.q_grid
         t = np.array([transfer_pressure(full2, phi_log2.scaled(x))
                       - x * math.log(3) for x in q])

@@ -85,6 +85,13 @@ class TestShiftSystem:
         with pytest.raises(ValueError):
             ShiftSystem([[1, 2], [1, 0]])
 
+    def test_fractional_entries_rejected_not_truncated(self):
+        with pytest.raises(ValueError, match="entries must be 0 or 1"):
+            ShiftSystem([[1, 0.5], [1, 1]])
+        booleans = ShiftSystem([[True, True], [True, False]])
+        assert booleans.adjacency.dtype == np.int64
+        assert booleans.adjacency.tolist() == [[1, 1], [1, 0]]
+
 
 def _words(system, n):
     return list(iter_admissible_tuples(system.adjacency, n))
@@ -259,6 +266,12 @@ class TestPotential:
         with pytest.raises(ValueError):
             Potential.depth_one(full2, [0.0, math.inf])
 
+    def test_non_integral_depth_rejected(self, full2):
+        table = {(0,): 0.0, (1,): 1.0}
+        with pytest.raises(ValueError, match="an integer >= 1"):
+            Potential(full2, 1.5, table)
+        assert Potential(full2, 1.0, table).depth == 1
+
     def test_sup_norm_and_distance(self, full2, phi_log2):
         zero = Potential.zero(full2)
         assert phi_log2.sup_minus(zero) == math.log(2)  # the sup norm
@@ -370,6 +383,12 @@ class TestSubsetSpec:
     def test_sub_sft_requires_dominated_matrix(self, golden):
         with pytest.raises(ValueError):
             SubsetSpec.sub_sft(golden, [[1, 1], [1, 1]])
+
+    def test_sub_sft_fractional_entries_rejected(self, full2):
+        with pytest.raises(ValueError, match="entries must be 0 or 1"):
+            SubsetSpec.sub_sft(full2, [[1, 0.5], [1, 0.9]])
+        spec = SubsetSpec.sub_sft(full2, [[True, True], [True, False]])
+        assert spec.sub_adjacency.tolist() == [[1, 1], [1, 0]]
 
     def test_fixed_point_meets(self, full2, phi_log2):
         spec = SubsetSpec.fixed_point(full2, 0)
