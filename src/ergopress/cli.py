@@ -243,7 +243,7 @@ class ExperimentConfig:
 
 def _finite(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool) \
-        and math.isfinite(value)
+        and abs(value) <= sys.float_info.max  # exact for ints of any size
 
 
 def _int_at_least(value, least: int) -> bool:

@@ -33,13 +33,13 @@ located by bisection, classifying each alpha by the least-squares slope
 of log(sum) against N over the top half of the N-window.  The weights
 come in stacks: one call runs the c-factor recursion for many exponents
 at once (a batched product per depth level) and reads the whole N-window
-from a cached stack of entry vectors, so bisection evaluates the
-2**ROUND_LEVELS - 1 points of ROUND_LEVELS steps per call and then
-follows its own path through them.  Lower/upper capacity pressures come
-from the successive differences of log(sum) against N (which converge
-to the same limit as (1/N) log(sum), but geometrically fast on these
-systems, instead of at rate 1/N).  One calculator per subset, potential
-and cover serves all of these sums (see ``_calculus``).
+from a cached stack of entry vectors, so each call weighs the bisection
+path predicted from the bracket's regula-falsi point.  Lower/upper
+capacity pressures come from the successive differences of log(sum)
+against N (which converge to the same limit as (1/N) log(sum), but
+geometrically fast on these systems, instead of at rate 1/N).  One
+calculator per subset, potential and cover serves all of these sums (see
+``_calculus``).
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ from .shifts import BlockGraph, Potential, ShiftSystem, SubsetSpec
 
 
 DEPTH_MARGIN = 8  # string lengths a bisection weight may add beyond N
-ROUND_LEVELS = 3  # bisection levels one stacked weight call evaluates
 
 
 class InconclusiveError(RuntimeError):
@@ -429,24 +428,28 @@ def capacity_pressures(subset: SubsetSpec, potential: Potential, cover: Cover,
     return lo, hi
 
 
-def _slope(ns, values) -> float:
-    """Least-squares slope of values against ns, in closed form."""
+def _centred(ns) -> tuple[np.ndarray, float]:
+    """x = ns less their mean, and x @ x: a slope is x @ values / (x @ x)."""
     x = np.asarray(ns, dtype=float)
     x = x - x.mean()
-    return float(x @ np.asarray(values, dtype=float) / (x @ x))
+    return x, x @ x
 
 
-def _dyadic(lo: float, hi: float, levels: int) -> list[float]:
-    """The midpoints that ``levels`` bisection steps from [lo, hi] can
-    visit, level by level, each computed as bisection computes it.  After
-    point i the path goes to point 2i + 1 if the bracket keeps its lower
-    half and to 2i + 2 if it keeps its upper half."""
-    points, brackets = [], [(lo, hi)]
-    for _ in range(levels):
-        mids = [0.5 * (a + b) for a, b in brackets]
-        points += mids
-        brackets = [half for (a, b), m in zip(brackets, mids)
-                    for half in ((a, m), (m, b))]
+def _slope(ns, values) -> float:
+    """Least-squares slope of values against ns, in closed form."""
+    x, xx = _centred(ns)
+    return float(x @ np.asarray(values, dtype=float) / xx)
+
+
+def _bisection_path(lo: float, hi: float, guess: float, tol: float,
+                    count: int) -> list[float]:
+    """The midpoints that up to ``count`` bisection steps from [lo, hi]
+    compute while wider than tol, each keeping the half holding ``guess``."""
+    points = []
+    while len(points) < count and hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        points.append(mid)
+        lo, hi = (mid, hi) if mid < guess else (lo, mid)
     return points
 
 
@@ -463,12 +466,13 @@ def critical_alpha(subset: SubsetSpec, potential: Potential, cover: Cover,
     deeper than the window's first N + DEPTH_MARGIN, so that every N
     reaches it and the caps move with N.
 
-    The bisection runs in rounds: one ``log_weights`` call evaluates every
-    point the next ROUND_LEVELS steps can visit (the first call also the
-    two bracket ends), and the steps then follow bisection's path through
-    them.  Only visited points are classified, enter the trace, count as
-    weak or raise for a vanished weight, so the value, bracket and
-    diagnostics are those of one classification per step.
+    Each ``log_weights`` call after the first (the two bracket ends)
+    weighs the path the remaining steps take if each keeps the half that
+    holds the bracket's regula-falsi point; a step reads its row there
+    when its midpoint is on the path, else predicts a new path.  A
+    stacked row is the one its exponent gets alone, and only visited
+    points are classified, traced, counted weak or raise, so value,
+    bracket and diagnostics are plain bisection's, bit for bit.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -488,25 +492,17 @@ def critical_alpha(subset: SubsetSpec, potential: Potential, cover: Cover,
     alpha_hi = max(gvals) + math.log(k) + 1.0
 
     trace = []
+    x, xx = _centred(top)
 
     def classify(alpha: float, logs: np.ndarray) -> float:
         if (logs == -math.inf).any():
             raise InconclusiveError("inconclusive-at-depth: covering "
                                     "weight vanished identically")
-        s = _slope(top, logs)
+        s = float(x @ logs / xx)
         trace.append((alpha, s))
         return s
 
-    def round_points() -> list[float]:
-        # no more levels than the steps left or the halvings to reach tol
-        levels = min(ROUND_LEVELS, steps - done,
-                     math.ceil(math.log2((alpha_hi - alpha_lo) / tol)))
-        return _dyadic(alpha_lo, alpha_hi, max(1, levels))
-
-    steps = math.ceil(math.log2((alpha_hi - alpha_lo) / tol)) + 1
-    done = node = 0
-    points = round_points()
-    logs, _, _ = calc.log_weights([alpha_lo, alpha_hi] + points, top, margin)
+    logs, _, _ = calc.log_weights([alpha_lo, alpha_hi], top, margin)
     slope_lo = classify(alpha_lo, logs[0])
     slope_hi = classify(alpha_hi, logs[1])
     if not (slope_lo > 0 > slope_hi):
@@ -514,21 +510,23 @@ def critical_alpha(subset: SubsetSpec, potential: Potential, cover: Cover,
             "inconclusive: growth classification is not monotone across "
             f"the initial bracket (slopes {slope_lo:.3g}, {slope_hi:.3g})")
     threshold = 1e-3 * max(1.0, abs(slope_lo), abs(slope_hi))
-    weak = 0
-    logs = logs[2:]
+    steps = math.ceil(math.log2((alpha_hi - alpha_lo) / tol)) + 1
+    weak = done = 0
+    rows = {}
     while done < steps and alpha_hi - alpha_lo > tol:
-        if node >= len(points):
-            points, node = round_points(), 0
-            logs, _, _ = calc.log_weights(points, top, margin)
-        mid = points[node]
-        s = classify(mid, logs[node])
+        mid = 0.5 * (alpha_lo + alpha_hi)
+        if mid not in rows:
+            root = alpha_lo + slope_lo * (alpha_hi - alpha_lo) \
+                / (slope_lo - slope_hi)
+            path = _bisection_path(alpha_lo, alpha_hi, root, tol, steps - done)
+            rows = dict(zip(path, calc.log_weights(path, top, margin)[0]))
+        s = classify(mid, rows[mid])
         done += 1
-        if abs(s) < threshold:
-            weak += 1
+        weak += abs(s) < threshold
         if s > 0:
-            alpha_lo, node = mid, 2 * node + 2
+            alpha_lo, slope_lo = mid, s
         else:
-            alpha_hi, node = mid, 2 * node + 1
+            alpha_hi, slope_hi = mid, s
     value = 0.5 * (alpha_lo + alpha_hi)
     diag = {
         "classification_threshold": threshold,

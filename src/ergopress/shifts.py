@@ -333,7 +333,9 @@ class SubsetSpec:
                 raise ValueError("sub-adjacency must be entrywise <= parent")
             self.sub_adjacency = _reduce_to_live(B)
         elif kind == self.CYLINDERS:
-            ws = [tuple(int(a) for a in w) for w in (words or [])]
+            if words is None:  # [] is the empty set
+                raise ValueError("cylinder union needs its words")
+            ws = [tuple(int(a) for a in w) for w in words]
             for w in ws:
                 if not system.is_admissible(w):
                     raise ValueError(f"cylinder word {w} not admissible in parent")

@@ -431,6 +431,13 @@ class TestMainEntry:
          "budget.q_grid"),
         ("pressure", {"potential": {"kind": "named"}},
          "potential.kind"),
+        # integers past the float range
+        ("pressure", {"budget": {"n_max": 12, "tol": 10 ** 400}},
+         "budget.tol"),
+        ("pressure", {"potential": {"kind": "constant", "value": 10 ** 400}},
+         "potential.value"),
+        ("spectrum", {"budget": {"q_grid": [0.0, 10 ** 400]}},
+         "budget.q_grid"),
     ])
     def test_malformed_config_exits_two_naming_field(
             self, tmp_path, capsys, task, overrides, field):

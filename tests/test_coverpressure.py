@@ -20,9 +20,9 @@ from ergopress import (
     transfer_pressure,
     weight_m,
 )
+from ergopress import coverpressure
 from ergopress.coverpressure import (
     DEPTH_MARGIN,
-    ROUND_LEVELS,
     InconclusiveError,
     _slope,
     _StringCalculus,
@@ -489,11 +489,26 @@ def _replay_systems(n_range):
             _random_subsets(rng, system, deep)
 
 
+def _count_weight_calls(monkeypatch) -> list:
+    """Wrap ``_StringCalculus.log_weights`` so that each call appends its
+    number of exponents to the returned list."""
+    calls = []
+    stacked = _StringCalculus.log_weights
+
+    def counted(self, alphas, ns, margin):
+        calls.append(len(alphas))
+        return stacked(self, alphas, ns, margin)
+
+    monkeypatch.setattr(_StringCalculus, "log_weights", counted)
+    return calls
+
+
 class TestCriticalAlpha:
-    def test_rounds_replay_plain_bisection_randomized(self):
+    def test_rounds_replay_plain_bisection_randomized(self, monkeypatch):
         n_range = (4, 8)
         tols = (1e-3, 3e-5, 1e-6)
-        visited, raised = [], []
+        visited, raised, path_calls = [], [], []
+        calls = _count_weight_calls(monkeypatch)
         for trial, _, pot, cover, subsets in _replay_systems(n_range):
             t = cover.depth
             for spec, _ in subsets:
@@ -505,19 +520,58 @@ class TestCriticalAlpha:
                                        match=str(err).split(" (")[0]):
                         critical_alpha(spec, pot, cover, tol, n_range)
                     continue
+                calls.clear()
                 est = critical_alpha(spec, pot, cover, tol, n_range)
                 value, bracket, trace, weak = want
                 assert est.value == value and est.bracket == bracket
                 assert est.diagnostics["trace"] == trace
                 assert est.diagnostics["weak_classifications"] == weak
                 visited.append(len(trace) - 2)
+                # the first call weighs the two bracket ends
+                path_calls.append(len(calls) - 1)
                 if spec.words:
                     raised.append(max(map(len, spec.words)) - t + 1
                                   > n_range[1] + DEPTH_MARGIN)
         assert len(visited) >= 25
         assert len(raised) >= 5 and any(raised)
-        # some runs end part-way through a round
-        assert any(count % ROUND_LEVELS for count in visited)
+        # some runs follow one predicted path to the end, and some leave
+        # their path at least once
+        assert 1 in path_calls and any(n > 1 for n in path_calls)
+
+    def test_wrong_predictions_replay_plain_bisection(self, monkeypatch):
+        # a path that keeps the wrong half at every level: the stack is
+        # left after its first point, so each step makes its own call
+        n_range = (4, 8)
+        calls = _count_weight_calls(monkeypatch)
+        path = coverpressure._bisection_path
+        cases = 0
+        for _, _, pot, cover, subsets in _replay_systems(n_range):
+            spec = subsets[0][0]
+            try:
+                want = _plain_bisection(spec, pot, cover, 1e-5, n_range)
+            except InconclusiveError:
+                continue
+            value, bracket, trace, weak = want
+            monkeypatch.setattr(
+                coverpressure, "_bisection_path",
+                lambda lo, hi, guess, tol, count:
+                    path(lo, hi, lo + hi - value, tol, count))
+            calls.clear()
+            est = critical_alpha(spec, pot, cover, 1e-5, n_range)
+            assert est.value == value and est.bracket == bracket
+            assert est.diagnostics["trace"] == trace
+            assert est.diagnostics["weak_classifications"] == weak
+            assert len(calls) == len(trace) - 1
+            cases += 1
+        assert cases >= 6
+
+    def test_weighted_full_shift_takes_few_calls(self, full2, phi_log2,
+                                                 monkeypatch):
+        calls = _count_weight_calls(monkeypatch)
+        est = critical_alpha(SubsetSpec.whole(full2), phi_log2,
+                             Cover(full2, 1), tol=1e-6)
+        assert len(est.diagnostics["trace"]) - 2 >= 20
+        assert len(calls) <= 3
 
     def test_deep_cylinder_unions_match_oracle(self):
         # a listed word deeper than N + DEPTH_MARGIN: with the cap pinned

@@ -424,3 +424,12 @@ class TestSubsetSpec:
     def test_empty_specs(self, full2):
         assert SubsetSpec.cylinders(full2, []).is_empty
         assert not SubsetSpec.whole(full2).is_empty
+
+    def test_missing_cylinder_words_rejected(self, full2):
+        # a missing list is an error, not the empty set
+        with pytest.raises(ValueError, match="words"):
+            SubsetSpec.cylinders(full2, None)
+
+    def test_explicit_empty_cylinder_list_is_empty_set(self, full2):
+        spec = SubsetSpec.cylinders(full2, [])
+        assert spec.is_empty and spec.words == ()
