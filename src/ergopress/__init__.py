@@ -21,7 +21,6 @@ from .coverpressure import (
     PressureEstimate,
     capacity_pressures,
     critical_alpha,
-    lambda_n,
     log_lambda_n,
     pressure_refined,
     weight_m,

@@ -21,25 +21,26 @@ Both computations run on a small state space (the trailing symbols a
 word needs to extend: max(t, potential depth) - 1 of them, at least 1),
 so costs are linear in the word length instead of exponential.  Each
 arc carries one window, the one a string-length step completes, and
-both sums step with it.  The word sums come from one forward sweep over
-word lengths, a log-space matrix-vector product per step, cached and
-extended on demand: every N reads the same sweep, so a whole N-window
-up to N_max costs O(N_max) steps rather than a fresh dynamic program
-per N.
+both sums step along the arcs with it, so a step costs one term per arc
+and no state-by-state matrix is built.  The word sums come from one
+forward sweep over word lengths, a log-space sum into each arc's target
+per step, cached and extended on demand: every N reads the same sweep,
+so a whole N-window up to N_max costs O(N_max) steps rather than a fresh
+dynamic program per N.
 
 The topological pressure of a subset is the critical alpha at which the
 variable-length sum switches from growing to vanishing with N; it is
 located by bisection, classifying each alpha by the least-squares slope
 of log(sum) against N over the top half of the N-window.  The weights
 come in stacks: one call runs the c-factor recursion for many exponents
-at once (a batched product per depth level) and reads the whole N-window
-from a cached stack of entry vectors, so each call weighs the bisection
-path predicted from the bracket's regula-falsi point.  Lower/upper
-capacity pressures come from the successive differences of log(sum)
-against N (which converge to the same limit as (1/N) log(sum), but
-geometrically fast on these systems, instead of at rate 1/N).  One
-calculator per subset, potential and cover serves all of these sums (see
-``_calculus``).
+at once (one sum over the arcs of all exponents per depth level) and
+reads the whole N-window from a cached stack of entry vectors, so each
+call weighs the bisection path predicted from the bracket's regula-falsi
+point.  Lower/upper capacity pressures come from the successive
+differences of log(sum) against N (which converge to the same limit as
+(1/N) log(sum), but geometrically fast on these systems, instead of at
+rate 1/N).  One calculator per subset, potential and cover serves all of
+these sums (see ``_calculus``).
 """
 
 from __future__ import annotations
@@ -91,11 +92,6 @@ class PressureEstimate:
         return bool(self.diagnostics.get("degenerate", False))
 
 
-def _log_matvec(logv: np.ndarray, logm: np.ndarray) -> np.ndarray:
-    """log(exp(logv) @ exp(logm)), computed in log space."""
-    return np.logaddexp.reduce(logv[:, None] + logm, axis=0)
-
-
 class _StringCalculus:
     """Shared state-space machinery for both covering sums.
 
@@ -104,9 +100,9 @@ class _StringCalculus:
     Each arc carries one window: ``v_string[e]`` is the window that one
     string-length step completes along arc e of ``graph.arcs``, the one
     at position len - t of the word the step grows to.  Both covering
-    sums step with it, the sweep through the dense log matrix
-    ``v_dense`` (``v_string`` on the arcs, -inf elsewhere) and the
-    c-factor recursion through its exponentials.
+    sums step along the arcs with it, the sweep adding ``v_string`` in
+    log space into each arc's target, and the c-factor recursion summing
+    its exponentials over each state's out-arcs (``out_starts``).
     """
 
     def __init__(self, subset: SubsetSpec, potential: Potential, cover: Cover):
@@ -130,11 +126,14 @@ class _StringCalculus:
         self.graph = BlockGraph(working, sd)
         st = self.graph.words
         n = len(st)
-        src, dst, arc_words = self.graph.arcs
+        src, _, arc_words = self.graph.arcs
         lo = sd + 1 - t
         self.v_string = potential.values(arc_words[:, lo:lo + r])
-        self.v_dense = np.full((n, n), -np.inf)
-        self.v_dense[src, dst] = self.v_string
+        # arcs are sorted by source: state i's out-arcs start at
+        # out_starts[i].  The reduceat in ``_cfactors`` needs every state
+        # to have one, and it does: block graphs grow only symbols with a
+        # successor, and ``SubsetSpec`` reduces sub-SFTs to those.
+        self.out_starts = np.searchsorted(src, np.arange(n))
 
         # seed words: the states themselves, or the listed cylinder words
         # (those shorter than a state extended to every state below them)
@@ -171,12 +170,14 @@ class _StringCalculus:
 
     def _sweep(self, length: int) -> np.ndarray:
         """Per-state log-sums of the seed words of length <= ``length``,
-        grown to that length through ``v_dense``, each word with its
-        windows 0..length - t.  One forward sweep, cached and extended on
-        demand, serves every N."""
+        grown to that length along the arcs (in-arcs folded in source
+        order), each word with its windows 0..length - t.  One forward
+        sweep, cached and extended on demand, serves every N."""
         forward = self._forward
+        src, dst, _ = self.graph.arcs
         while self.sdepth + len(forward) <= length:
-            grown = _log_matvec(forward[-1], self.v_dense)
+            grown = np.full(len(self.graph.words), -np.inf)
+            np.logaddexp.at(grown, dst, forward[-1][src] + self.v_string)
             seeds = self._seeds.get(self.sdepth + len(forward))
             forward.append(grown if seeds is None
                            else np.logaddexp(grown, seeds))
@@ -210,10 +211,8 @@ class _StringCalculus:
         if self.empty:
             return -math.inf
         logW, _, root_logs = self._entry_logs(N)
-        parts = np.concatenate([logW, root_logs])
-        if not parts.size:
-            return -math.inf
-        return float(np.logaddexp.reduce(parts))
+        return float(np.logaddexp.reduce(np.concatenate([logW, root_logs]),
+                                         initial=-math.inf))
 
     # -- variable-length covering infimum ------------------------------------
 
@@ -225,13 +224,12 @@ class _StringCalculus:
         Returns cg of shape (depth + 1, 2, alphas, states): the costs c =
         cg[:, 0] and the capped parts g = cg[:, 1], with c[0] = g[0] = 1
         and, for d >= 1, c[d] = min(1, R c[d-1]) and g[d] = R g[d-1] where
-        R c[d-1] < 1, else 0.  R is exp(v_string - alpha) on the arcs and
-        0 elsewhere; only the arcs are exponentiated.  Each depth level is
-        one batched product over all exponents, made of the matrix-vector
-        products a single exponent would make.  Raises InconclusiveError
-        when R overflows, naming the least exponent at which it does.
+        R c[d-1] < 1, else 0.  (R x)[i] sums exp(v_string - alpha) x[dst]
+        over the out-arcs of state i.  Each depth level is one sum over the
+        arcs of all exponents, in which each exponent's row is the one it
+        gets alone.  Raises InconclusiveError when R overflows, naming the
+        least exponent at which it does.
         """
-        n = len(self.graph.words)
         arc_rates = self.v_string - alphas[:, None]
         with np.errstate(over="ignore"):
             np.exp(arc_rates, out=arc_rates)
@@ -241,12 +239,11 @@ class _StringCalculus:
                 f"inconclusive: exp(window - alpha) overflows at alpha "
                 f"{float(alphas[over].min()):.6g}, windows up to "
                 f"{self.v_string.max():.6g}")
-        src, dst, _ = self.graph.arcs
-        rates = np.zeros((len(alphas), n, n))
-        rates[:, src, dst] = arc_rates
-        cg = np.ones((depth + 1, 2, len(alphas), n))
+        _, dst, _ = self.graph.arcs
+        cg = np.ones((depth + 1, 2, len(alphas), len(self.graph.words)))
         for d in range(1, depth + 1):
-            np.matmul(rates, cg[d - 1, ..., None], out=cg[d, ..., None])
+            np.add.reduceat(arc_rates * cg[d - 1][..., dst], self.out_starts,
+                            axis=-1, out=cg[d])
             total, capped = cg[d]
             np.multiply(capped, total < 1.0, out=capped)
             np.minimum(total, 1.0, out=total)
@@ -366,15 +363,6 @@ def log_lambda_n(subset: SubsetSpec, potential: Potential, cover: Cover,
                  N: int) -> float:
     """log of the minimal fixed-length covering sum (see module docstring)."""
     return _calculus(subset, potential, cover).log_lambda(N)
-
-
-def lambda_n(subset: SubsetSpec, potential: Potential, cover: Cover,
-             N: int) -> float:
-    """Minimal covering sum over strings of length exactly N.
-
-    Monotone under shrinking the subset; 0 for an empty subset.
-    """
-    return math.exp(log_lambda_n(subset, potential, cover, N))
 
 
 def weight_m(subset: SubsetSpec, alpha: float, potential: Potential,

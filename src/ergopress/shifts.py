@@ -14,6 +14,7 @@ have exact suprema (plain window sums once the word is long enough).
 
 from __future__ import annotations
 
+import contextlib
 from functools import cached_property
 from typing import Iterable, Mapping
 
@@ -87,6 +88,17 @@ def _zero_one(entries, name: str) -> np.ndarray:
     if not np.isin(A, (0, 1)).all():
         raise ValueError(f"{name} entries must be 0 or 1")
     return A.astype(np.int64)
+
+
+def _symbols(word) -> tuple:
+    """A word's symbols as ints, refused unless each equals its cast,
+    which would truncate a fraction, parse a string or overflow on inf."""
+    word = tuple(word)
+    with contextlib.suppress(OverflowError):
+        ints = tuple(map(int, word))
+        if ints == word:
+            return ints
+    raise ValueError(f"cylinder word {list(word)} must hold integer symbols")
 
 
 def strongly_connected(M):
@@ -335,7 +347,7 @@ class SubsetSpec:
         elif kind == self.CYLINDERS:
             if words is None:  # [] is the empty set
                 raise ValueError("cylinder union needs its words")
-            ws = [tuple(int(a) for a in w) for w in words]
+            ws = [_symbols(w) for w in words]
             for w in ws:
                 if not system.is_admissible(w):
                     raise ValueError(f"cylinder word {w} not admissible in parent")

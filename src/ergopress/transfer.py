@@ -595,8 +595,7 @@ def inverse_vp_probe(system: ShiftSystem, potential: Potential,
     per_state = np.full(len(words), -np.inf)
     np.logaddexp.at(per_state, state[keep], logs[keep])
     # the last windows run past the word into every admissible tail
-    step = np.full((len(words),) * 2, -np.inf)
-    step[src, dst] = val
     for _ in range(n + r - 1 - max(sd, n)):
-        per_state = np.logaddexp.reduce(per_state[:, None] + step, axis=0)
+        prev, per_state = per_state, np.full(len(words), -np.inf)
+        np.logaddexp.at(per_state, dst, prev[src] + val)
     return float(np.logaddexp.reduce(per_state)) / n

@@ -438,6 +438,14 @@ class TestMainEntry:
          "potential.value"),
         ("spectrum", {"budget": {"q_grid": [0.0, 10 ** 400]}},
          "budget.q_grid"),
+        # cylinder symbols that a cast to int would truncate or parse
+        ("pressure", {"subset": {"kind": "cylinders", "words": [[0.5, 1.9]]}},
+         "subset.words"),
+        ("pressure", {"subset": {"kind": "cylinders", "words": [["1", True]]}},
+         "subset.words"),
+        # JSON's Infinity, on which the cast overflows
+        ("pressure", {"subset": {"kind": "cylinders",
+                                 "words": [[float("inf")]]}}, "subset.words"),
     ])
     def test_malformed_config_exits_two_naming_field(
             self, tmp_path, capsys, task, overrides, field):

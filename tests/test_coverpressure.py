@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from ergopress import (
     SubsetSpec,
     capacity_pressures,
     critical_alpha,
-    lambda_n,
+    log_lambda_n,
     make_full_shift,
     pressure_refined,
     transfer_pressure,
@@ -33,8 +34,9 @@ class TestCover:
     def test_elements_partition(self, golden):
         cover = Cover(golden, 3)
         # one length-1 string per element: the 5 admissible 3-words
-        assert lambda_n(SubsetSpec.whole(golden), Potential.zero(golden),
-                        cover, 1) == pytest.approx(5.0)
+        assert math.exp(log_lambda_n(SubsetSpec.whole(golden),
+                                     Potential.zero(golden), cover, 1)) \
+            == pytest.approx(5.0)
         assert cover.diameter() == 0.125
 
     def test_non_integral_depth_rejected(self, golden):
@@ -46,19 +48,22 @@ class TestCover:
 class TestLambda:
     def test_full_shift_counts_strings(self, full2):
         zero = Potential.zero(full2)
-        assert lambda_n(SubsetSpec.whole(full2), zero, Cover(full2, 1), 5) \
+        assert math.exp(log_lambda_n(SubsetSpec.whole(full2), zero,
+                                     Cover(full2, 1), 5)) \
             == pytest.approx(32.0)
 
     def test_golden_mean_fibonacci(self, golden):
         zero = Potential.zero(golden)
-        value = lambda_n(SubsetSpec.whole(golden), zero, Cover(golden, 1), 5)
+        value = math.exp(log_lambda_n(SubsetSpec.whole(golden), zero,
+                                      Cover(golden, 1), 5))
         brute = oracles.lambda_brute(golden.adjacency, zero.table, 1, 1, 5,
                                      "whole")
         assert value == pytest.approx(brute)
         assert value == pytest.approx(13.0)
 
     def test_weighted_sum(self, full2, phi_log2):
-        value = lambda_n(SubsetSpec.whole(full2), phi_log2, Cover(full2, 1), 3)
+        value = math.exp(log_lambda_n(SubsetSpec.whole(full2), phi_log2,
+                                      Cover(full2, 1), 3))
         brute = oracles.lambda_brute(full2.adjacency, phi_log2.table, 1, 1, 3,
                                      "whole")
         assert value == pytest.approx(brute)
@@ -67,14 +72,16 @@ class TestLambda:
     def test_empty_subset_gives_zero(self, full2):
         zero = Potential.zero(full2)
         empty = SubsetSpec.cylinders(full2, [])
-        assert lambda_n(empty, zero, Cover(full2, 1), 4) == 0.0
+        assert math.exp(log_lambda_n(empty, zero, Cover(full2, 1), 4)) == 0.0
 
     def test_monotone_under_subset_shrink(self, full2, phi_log2):
         cover = Cover(full2, 1)
-        big = lambda_n(SubsetSpec.whole(full2), phi_log2, cover, 5)
-        mid = lambda_n(SubsetSpec.cylinders(full2, [(0,)]), phi_log2, cover, 5)
-        small = lambda_n(SubsetSpec.cylinders(full2, [(0, 0)]), phi_log2,
-                         cover, 5)
+        big = math.exp(log_lambda_n(SubsetSpec.whole(full2), phi_log2, cover,
+                                    5))
+        mid = math.exp(log_lambda_n(SubsetSpec.cylinders(full2, [(0,)]),
+                                    phi_log2, cover, 5))
+        small = math.exp(log_lambda_n(SubsetSpec.cylinders(full2, [(0, 0)]),
+                                      phi_log2, cover, 5))
         assert small <= mid <= big
 
     def test_matches_brute_force_randomized(self):
@@ -104,7 +111,7 @@ class TestLambda:
                             dict(subset_kind="cylinders",
                                  cylinder_words=chosen)))
             for spec, kw in subsets:
-                got = lambda_n(spec, pot, cover, N)
+                got = math.exp(log_lambda_n(spec, pot, cover, N))
                 brute = oracles.lambda_brute(system.adjacency, pot.table,
                                              depth, t, N, **kw)
                 assert got == pytest.approx(brute, rel=1e-10, abs=1e-12)
@@ -114,7 +121,7 @@ class TestLambda:
         words = [(0, 1, 1, 0, 1), (0, 1, 1, 0, 0), (1, 0)]
         spec = SubsetSpec.cylinders(full2, words)
         for N in (2, 3, 4):
-            got = lambda_n(spec, phi_log2, Cover(full2, 1), N)
+            got = math.exp(log_lambda_n(spec, phi_log2, Cover(full2, 1), N))
             brute = oracles.lambda_brute(full2.adjacency, phi_log2.table, 1,
                                          1, N, "cylinders",
                                          cylinder_words=words)
@@ -124,7 +131,7 @@ class TestLambda:
         pot = Potential(full2, 2, {(a, b): 0.0
                                    for a in range(2) for b in range(2)})
         with pytest.raises(ValueError):
-            lambda_n(SubsetSpec.whole(full2), pot, Cover(full2, 1), 3)
+            log_lambda_n(SubsetSpec.whole(full2), pot, Cover(full2, 1), 3)
 
 
 class TestCapacity:
@@ -647,7 +654,7 @@ class TestCriticalAlpha:
         with pytest.raises(ValueError):
             weight_m(whole, 1.0, zero, Cover(full2, 1), 4, depth_cap=3)
         with pytest.raises(ValueError):
-            lambda_n(whole, zero, Cover(full2, 1), 0)
+            log_lambda_n(whole, zero, Cover(full2, 1), 0)
 
     def test_slope_is_least_squares(self):
         rng = np.random.default_rng(21)
@@ -665,6 +672,49 @@ class TestCriticalAlpha:
         with pytest.raises(InconclusiveError, match="alpha -1.69315"):
             critical_alpha(SubsetSpec.whole(full2), phi, Cover(full2, 1),
                            tol=1e-4)
+
+
+class TestManyBlockStates:
+    """The cover route steps along the arcs of its block graph, so a deep
+    cover costs time and memory per arc, not per pair of states."""
+
+    @staticmethod
+    def _depth_two():
+        rng = np.random.default_rng(5)
+        words = [(0, 0), (0, 1), (1, 0), (1, 1)]
+        return {w: float(v) for w, v in zip(words, rng.normal(size=4))}
+
+    def test_depth_13_cover_matches_two_state_oracles(self, full2, golden):
+        # 4,096 block states; the oracles run on 2 states
+        table = self._depth_two()
+        pot = Potential(full2, 2, table)
+        cover, tol = Cover(full2, 13), 1e-6
+        assert len(_StringCalculus(SubsetSpec.whole(full2), pot,
+                                   cover).graph.words) == 4096
+        oracle = transfer_pressure(full2, pot)
+        for spec in (SubsetSpec.whole(full2),
+                     SubsetSpec.cylinders(full2, [(0, 1, 1), (1, 0)])):
+            est = critical_alpha(spec, pot, cover, tol)
+            assert abs(est.value - oracle) <= 2 * tol
+        sub = SubsetSpec.sub_sft(full2, golden.adjacency)
+        golden_pot = Potential(golden, 2, {w: v for w, v in table.items()
+                                           if w != (1, 1)})
+        est = critical_alpha(sub, pot, cover, tol)
+        assert abs(est.value - transfer_pressure(golden, golden_pot)) \
+            <= 2 * tol
+
+    def test_memory_follows_the_arcs(self, full2):
+        # 1,024 block states and a stacked bisection path; a dense
+        # (exponents, states, states) rate stack alone takes 196 MiB here
+        pot = Potential(full2, 2, self._depth_two())
+        tracemalloc.start()
+        try:
+            critical_alpha(SubsetSpec.whole(full2), pot, Cover(full2, 11),
+                           1e-6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
 
 
 class TestPressureRefined:

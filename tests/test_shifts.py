@@ -12,7 +12,7 @@ from ergopress import (
     Potential,
     ShiftSystem,
     SubsetSpec,
-    lambda_n,
+    log_lambda_n,
     make_full_shift,
 )
 from ergopress.shifts import (
@@ -377,8 +377,8 @@ class TestSubsetSpec:
                 brute = oracles.lambda_brute(golden.adjacency, pot.table, 1, t,
                                              N, "cylinders",
                                              cylinder_words=words)
-                assert lambda_n(spec, pot, Cover(golden, t), N) == \
-                    pytest.approx(brute, rel=1e-10)
+                got = math.exp(log_lambda_n(spec, pot, Cover(golden, t), N))
+                assert got == pytest.approx(brute, rel=1e-10)
 
     def test_sub_sft_requires_dominated_matrix(self, golden):
         with pytest.raises(ValueError):
@@ -395,7 +395,7 @@ class TestSubsetSpec:
         np.testing.assert_array_equal(spec.sub_adjacency, [[1, 0], [0, 0]])
         zero = Potential.zero(full2)
         for N in range(1, 5):  # only 0^N meets the fixed point
-            assert lambda_n(spec, zero, Cover(full2, 1), N) == \
+            assert math.exp(log_lambda_n(spec, zero, Cover(full2, 1), N)) == \
                 pytest.approx(1.0)
         self._check_lambda(spec, phi_log2, [[1, 0], [0, 0]])
 
@@ -406,7 +406,7 @@ class TestSubsetSpec:
         np.testing.assert_array_equal(spec.sub_adjacency, sub)
         zero = Potential.zero(full2)
         for N in range(2, 6):  # 1^N and 0 1^(N-1)
-            assert lambda_n(spec, zero, Cover(full2, 1), N) == \
+            assert math.exp(log_lambda_n(spec, zero, Cover(full2, 1), N)) == \
                 pytest.approx(2.0)
         self._check_lambda(spec, phi_log2, sub)
 
@@ -418,8 +418,8 @@ class TestSubsetSpec:
                 brute = oracles.lambda_brute(system.adjacency, pot.table,
                                              pot.depth, t, N, "sub_sft",
                                              sub_adjacency=sub)
-                assert lambda_n(spec, pot, Cover(system, t), N) == \
-                    pytest.approx(brute, rel=1e-10)
+                got = math.exp(log_lambda_n(spec, pot, Cover(system, t), N))
+                assert got == pytest.approx(brute, rel=1e-10)
 
     def test_empty_specs(self, full2):
         assert SubsetSpec.cylinders(full2, []).is_empty
@@ -429,6 +429,15 @@ class TestSubsetSpec:
         # a missing list is an error, not the empty set
         with pytest.raises(ValueError, match="words"):
             SubsetSpec.cylinders(full2, None)
+
+    def test_non_integer_cylinder_symbols_rejected(self, full2):
+        # a cast to int would run these as the cylinders (0, 1) and (1, 1)
+        for word in ([0.5, 1.9], ["1", True], [float("inf")]):
+            with pytest.raises(ValueError, match="integer symbols"):
+                SubsetSpec.cylinders(full2, [word])
+        spec = SubsetSpec.cylinders(full2, [[np.int64(0), 1.0, True]])
+        assert spec.words == ((0, 1, 1),)
+        assert all(type(a) is int for a in spec.words[0])
 
     def test_explicit_empty_cylinder_list_is_empty_set(self, full2):
         spec = SubsetSpec.cylinders(full2, [])
