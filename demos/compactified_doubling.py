@@ -14,7 +14,6 @@ import math
 from ergopress import (
     arccot_potential_line,
     circle_cover_pressure,
-    compactification_transfer_check,
     gap_example,
     invariant_measures,
     LineDoublingModel,
@@ -46,14 +45,14 @@ def main():
 
     print("\nCover transfer: line-admissible covers (arcs plus one tail")
     print("element with compact complement) against plain circle covers:")
-    line_est, circle_est = compactification_transfer_check(
+    line_est, circle_est = circle_cover_pressure(
         model, arc_count=64, n_range=(16, 40))
     print(f"  line cover estimate   : {line_est.value:.9f}")
     print(f"  circle cover estimate : {circle_est.value:.9f}")
     print(f"  reference pi          : {math.pi:.9f}")
 
-    origin = circle_cover_pressure(model, arc_count=64, n_range=(16, 40),
-                                   subset_angle=0.0)
+    _, origin = circle_cover_pressure(model, arc_count=64, n_range=(16, 40),
+                                      subset_angle=0.0)
     print(f"\nPressure of the single orbit at the origin: "
           f"{origin.value:.6f} (= phi(0) = pi/2 = {math.pi / 2:.6f})")
 

@@ -59,7 +59,6 @@ from .compactify import (
     LineDoublingModel,
     arccot_potential_line,
     circle_cover_pressure,
-    compactification_transfer_check,
     gap_example,
     invariant_measures,
 )

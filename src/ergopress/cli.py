@@ -463,11 +463,10 @@ def _task_gap_example(cfg: ExperimentConfig) -> TaskResult:
 
 
 def _task_transfer_check(cfg: ExperimentConfig) -> TaskResult:
-    model = compactify.LineDoublingModel()
-    arc_count = cfg.budget.get("arc_count", 64)
-    n_range = tuple(cfg.budget.get("n_range", (16, 40)))
-    line_est, circle_est = compactify.compactification_transfer_check(
-        model, arc_count=arc_count, n_range=n_range)
+    line_est, circle_est = compactify.circle_cover_pressure(
+        compactify.LineDoublingModel(),
+        arc_count=cfg.budget.get("arc_count", 64),
+        n_range=tuple(cfg.budget.get("n_range", (16, 40))))
     combined = 2 * max(line_est.bracket[1] - line_est.bracket[0],
                        circle_est.bracket[1] - circle_est.bracket[0], 1e-3)
     values = {"line": line_est.value, "circle": circle_est.value}

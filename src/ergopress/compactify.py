@@ -23,10 +23,10 @@ string of arcs has as domain an arc of the joint pullback partition,
 so the minimal covering sum is a sum over partition cells of
 exp(sup of the Birkhoff sum), with suprema evaluated at cell endpoints
 (each Birkhoff term is monotone inside a cell away from the poles) and
-pinned to N * phi(pole) on the cell containing a fixed pole.  Two cover
-styles are available: plain equal arcs of the circle, and covers
-admissible for the line, whose elements away from infinity have compact
-closure while a single merged tail element has compact complement.
+pinned to N * phi(pole) on the cell containing a fixed pole.  One sweep
+gives both cover styles: equal arcs of the circle, and covers admissible
+for the line, whose elements away from infinity have compact closure
+while one merged tail element has compact complement.
 """
 
 from __future__ import annotations
@@ -107,16 +107,16 @@ def _wrap(theta):
 
 def circle_cover_pressure(model: LineDoublingModel, phi=None,
                           arc_count: int = 64, n_range: tuple = (16, 40),
-                          style: str = "circle",
-                          subset_angle: float | None = None) -> PressureEstimate:
-    """Capacity-style pressure estimate from arc covers of the circle.
+                          subset_angle: float | None = None) -> tuple:
+    """Pressure estimates (line, circle) from two arc covers of the circle.
 
-    ``style`` selects the cover: "circle" uses ``arc_count`` equal arcs;
-    "line" merges the two arcs around the pole into a single tail element
-    (compact complement), making the cover admissible for the line, and
-    leaves the other elements with compact closure.  ``subset_angle``
-    restricts the covering sum to the strings whose domain contains that
-    angle.  The estimate is the least-squares slope of the log covering
+    The circle cover is ``arc_count`` equal arcs; the line cover merges the
+    two around the pole into one tail element (compact complement), which
+    makes it admissible for the line.  Every pullback of the pole is the
+    pole, so the line partition is the circle one less its point -pi, and
+    one sweep of pullbacks and orbits serves both.  ``subset_angle``
+    restricts the covering sums to the strings whose domain contains that
+    angle.  Each estimate is the least-squares slope of its log covering
     sum against the string length over the top half of ``n_range``.
     """
     if arc_count < 8 or arc_count % 2:
@@ -124,36 +124,39 @@ def circle_cover_pressure(model: LineDoublingModel, phi=None,
     n_lo, n_hi = n_range
     if not (2 <= n_lo and n_lo + 2 <= n_hi):
         raise ValueError("invalid-budget: need 2 <= n_lo and n_lo + 2 <= n_hi")
-    if style not in ("circle", "line"):
-        raise ValueError(f"unknown cover style {style!r}")
     phi = model.phi_angle if phi is None else phi
-    width = 2 * PI / arc_count
-    grid = -PI + width * np.arange(arc_count)
-    if style == "line":
-        # the pole stops being a cover boundary: the two arcs adjacent to
-        # it merge into one admissible tail element
-        grid = grid[1:]
-
+    grid = -PI + 2 * PI / arc_count * np.arange(arc_count)
     phi_pole = float(np.asarray(phi(PI)).reshape(-1)[0])
 
     # partition points of every level at once: a point joins the partition
     # for N at the first level (pullback step) it appears, and the
-    # partition for N is P[level < N], in sorted order
+    # partition for N is P[level < N], in sorted order; P[0] = -pi
     points = [grid]
     for _ in range(n_hi - 1):
         points.append(model.inverse_angle(points[-1]))
     P, first = np.unique(_wrap(np.concatenate(points)), return_index=True)
-    level = first // len(grid)
-    if subset_angle is not None:  # the number of points up to the angle
+    level = first // arc_count
+    if subset_angle is not None:
+        # N reads one cell, whose ends are the nearest points of level < N
+        # either side of the angle (the level records scanning outward from
+        # it) or the ends of the cells at the pole: follow only those
         upto = np.searchsorted(P, _wrap(np.array([subset_angle]))[0], "right")
+        ends = [0, 1, len(P) - 1]
+        for side in (np.arange(upto - 1, -1, -1), np.arange(upto, len(P))):
+            records = np.diff(np.minimum.accumulate(level[side]), prepend=n_hi)
+            ends.extend(side[records < 0])
+        keep = np.unique(ends)
+        P, level, upto = P[keep], level[keep], np.searchsorted(keep, upto)
 
+    loglam = {"line": {}, "circle": {}}
     if phi is zero_potential_angle and subset_angle is None:
-        # every partition cell counts once, and N has those of level < N
+        # every partition cell counts once, and N has those of level < N;
+        # the line partition lacks the pole
         counts = np.cumsum(np.bincount(level, minlength=n_hi))
-        loglam = {N: math.log(counts[N - 1])
-                  for N in range(n_lo - 1, n_hi + 1)}
+        for N in range(n_lo - 1, n_hi + 1):
+            loglam["line"][N] = math.log(counts[N - 1] - 1)
+            loglam["circle"][N] = math.log(counts[N - 1])
     else:
-        loglam = {}
         sums = np.zeros(len(P))
         for N, th in enumerate(model.orbit(P, n_hi), start=1):
             sums += phi(th)
@@ -161,34 +164,31 @@ def circle_cover_pressure(model: LineDoublingModel, phi=None,
                 continue
             part = level < N
             left = sums[part]
-            # the cell wrapping past the last point contains the pole (or
-            # ends at it): its supremum is the full orbit sum at the pole
             sup = np.empty_like(left)
             np.maximum(left[:-1], left[1:], out=sup[:-1])
-            sup[-1] = max(left[-1], left[0], N * phi_pole)
-            if subset_angle is not None:  # the one cell holding the angle
-                sup = sup[[(np.count_nonzero(part[:upto]) - 1) % len(sup)]]
-            m = sup.max()
-            loglam[N] = float(m + np.log(np.exp(sup - m).sum()))
+            # the last cell wraps past the last point to (or over) the pole,
+            # so its supremum is the orbit sum at the pole; the line's cells
+            # start at left[1], as without -pi the two cells there merge
+            for cover, start in (("line", 1), ("circle", 0)):
+                sup[-1] = max(left[-1], left[start], N * phi_pole)
+                s = sup[start:]
+                if subset_angle is not None:  # the one cell holding the angle
+                    cell = np.count_nonzero(part[:upto]) - start - 1
+                    s = s[[cell % len(s)]]
+                m = s.max()
+                loglam[cover][N] = float(m + np.log(np.exp(s - m).sum()))
     ns = list(range(n_lo, n_hi + 1))
-    slopes = {N: loglam[N] - loglam[N - 1] for N in ns}
-    rows = [(N, loglam[N], slopes[N]) for N in ns]
     top = ns[len(ns) // 2:]
-    value = _slope(top, [loglam[N] for N in top])
-    diag = {"rows": rows, "style": style, "arc_count": arc_count}
-    top_slopes = [slopes[N] for N in top]
-    return PressureEstimate(value, (n_lo, n_hi),
-                            (min(top_slopes), max(top_slopes)), diag)
-
-
-def compactification_transfer_check(model: LineDoublingModel, phi=None,
-                                    arc_count: int = 64,
-                                    n_range: tuple = (16, 40)):
-    """Pressure estimated with line-admissible covers and with plain
-    circle covers; the two must agree within their combined tolerances."""
-    return tuple(circle_cover_pressure(model, phi, arc_count, n_range,
-                                       style=style)
-                 for style in ("line", "circle"))
+    estimates = []
+    for cover, logs in loglam.items():
+        slopes = {N: logs[N] - logs[N - 1] for N in ns}
+        top_slopes = [slopes[N] for N in top]
+        diag = {"rows": [(N, logs[N], slopes[N]) for N in ns],
+                "style": cover, "arc_count": arc_count}
+        estimates.append(PressureEstimate(
+            _slope(top, [logs[N] for N in top]), (n_lo, n_hi),
+            (min(top_slopes), max(top_slopes)), diag))
+    return tuple(estimates)
 
 
 # ---------------------------------------------------------------------------
@@ -242,21 +242,21 @@ def gap_example(arc_count: int = 64, n_range: tuple = (16, 40)) -> GapCertificat
     is the largest potential integral over the ergodic inventory: pi, at
     the point mass at infinity.  Invariant measures on the line reach
     only pi/2 (the value at the origin), so the gap is exactly pi/2 on
-    the inventory side; the cover-based estimator reproduces the
-    compactified pressure within its stated tolerance.
+    the inventory side; the circle-cover estimate reproduces the
+    compactified pressure within its stated tolerance (its sweep also
+    gives the line-cover estimate, which this certificate does not use).
     """
     model = LineDoublingModel()
     line_inv = invariant_measures(model, on_compactification=False)
     comp_inv = invariant_measures(model, on_compactification=True)
     sup_line = max(m.entropy + m.phi_integral for m in line_inv)
     pressure_comp = max(m.entropy + m.phi_integral for m in comp_inv)
-    est = circle_cover_pressure(model, arc_count=arc_count, n_range=n_range,
-                                style="circle")
+    _, est = circle_cover_pressure(model, arc_count=arc_count,
+                                   n_range=n_range)
     # cell counts grow linearly, so the entropy slope decays like 1/N:
     # read it at the top of a long window (the bracket's lower end)
-    ent = circle_cover_pressure(model, phi=zero_potential_angle,
-                                arc_count=arc_count, n_range=(64, 128),
-                                style="circle")
+    _, ent = circle_cover_pressure(model, phi=zero_potential_angle,
+                                   arc_count=arc_count, n_range=(64, 128))
     return GapCertificate(
         pressure_compactified=pressure_comp,
         sup_over_invariant_measures=sup_line,

@@ -299,11 +299,12 @@ def _checked_chains(stationary, transitions) -> tuple:
     """Validate one chain (pi, P), or a stack of them along leading axes,
     and return (pi clipped at 0 and renormalized, entropy rate)."""
     pi, P = stationary, transitions
-    if (pi < -1e-12).any() or (np.abs(pi.sum(axis=-1) - 1.0) > 1e-9).any():
+    # each test is written so that NaN fails it
+    if not (pi.min() >= -1e-12 and np.abs(pi.sum(-1) - 1.0).max() <= 1e-9):
         raise ValueError("stationary vector must be a probability vector")
-    if (np.abs(P.sum(axis=-1) - 1.0) > 1e-9).any():
+    if not np.abs(P.sum(axis=-1) - 1.0).max() <= 1e-9:
         raise ValueError("transition rows must sum to 1")
-    if (np.abs((pi[..., None, :] @ P)[..., 0, :] - pi) > 1e-9).any():
+    if not np.abs((pi[..., None, :] @ P)[..., 0, :] - pi).max() <= 1e-9:
         raise ValueError("vector is not stationary for the transitions")
     pi = np.maximum(pi, 0.0)
     pi = pi / pi.sum(axis=-1, keepdims=True)

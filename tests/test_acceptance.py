@@ -19,7 +19,7 @@ from ergopress import (
     ShiftSystem,
     SubsetSpec,
     capacity_pressures,
-    compactification_transfer_check,
+    circle_cover_pressure,
     correlation_entropy,
     critical_alpha,
     equilibrium_markov,
@@ -220,7 +220,7 @@ def test_12_invariant_compact_subset(full2):
 
 def test_13_compactification_transfer():
     started = time.perf_counter()
-    line_est, circle_est = compactification_transfer_check(
+    line_est, circle_est = circle_cover_pressure(
         LineDoublingModel(), arc_count=64, n_range=(16, 40))
     combined = 2 * max(line_est.bracket[1] - line_est.bracket[0],
                        circle_est.bracket[1] - circle_est.bracket[0], 1e-3)

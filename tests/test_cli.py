@@ -221,16 +221,32 @@ class TestTasks:
                                  system={"kind": "line_doubling"}))
         assert report.passed
 
+    def test_transfer_check_sweeps_the_orbits_once(self, monkeypatch):
+        # both covers' estimates come from one pass over the orbits
+        from ergopress import compactify
+
+        orbit = compactify.LineDoublingModel.orbit
+        calls = []
+
+        def counted(self, theta, steps):
+            calls.append(steps)
+            return orbit(self, theta, steps)
+
+        monkeypatch.setattr(compactify.LineDoublingModel, "orbit", counted)
+        report = run(make_config("transfer_check",
+                                 system={"kind": "line_doubling"}))
+        assert report.passed
+        assert len(calls) == 1
+
     def test_near_pi_check_reports_the_farther_estimate(self, monkeypatch):
         from ergopress import compactify
 
         estimate = compactify.circle_cover_pressure
 
         def line_off(*args, **kwargs):
-            est = estimate(*args, **kwargs)
-            if kwargs["style"] == "line":
-                est = dataclasses.replace(est, value=est.value + 0.1)
-            return est
+            line_est, circle_est = estimate(*args, **kwargs)
+            return (dataclasses.replace(line_est, value=line_est.value + 0.1),
+                    circle_est)
 
         monkeypatch.setattr(compactify, "circle_cover_pressure", line_off)
         report = run(make_config("transfer_check",

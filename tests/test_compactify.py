@@ -8,7 +8,6 @@ from ergopress import (
     LineDoublingModel,
     arccot_potential_line,
     circle_cover_pressure,
-    compactification_transfer_check,
     gap_example,
     invariant_measures,
 )
@@ -101,7 +100,7 @@ class TestModel:
 class TestCoverPressure:
     def test_arccot_near_pi_both_styles(self):
         model = LineDoublingModel()
-        line_est, circle_est = compactification_transfer_check(
+        line_est, circle_est = circle_cover_pressure(
             model, arc_count=64, n_range=(16, 40))
         assert abs(line_est.value - PI) <= 0.05
         assert abs(circle_est.value - PI) <= 0.05
@@ -112,10 +111,9 @@ class TestCoverPressure:
 
     def test_constant_potential(self):
         model = LineDoublingModel()
-        for style in ("circle", "line"):
-            est = circle_cover_pressure(
+        for est in circle_cover_pressure(
                 model, phi=lambda th: 0.7 * np.ones_like(np.asarray(th, float)),
-                arc_count=64, n_range=(16, 40), style=style)
+                arc_count=64, n_range=(16, 40)):
             assert abs(est.value - 0.7) <= 0.05
 
     def test_smooth_variants_reach_max_fixed_point_value(self):
@@ -129,22 +127,21 @@ class TestCoverPressure:
             (lambda th: np.cos(np.asarray(th, float)) + 1.5, 2.5),
         ]
         for phi, expected in variants:
-            line_est, circle_est = compactification_transfer_check(
+            line_est, circle_est = circle_cover_pressure(
                 model, phi=phi, arc_count=64, n_range=(16, 40))
             assert abs(line_est.value - expected) <= 0.06
             assert abs(circle_est.value - expected) <= 0.06
 
     def test_origin_subset_pressure(self):
         model = LineDoublingModel()
-        est = circle_cover_pressure(model, arc_count=64, n_range=(16, 40),
-                                    style="circle", subset_angle=0.0)
+        _, est = circle_cover_pressure(model, arc_count=64, n_range=(16, 40),
+                                       subset_angle=0.0)
         assert abs(est.value - PI / 2) <= 0.01
 
     def test_entropy_slope_vanishes(self):
         model = LineDoublingModel()
-        est = circle_cover_pressure(model, phi=zero_potential_angle,
-                                    arc_count=64, n_range=(64, 128),
-                                    style="circle")
+        _, est = circle_cover_pressure(model, phi=zero_potential_angle,
+                                       arc_count=64, n_range=(64, 128))
         assert abs(est.bracket[0]) <= 1e-2
 
     def test_long_window_through_the_overflow(self):
@@ -153,31 +150,31 @@ class TestCoverPressure:
         model = LineDoublingModel()
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            est = circle_cover_pressure(model, arc_count=8,
-                                        n_range=(16, 1100))
+            _, est = circle_cover_pressure(model, arc_count=8,
+                                           n_range=(16, 1100))
         assert est.value == pytest.approx(3.1415926535896963, abs=1e-12)
 
-    @pytest.mark.parametrize("style", ["circle", "line"])
+    @pytest.mark.parametrize("cover", ["circle", "line"])
     @pytest.mark.parametrize("arc_count,n_range",
                              [(16, (2, 6)), (256, (16, 80)),
                               (256, (64, 128))])
-    def test_count_rows_equal_distinct_point_counts(self, style, arc_count,
+    def test_count_rows_equal_distinct_point_counts(self, cover, arc_count,
                                                     n_range):
         # the cell count for N is the number of distinct points in the
         # first N pullback levels, counted here level by level
         model = LineDoublingModel()
         grid = -PI + 2 * PI / arc_count * np.arange(arc_count)
-        if style == "line":
+        if cover == "line":
             grid = grid[1:]
         points = [grid]
         for _ in range(n_range[1] - 1):
             points.append(model.inverse_angle(points[-1]))
         logs = {N: math.log(len(np.unique(_wrap(np.concatenate(points[:N])))))
                 for N in range(n_range[0] - 1, n_range[1] + 1)}
-        est = circle_cover_pressure(model, phi=zero_potential_angle,
-                                    arc_count=arc_count, n_range=n_range,
-                                    style=style)
-        assert est.diagnostics["rows"] == [
+        estimates = dict(zip(("line", "circle"), circle_cover_pressure(
+            model, phi=zero_potential_angle, arc_count=arc_count,
+            n_range=n_range)))
+        assert estimates[cover].diagnostics["rows"] == [
             (N, logs[N], logs[N] - logs[N - 1])
             for N in range(n_range[0], n_range[1] + 1)]
 
@@ -197,9 +194,9 @@ class TestCoverPressure:
         K = 16
         width = 2 * PI / K
 
-        def sampled_log_lambda(phi, N, style):
+        def sampled_log_lambda(phi, N, cover):
             grid = -PI + width * np.arange(K)
-            if style == "line":
+            if cover == "line":
                 grid = grid[1:]
             pts = [grid]
             b = grid.copy()
@@ -224,21 +221,21 @@ class TestCoverPressure:
 
         for phi in (model.phi_angle,
                     lambda th: 2.0 - np.abs(np.asarray(th, float)) / 2):
-            for style in ("circle", "line"):
-                est = circle_cover_pressure(model, phi=phi, arc_count=K,
-                                            n_range=(3, 7), style=style)
+            estimates = circle_cover_pressure(model, phi=phi, arc_count=K,
+                                              n_range=(3, 7))
+            for cover, est in zip(("line", "circle"), estimates):
                 mine = {n: ll for n, ll, _ in est.diagnostics["rows"]}
                 for N in (4, 7):
-                    ref = sampled_log_lambda(phi, N, style)
+                    ref = sampled_log_lambda(phi, N, cover)
                     # sampling can only undershoot the exact supremum
                     assert -1e-9 <= mine[N] - ref <= 0.05
 
     @staticmethod
-    def _rebuilt_log_lambda(model, phi, arc_count, style, subset_angle, N):
+    def _rebuilt_log_lambda(model, phi, arc_count, cover, subset_angle, N):
         """The covering sum for one N from its own partition and orbit:
         points of the first N pullback levels, each followed N steps."""
         grid = -PI + 2 * PI / arc_count * np.arange(arc_count)
-        if style == "line":
+        if cover == "line":
             grid = grid[1:]
         points = [grid]
         for _ in range(N - 1):
@@ -258,19 +255,23 @@ class TestCoverPressure:
         m = sup.max()
         return float(m + np.log(np.exp(sup - m).sum()))
 
-    @pytest.mark.parametrize("style", ["circle", "line"])
-    @pytest.mark.parametrize("subset_angle", [None, 0.3, PI - 1e-3])
-    def test_rows_equal_per_n_rebuild(self, style, subset_angle):
-        # one orbit sweep over all levels gives bit-identical covering sums
+    @pytest.mark.parametrize("cover", ["circle", "line"])
+    @pytest.mark.parametrize("subset_angle", [None, 0.3, PI - 1e-3, PI, -PI])
+    def test_rows_equal_per_n_rebuild(self, cover, subset_angle):
+        # one orbit sweep over all levels gives both covers' covering sums,
+        # bit-identical to each cover's own partition and orbit for every N
+        # (at +/-pi the line reads its merged pole cell, whose two sides
+        # only a potential that is not even tells apart: +/-sin)
         model = LineDoublingModel()
-        for phi in (model.phi_angle, zero_potential_angle, np.cos):
-            est = circle_cover_pressure(model, phi=phi, arc_count=16,
-                                        n_range=(6, 14), style=style,
-                                        subset_angle=subset_angle)
-            loglam = {N: self._rebuilt_log_lambda(model, phi, 16, style,
+        for phi in (model.phi_angle, zero_potential_angle, np.cos, np.sin,
+                    lambda th: -np.sin(th)):
+            estimates = dict(zip(("line", "circle"), circle_cover_pressure(
+                model, phi=phi, arc_count=16, n_range=(6, 14),
+                subset_angle=subset_angle)))
+            loglam = {N: self._rebuilt_log_lambda(model, phi, 16, cover,
                                                   subset_angle, N)
                       for N in range(5, 15)}
-            assert est.diagnostics["rows"] == [
+            assert estimates[cover].diagnostics["rows"] == [
                 (N, loglam[N], loglam[N] - loglam[N - 1])
                 for N in range(6, 15)]
 

@@ -655,6 +655,12 @@ class TestMarkovMeasure:
         with pytest.raises(ValueError):
             MarkovMeasure(full2, 1, [0.5, 0.5],
                           [[0.9, 0.2], [0.5, 0.5]])  # rows do not sum to 1
+        with pytest.raises(ValueError):
+            MarkovMeasure(full2, 1, [math.nan, math.nan],
+                          [[0.5, 0.5], [0.5, 0.5]])  # NaN stationary vector
+        with pytest.raises(ValueError):
+            MarkovMeasure(full2, 1, [0.5, 0.5],
+                          [[0.5, 0.5], [math.nan, math.nan]])  # NaN row
 
     def test_delta_measure(self, full2):
         d = delta_measure(full2, 1)
