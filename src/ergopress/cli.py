@@ -312,7 +312,8 @@ def _task_pressure(cfg: ExperimentConfig) -> TaskResult:
     n_max = cfg.budget.get("n_max", 20)
     est = pressure_refined(subset, potential, depths, n_max, tol)
     checks = []
-    values = {"pressure": est.value, "bracket": list(est.bracket)}
+    values = {"pressure": est.value, "bracket": list(est.bracket),
+              "n_range": list(est.n_range)}
     if subset.kind == SubsetSpec.WHOLE and system.irreducible:
         oracle = transfer_pressure(system, potential)
         values["oracle"] = oracle
@@ -344,7 +345,8 @@ def _task_capacity(cfg: ExperimentConfig) -> TaskResult:
     n_max = cfg.budget.get("n_max", 24)
     depth = cfg.budget.get("depths", [potential.depth])[-1]
     lo, hi = capacity_pressures(subset, potential, Cover(system, depth), n_max)
-    values = {"cp_lower": lo.value, "cp_upper": hi.value}
+    values = {"cp_lower": lo.value, "cp_upper": hi.value,
+              "n_range": list(hi.n_range)}
     checks = []
     if subset.kind == SubsetSpec.WHOLE and system.irreducible:
         oracle = transfer_pressure(system, potential)

@@ -41,6 +41,14 @@ differences of log(sum) against N (which converge to the same limit as
 (1/N) log(sum), but geometrically fast on these systems, instead of at
 rate 1/N).  One calculator per subset, potential and cover serves all of
 these sums (see ``_calculus``).
+
+Both estimators read their sums only where every entry word, of length
+N + t - 1, is at least as long as the longest listed cylinder word, that
+is from N = ``least_n`` on.  Below it, prefixes of the listed words
+already cover the union, and the sums follow the potential along those
+prefixes, not the pressure.  Each estimator moves its window up until
+the first N it reads is at least ``least_n`` and reports the window it
+used (``PressureEstimate.n_range``); the sums refuse a smaller N by name.
 """
 
 from __future__ import annotations
@@ -117,9 +125,12 @@ class _StringCalculus:
                              "(exactness regime)")
         # the subset keeps this calculator (``_calculus``), so only the
         # parts read here are kept: no reference cycle holds the arrays
-        self.words, self.empty = subset.words, subset.is_empty
+        self.empty = subset.is_empty
         self.potential = potential
         self.r, self.t = r, t
+        # the least N whose entry words, of length N + t - 1, are at
+        # least as long as every listed cylinder word
+        self.least_n = max(1, max(map(len, subset.words), default=0) - t + 1)
         self.sdepth = sd = max(t - 1, 1)
         working = subset.sub_adjacency if subset.kind == SubsetSpec.SUB_SFT \
             else system.adjacency
@@ -183,25 +194,18 @@ class _StringCalculus:
                            else np.logaddexp(grown, seeds))
         return forward[length - self.sdepth]
 
-    def _entry_logs(self, N: int) -> tuple[np.ndarray, list, np.ndarray]:
-        """Log-weights of the meeting words of length N + t - 1.
-
-        Returns (per-state log-sums for words whose subtree continues
-        homogeneously, list of (word, deeper listed words) for explicit
-        trie roots coming from listed cylinders deeper than the entry
-        level, the roots' own log-weights).  Each word carries its
-        windows 0..N - 1, the ones a string of length N counts and the
-        c-factor recursion continues from.
-        """
-        L0 = N + self.t - 1
-        roots: dict = {}
-        for u in self.words:
-            if len(u) > L0:
-                roots.setdefault(u[:L0], []).append(u)
-        # most entry levels have no roots: no N lookups of an empty array
-        root_logs = self.potential.window_sums(list(roots), N) if roots \
-            else np.zeros(0)
-        return self._sweep(L0), list(roots.items()), root_logs
+    def _entry_logs(self, N: int) -> np.ndarray:
+        """Per-state log-sums of the meeting words of length N + t - 1,
+        each word with its windows 0..N - 1, the ones a string of length N
+        counts and the c-factor recursion continues from.  Every listed
+        cylinder word is at most that long, so each meeting word's subtree
+        lies inside the subset; N below ``least_n`` raises ValueError."""
+        if N < self.least_n:
+            raise ValueError(
+                f"N = {N} is below least_n = {self.least_n}: entry words of "
+                f"length N + t - 1 = {N + self.t - 1} are shorter than the "
+                "longest listed cylinder word")
+        return self._sweep(N + self.t - 1)
 
     # -- fixed-length covering sum ------------------------------------------
 
@@ -210,25 +214,24 @@ class _StringCalculus:
             raise ValueError("N must be >= 1")
         if self.empty:
             return -math.inf
-        logW, _, root_logs = self._entry_logs(N)
-        return float(np.logaddexp.reduce(np.concatenate([logW, root_logs]),
+        return float(np.logaddexp.reduce(self._entry_logs(N),
                                          initial=-math.inf))
 
     # -- variable-length covering infimum ------------------------------------
 
     def _cfactors(self, alphas: np.ndarray, depth: int) -> np.ndarray:
-        """Per-remaining-depth cost of the optimal capped antichain below
-        a node, per unit of the node's own weight, and the part of that
-        cost carried by nodes sitting at the depth cap.
+        """Cost of the optimal antichain at most ``depth`` levels below a
+        node, per unit of the node's own weight, and the part of that cost
+        carried by nodes sitting at the depth cap.
 
-        Returns cg of shape (depth + 1, 2, alphas, states): the costs c =
-        cg[:, 0] and the capped parts g = cg[:, 1], with c[0] = g[0] = 1
-        and, for d >= 1, c[d] = min(1, R c[d-1]) and g[d] = R g[d-1] where
-        R c[d-1] < 1, else 0.  (R x)[i] sums exp(v_string - alpha) x[dst]
-        over the out-arcs of state i.  Each depth level is one sum over the
-        arcs of all exponents, in which each exponent's row is the one it
-        gets alone.  Raises InconclusiveError when R overflows, naming the
-        least exponent at which it does.
+        Returns cg of shape (2, alphas, states): the cost c = cg[0] and the
+        capped part g = cg[1] at ``depth``, where c = g = 1 at depth 0 and
+        each level d >= 1 gives c_d = min(1, R c_{d-1}) and g_d = R g_{d-1}
+        where R c_{d-1} < 1, else 0.  (R x)[i] sums exp(v_string - alpha)
+        x[dst] over the out-arcs of state i.  Each depth level is one sum
+        over the arcs of all exponents, in which each exponent's row is the
+        one it gets alone.  Raises InconclusiveError when R overflows,
+        naming the least exponent at which it does.
         """
         arc_rates = self.v_string - alphas[:, None]
         with np.errstate(over="ignore"):
@@ -240,35 +243,26 @@ class _StringCalculus:
                 f"{float(alphas[over].min()):.6g}, windows up to "
                 f"{self.v_string.max():.6g}")
         _, dst, _ = self.graph.arcs
-        cg = np.ones((depth + 1, 2, len(alphas), len(self.graph.words)))
-        for d in range(1, depth + 1):
-            np.add.reduceat(arc_rates * cg[d - 1][..., dst], self.out_starts,
-                            axis=-1, out=cg[d])
-            total, capped = cg[d]
+        cg = np.ones((2, len(alphas), len(self.graph.words)))
+        for _ in range(depth):
+            cg = np.add.reduceat(arc_rates * cg[..., dst], self.out_starts,
+                                 axis=-1)
+            total, capped = cg
             np.multiply(capped, total < 1.0, out=capped)
             np.minimum(total, 1.0, out=total)
         return cg
 
     def _entry_stack(self, ns: tuple):
         """The entry weights of a window of Ns as one stack, cached per
-        window: exp(logW - shift) per N and state, the shifts (each N's
-        largest entry log, trie roots included; 0 when all vanish), each
-        N's trie roots and the string length of its deepest listed word
-        (0 without roots)."""
+        window: exp(logW - shift) per N and state, and the shifts (each
+        N's largest entry log; 0 when all vanish)."""
         if ns in self._stack_cache:
             return self._stack_cache[ns]
-        entries = [self._entry_logs(N) for N in ns]
-        tries = [trie for _, trie, _ in entries]
-        shift = np.array([max(logW.max(initial=-math.inf),
-                              roots.max(initial=-math.inf))
-                          for logW, _, roots in entries])
-        shift[shift == -math.inf] = 0.0
-        logWs = np.array([logW for logW, _, _ in entries]).reshape(
+        logWs = np.array([self._entry_logs(N) for N in ns]).reshape(
             len(ns), len(self.graph.words))
-        deepest = np.array([max((len(u) - self.t + 1 for _, us in trie
-                                 for u in us), default=0) for trie in tries],
-                           dtype=np.int64)
-        result = (np.exp(logWs - shift[:, None]), shift, tries, deepest)
+        shift = logWs.max(axis=1, initial=-math.inf)
+        shift[shift == -math.inf] = 0.0
+        result = (np.exp(logWs - shift[:, None]), shift)
         self._stack_cache[ns] = result
         return result
 
@@ -276,13 +270,12 @@ class _StringCalculus:
         """Optimal covering weights for every exponent in ``alphas`` and
         every N in ``ns``, with string lengths in [N, N + margin].
 
-        Returns (logs, caps, cap_mass): logs[a, i] is the log-weight at
-        alphas[a] and ns[i] (-inf when it vanishes), caps[i] the depth cap
-        used at ns[i] (raised to reach listed words deeper than N +
-        margin, since the covering structure above them is pinned), and
-        cap_mass[a, i] the fraction of the optimum sitting at that cap.
-        One c-factor recursion serves every exponent and N, and each
-        value equals the one a call with that exponent and N alone gives.
+        Returns (logs, cap_mass): logs[a, i] is the log-weight at alphas[a]
+        and ns[i] (-inf when it vanishes), and cap_mass[a, i] the fraction
+        of the optimum sitting at the depth cap ns[i] + margin.  Every N
+        must be at least ``least_n`` (see ``_entry_logs``).  One c-factor
+        recursion serves every exponent and N, and each value equals the
+        one a call with that exponent and N alone gives.
         """
         alphas = np.asarray(alphas, dtype=float).reshape(-1)
         ns = tuple(int(N) for N in ns)
@@ -290,60 +283,20 @@ class _StringCalculus:
             raise ValueError("N must be >= 1")
         if margin < 0:
             raise ValueError("depth cap must be >= N")
-        caps = np.array(ns, dtype=np.int64) + margin
         logs = np.full((len(alphas), len(ns)), -math.inf)
         cap_mass = np.zeros_like(logs)
         if self.empty:
-            return logs, caps, cap_mass
-        weights, shift, tries, deepest = self._entry_stack(ns)
-        np.maximum(caps, deepest, out=caps)
-        depths = caps - ns
-        cg = self._cfactors(alphas, int(depths.max(initial=0)))
-        at_caps = cg[depths]
-        total = (weights[:, None] * at_caps[:, 0]).sum(axis=-1).T
-        capped = (weights[:, None] * at_caps[:, 1]).sum(axis=-1).T
-        roots = [(i, v, tuple(sorted(us)))
-                 for i, trie in enumerate(tries) for v, us in trie]
-        for (a, alpha), (i, v, us) in itertools.product(
-                enumerate(alphas.tolist()), roots):
-            cost, fcap = self._trie_cost(v, us, alpha, ns[i], int(caps[i]),
-                                         cg[:, :, a], shift[i])
-            total[a, i] += cost
-            capped[a, i] += cost * fcap
+            return logs, cap_mass
+        weights, shift = self._entry_stack(ns)
+        at_cap = self._cfactors(alphas, margin)
+        total = (weights[:, None] * at_cap[0]).sum(axis=-1).T
+        capped = (weights[:, None] * at_cap[1]).sum(axis=-1).T
         logs[:] = [[math.log(x) if x > 0.0 else -math.inf for x in row]
                    for row in total.tolist()]
         logs += shift
         logs -= alphas[:, None] * np.array(ns)
         np.divide(capped, total, out=cap_mass, where=total > 0.0)
-        return logs, caps, cap_mass
-
-    def _trie_cost(self, v: tuple, us: tuple, alpha: float, N: int, cap: int,
-                   cg: np.ndarray, shift: float) -> tuple[float, float]:
-        """Explicit tree walk above listed cylinder words deeper than the
-        entry level.  Costs are in units of exp(shift - alpha*N), matching
-        the caller's normalization."""
-        m = len(v) - self.t + 1
-        own = math.exp(self.potential.window_sums([v], m)[0] - shift
-                       - alpha * (m - N))
-        if any(len(u) == len(v) for u in us):
-            # v is itself a listed word (antichain: then the only one
-            # here); the subtree below it lies inside the subset
-            idx = self.graph.index(v[-self.sdepth:])
-            c, g = cg[cap - m, :, idx]
-            return own * c, (g / c if 0.0 < c < 1.0 else 0.0)
-        children: dict[int, list] = {}
-        for u in us:
-            children.setdefault(u[len(v)], []).append(u)
-        child_cost = 0.0
-        child_cap = 0.0
-        for a, subus in children.items():
-            cc, cf = self._trie_cost(v + (a,), tuple(subus), alpha, N, cap,
-                                     cg, shift)
-            child_cost += cc
-            child_cap += cc * cf
-        if own <= child_cost:
-            return own, 0.0
-        return child_cost, (child_cap / child_cost if child_cost > 0 else 0.0)
+        return logs, cap_mass
 
 
 def _calculus(subset: SubsetSpec, potential: Potential,
@@ -361,7 +314,11 @@ def _calculus(subset: SubsetSpec, potential: Potential,
 
 def log_lambda_n(subset: SubsetSpec, potential: Potential, cover: Cover,
                  N: int) -> float:
-    """log of the minimal fixed-length covering sum (see module docstring)."""
+    """log of the minimal fixed-length covering sum (see module docstring).
+
+    N must be at least ``least_n``, where the words of length N + t - 1
+    reach the longest listed cylinder word; a smaller N raises ValueError
+    naming it."""
     return _calculus(subset, potential, cover).log_lambda(N)
 
 
@@ -371,16 +328,16 @@ def weight_m(subset: SubsetSpec, alpha: float, potential: Potential,
 
     Computed exactly as the cheapest prefix-free antichain in the
     cylinder tree with string lengths in [N, depth_cap] (default N + 8).
-    Always an upper bound for the unbounded-depth infimum.  When the
-    subset lists cylinder words deeper than the cap, the cap is raised to
-    reach them, since the covering structure below the entry level is
-    pinned by those words anyway; ``_StringCalculus.log_weights`` reports
-    the cap used and the fraction of the optimum sitting at it.  The
-    entry words carry the windows of one string-length step per arc, the
-    same ones that the fixed-length sum counts.
+    Always an upper bound for the unbounded-depth infimum.  N must be at
+    least the calculator's ``least_n``, where the entry words of length
+    N + t - 1 reach the longest listed cylinder word; a smaller N raises
+    ValueError naming it.  ``_StringCalculus.log_weights`` also reports
+    the fraction of the optimum sitting at the cap.  The entry words
+    carry the windows of one string-length step per arc, the same ones
+    that the fixed-length sum counts.
     """
     cap = depth_cap if depth_cap is not None else N + DEPTH_MARGIN
-    logs, _, _ = _calculus(subset, potential, cover).log_weights(
+    logs, _ = _calculus(subset, potential, cover).log_weights(
         [alpha], [N], cap - N)
     return math.exp(logs[0, 0])
 
@@ -393,12 +350,17 @@ def capacity_pressures(subset: SubsetSpec, potential: Potential, cover: Cover,
     differences of log Lambda over the window [N_max/2, N_max] (the raw
     sequence (1/N) log Lambda converges only at rate 1/N, which is why
     the differenced estimator is the reported value); the diagnostics
-    keep the (N, log Lambda, difference) rows.
+    keep the (N, log Lambda, difference) rows.  The window moves up until
+    its first difference reads no N below ``least_n`` (listed cylinder
+    words longer than the entry words), and ``n_range`` is the window
+    used.
     """
     if N_max < 8:
         raise ValueError("N_max must be >= 8")
     calc = _calculus(subset, potential, cover)
     n_half = max(2, N_max // 2)
+    lift = max(0, calc.least_n - (n_half - 1))
+    n_half, N_max = n_half + lift, N_max + lift
     ns = list(range(n_half - 1, N_max + 1))
     loglam = {N: calc.log_lambda(N) for N in ns}
     if all(v == -math.inf for v in loglam.values()):
@@ -445,14 +407,14 @@ def critical_alpha(subset: SubsetSpec, potential: Potential, cover: Cover,
                    tol: float, n_range: tuple = (8, 20)) -> PressureEstimate:
     """Topological pressure of the subset: bisection on the exponent.
 
-    For each candidate alpha the covering weight (depth cap N + margin)
-    is computed over the top half of the N-window and classified by the
-    ``_slope`` of its log: positive slope means the weight diverges (alpha
-    below the critical value), negative means it vanishes.  The bracket
-    is narrowed until its width is at most tol.  One margin serves the
-    whole window: DEPTH_MARGIN, or more where a listed cylinder word lies
-    deeper than the window's first N + DEPTH_MARGIN, so that every N
-    reaches it and the caps move with N.
+    For each candidate alpha the covering weight (depth cap N +
+    DEPTH_MARGIN) is computed over the top half of the N-window and
+    classified by the ``_slope`` of its log: positive slope means the
+    weight diverges (alpha below the critical value), negative means it
+    vanishes.  The bracket is narrowed until its width is at most tol.
+    The window moves up until its top half starts at ``least_n`` or
+    later, so that every listed cylinder word fits in the entry words,
+    and the estimate's ``n_range`` is the window used.
 
     Each ``log_weights`` call after the first (the two bracket ends)
     weighs the path the remaining steps take if each keeps the half that
@@ -469,10 +431,10 @@ def critical_alpha(subset: SubsetSpec, potential: Potential, cover: Cover,
                                 {"degenerate": True})
     calc = _calculus(subset, potential, cover)
     n_lo, n_hi = n_range
+    lift = max(0, calc.least_n - (n_lo + (n_hi - n_lo + 1) // 2))
+    n_lo, n_hi = n_lo + lift, n_hi + lift
     ns = list(range(n_lo, n_hi + 1))
     top = ns[len(ns) // 2:]
-    deepest = max(map(len, subset.words), default=0) - cover.depth + 1
-    margin = max(DEPTH_MARGIN, deepest - top[0])
 
     gvals = potential.vector.tolist()
     k = cover.system.alphabet_size
@@ -490,7 +452,7 @@ def critical_alpha(subset: SubsetSpec, potential: Potential, cover: Cover,
         trace.append((alpha, s))
         return s
 
-    logs, _, _ = calc.log_weights([alpha_lo, alpha_hi], top, margin)
+    logs, _ = calc.log_weights([alpha_lo, alpha_hi], top, DEPTH_MARGIN)
     slope_lo = classify(alpha_lo, logs[0])
     slope_hi = classify(alpha_hi, logs[1])
     if not (slope_lo > 0 > slope_hi):
@@ -507,7 +469,8 @@ def critical_alpha(subset: SubsetSpec, potential: Potential, cover: Cover,
             root = alpha_lo + slope_lo * (alpha_hi - alpha_lo) \
                 / (slope_lo - slope_hi)
             path = _bisection_path(alpha_lo, alpha_hi, root, tol, steps - done)
-            rows = dict(zip(path, calc.log_weights(path, top, margin)[0]))
+            logs, _ = calc.log_weights(path, top, DEPTH_MARGIN)
+            rows = dict(zip(path, logs))
         s = classify(mid, rows[mid])
         done += 1
         weak += abs(s) < threshold

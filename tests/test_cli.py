@@ -4,6 +4,7 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ergopress import Cover, Potential, SubsetSpec
@@ -124,6 +125,7 @@ class TestTasks:
         golden = math.log((1 + math.sqrt(5)) / 2)
         assert report.results[0].values["cp_upper"] == pytest.approx(golden,
                                                                      abs=1e-3)
+        assert report.results[0].values["n_range"] == [15, 30]
 
     def test_spectrum_task(self):
         report = run(make_config("spectrum",
@@ -530,6 +532,28 @@ class TestMainEntry:
         assert err.startswith("NoUniquePerronError: ")
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    def test_deep_cylinder_words_move_the_window(self, tmp_path, capsys):
+        # ten listed words of 22 symbols, longer than the entry words of
+        # the default window (10, 20): the window moves up to (17, 27)
+        # and the pressure is the full shift's log(1 + e^0.7)
+        rng = np.random.default_rng(1)
+        words = [rng.integers(0, 2, 22).tolist() for _ in range(10)]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "system": {"kind": "full_shift", "k": 2},
+            "potential": {"kind": "table", "depth": 1,
+                          "table": {"0": 0.0, "1": 0.7}},
+            "subset": {"kind": "cylinders", "words": words},
+        }))
+        code = main(["pressure", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")])
+        assert code == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        values = summary["values"]["pressure"]
+        assert values["n_range"] == [17, 27]
+        assert abs(values["pressure"] - math.log(1.0 + math.exp(0.7))) \
+            <= 2 * 1e-4
 
     def test_cover_overflow_exits_three(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -30,6 +30,12 @@ from ergopress.coverpressure import (
 )
 
 
+def _least_n(spec, t):
+    """The least N whose entry words, of length N + t - 1, are at least as
+    long as every listed cylinder word."""
+    return max(1, max(map(len, spec.words), default=0) - t + 1)
+
+
 class TestCover:
     def test_elements_partition(self, golden):
         cover = Cover(golden, 3)
@@ -111,16 +117,24 @@ class TestLambda:
                             dict(subset_kind="cylinders",
                                  cylinder_words=chosen)))
             for spec, kw in subsets:
+                if N < _least_n(spec, t):
+                    with pytest.raises(ValueError, match="least_n"):
+                        log_lambda_n(spec, pot, cover, N)
+                    continue
                 got = math.exp(log_lambda_n(spec, pot, cover, N))
                 brute = oracles.lambda_brute(system.adjacency, pot.table,
                                              depth, t, N, **kw)
                 assert got == pytest.approx(brute, rel=1e-10, abs=1e-12)
 
     def test_listed_words_deeper_than_entry_level(self, full2, phi_log2):
-        # cylinder words longer than N + t - 1 enter as explicit prefixes
+        # cylinder words longer than N + t - 1: such an N is refused by
+        # name, and from least_n = 5 on the sum is the brute-force one
         words = [(0, 1, 1, 0, 1), (0, 1, 1, 0, 0), (1, 0)]
         spec = SubsetSpec.cylinders(full2, words)
         for N in (2, 3, 4):
+            with pytest.raises(ValueError, match="below least_n = 5"):
+                log_lambda_n(spec, phi_log2, Cover(full2, 1), N)
+        for N in (5, 6, 7):
             got = math.exp(log_lambda_n(spec, phi_log2, Cover(full2, 1), N))
             brute = oracles.lambda_brute(full2.adjacency, phi_log2.table, 1,
                                          1, N, "cylinders",
@@ -220,7 +234,7 @@ class TestWeightM:
             pytest.approx(math.exp(-0.7 * 5))
         assert weight_m(fp, 0.7, zero, cover, 5, depth_cap=9) == \
             pytest.approx(math.exp(-0.7 * 9))
-        _, _, cap_mass = _StringCalculus(fp, zero, cover).log_weights(
+        _, cap_mass = _StringCalculus(fp, zero, cover).log_weights(
             [0.7], [5], 4)
         assert cap_mass[0, 0] == 1.0
 
@@ -281,10 +295,15 @@ class TestWeightM:
             assert got == pytest.approx(min(costs))
 
     def test_trie_path_long_cylinder_words(self, full2, phi_log2):
-        # listed words deeper than the entry level exercise the trie walk
+        # listed words deeper than the entry level: N below least_n = 5 is
+        # refused by name, and from there on the weight is the brute one
         spec = SubsetSpec.cylinders(full2, [(0, 1, 1, 0, 1), (0, 1, 1, 0, 0),
                                             (1, 0)])
-        for alpha, N, cap in [(0.5, 2, 6), (1.2, 2, 6), (0.9, 3, 5)]:
+        for N, cap in [(2, 6), (3, 5), (4, 4)]:
+            with pytest.raises(ValueError, match="below least_n = 5"):
+                weight_m(spec, 0.9, phi_log2, Cover(full2, 1), N,
+                         depth_cap=cap)
+        for alpha, N, cap in [(0.5, 5, 9), (1.2, 5, 9), (0.9, 6, 8)]:
             got = weight_m(spec, alpha, phi_log2, Cover(full2, 1), N,
                            depth_cap=cap)
             brute = oracles.weight_m_brute(
@@ -294,21 +313,26 @@ class TestWeightM:
             assert got == pytest.approx(brute, rel=1e-10)
 
     def test_cap_extends_to_reach_listed_words(self, full2, phi_log2):
-        # a cap above the entry level but below the listed words is raised
-        # to reach them and reported; the value is exact at that cap
+        # no cap reaches down to the listed words: an N whose entry words
+        # are shorter than them is refused by name, at every cap; from
+        # least_n on the cap is N + margin and the value is exact there
         words = [(0, 1, 1, 0, 1), (0, 1, 1, 0, 0)]
         spec = SubsetSpec.cylinders(full2, words)
-        logs, caps, _ = _StringCalculus(spec, phi_log2, Cover(full2, 1)) \
-            .log_weights([0.8], [2], 0)
-        logm = logs[0, 0]
-        assert caps[0] == 5
-        assert weight_m(spec, 0.8, phi_log2, Cover(full2, 1), 2,
-                        depth_cap=2) == math.exp(logm)
-        brute = oracles.weight_m_brute(full2.adjacency, phi_log2.table, 1, 1,
-                                       0.8, 2, int(caps[0]),
-                                       subset_kind="cylinders",
-                                       cylinder_words=words)
-        assert math.exp(logm) == pytest.approx(brute, rel=1e-10)
+        calc = _StringCalculus(spec, phi_log2, Cover(full2, 1))
+        assert calc.least_n == 5
+        for margin in (0, 3):
+            with pytest.raises(ValueError, match="below least_n = 5"):
+                calc.log_weights([0.8], [2], margin)
+        for margin in (0, 2):
+            logs, _ = calc.log_weights([0.8], [5], margin)
+            logm = logs[0, 0]
+            assert weight_m(spec, 0.8, phi_log2, Cover(full2, 1), 5,
+                            depth_cap=5 + margin) == math.exp(logm)
+            brute = oracles.weight_m_brute(full2.adjacency, phi_log2.table, 1,
+                                           1, 0.8, 5, 5 + margin,
+                                           subset_kind="cylinders",
+                                           cylinder_words=words)
+            assert math.exp(logm) == pytest.approx(brute, rel=1e-10)
 
 
 class TestSweepCache:
@@ -323,8 +347,8 @@ class TestSweepCache:
         cases.append((SubsetSpec.sub_sft(system, sub_adj),
                       dict(subset_kind="sub_sft", sub_adjacency=sub_adj)))
         # one word of length 1 (shorter than a state once t >= 3) and
-        # words of lengths 2..6 under other first symbols: some seed the
-        # sweep before N + t - 1, some at it, some in the trie below it
+        # words of lengths 2..6 under other first symbols: from least_n
+        # on, some seed the sweep before N + t - 1 and the longest at it
         first = int(rng.integers(system.alphabet_size))
         words = [(first,)]
         for n in range(2, 7):
@@ -345,16 +369,25 @@ class TestSweepCache:
             t = depth + extra
             for spec, kw in self._cases(rng, system):
                 calc = _StringCalculus(spec, pot, Cover(system, t))
-                for N in rng.permutation(np.arange(1, 5)).tolist():
+                # four Ns from least_n - 1 (when that is >= 1): the one
+                # below least_n is refused by name
+                low = max(1, _least_n(spec, t) - 1)
+                for N in rng.permutation(np.arange(low, low + 4)).tolist():
+                    alpha = float(rng.normal())
+                    if N < _least_n(spec, t):
+                        with pytest.raises(ValueError, match="least_n"):
+                            calc.log_lambda(N)
+                        with pytest.raises(ValueError, match="least_n"):
+                            calc.log_weights([alpha], [N], 2)
+                        continue
                     brute = oracles.lambda_brute(system.adjacency, pot.table,
                                                  depth, t, N, **kw)
                     assert math.exp(calc.log_lambda(N)) == pytest.approx(
                         brute, rel=1e-10, abs=1e-12)
-                    alpha = float(rng.normal())
-                    logs, caps, _ = calc.log_weights([alpha], [N], 2)
+                    logs, _ = calc.log_weights([alpha], [N], 2)
                     brute = oracles.weight_m_brute(
                         system.adjacency, pot.table, depth, t, alpha, N,
-                        int(caps[0]), **kw)
+                        N + 2, **kw)
                     assert math.exp(logs[0, 0]) == pytest.approx(
                         brute, rel=1e-9, abs=1e-12)
 
@@ -369,8 +402,8 @@ def _random_walk(rng, adjacency, length):
 
 def _random_subsets(rng, system, deep_length):
     """(spec, brute-force subset kwargs) for the whole space, a random
-    sub-SFT and a union of a short cylinder with a deep one, whose word of
-    ``deep_length`` symbols lies below the entry level."""
+    sub-SFT and a union of a short cylinder with a deep one, whose word
+    has ``deep_length`` symbols."""
     adj = system.adjacency
     cases = [(SubsetSpec.whole(system), dict(subset_kind="whole"))]
     sub_adj = adj * (rng.random(adj.shape) < 0.8)
@@ -392,43 +425,45 @@ class TestStackedWeights:
 
     def test_stack_equals_single_calls_and_brute_force(self):
         rng = np.random.default_rng(71)
-        raised = 0
+        unions = 0
         for _ in range(6):
             dim = int(rng.integers(2, 4))
             system = ShiftSystem(random_irreducible_adjacency(rng, dim))
             depth = int(rng.integers(1, 3))
             pot = random_potential(rng, system, depth)
             t = depth + int(rng.integers(0, 2))
-            ns, margin = (1, 2, 3), 1
+            margin = 1
             alphas = rng.normal(size=5)
-            # a listed word of t + 4 symbols: below the entry level and
-            # below the cap N + margin of every N here, so the cap is raised
+            # a listed word of t + 4 symbols: least_n = 5, so the union's
+            # stack (1, 2, 3) is refused by name and it is weighed from 5
             for spec, kw in _random_subsets(rng, system, t + 4):
-                logs, caps, cap_mass = _StringCalculus(
-                    spec, pot, Cover(system, t)).log_weights(alphas, ns, margin)
+                low = _least_n(spec, t)
+                ns = (low, low + 1, low + 2)
+                calc = _StringCalculus(spec, pot, Cover(system, t))
+                if low > 1:
+                    with pytest.raises(ValueError, match="below least_n = 5"):
+                        calc.log_weights(alphas, (1, 2, 3), margin)
+                    unions += 1
+                logs, cap_mass = calc.log_weights(alphas, ns, margin)
                 single = _StringCalculus(spec, pot, Cover(system, t))
                 for (a, alpha), (i, N) in itertools.product(
                         enumerate(alphas.tolist()), enumerate(ns)):
-                    one, one_cap, one_mass = single.log_weights(
-                        [alpha], [N], margin)
+                    one, one_mass = single.log_weights([alpha], [N], margin)
                     logm = one[0, 0]
                     assert logs[a, i] == logm
                     assert cap_mass[a, i] == one_mass[0, 0]
-                    assert caps[i] == one_cap[0]
                     brute = oracles.weight_m_brute(
                         system.adjacency, pot.table, depth, t, alpha, N,
-                        int(caps[i]), **kw)
+                        N + margin, **kw)
                     assert math.exp(logm) == pytest.approx(
                         brute, rel=1e-9, abs=1e-12)
-                raised += int((caps > np.array(ns) + margin).sum())
-        assert raised  # the cap was raised to reach the listed words
+        assert unions == 6
 
     def test_empty_subset_vanishes(self, full2):
-        logs, caps, cap_mass = _StringCalculus(
+        logs, cap_mass = _StringCalculus(
             SubsetSpec.cylinders(full2, []), Potential.zero(full2),
             Cover(full2, 1)).log_weights([0.1, 0.5], (3, 4), 2)
         assert (logs == -math.inf).all() and (cap_mass == 0.0).all()
-        assert caps.tolist() == [5, 6]
 
     def test_overflow_names_least_exponent(self, full2):
         phi = Potential.depth_one(full2, [0.0, 800.0])
@@ -438,16 +473,21 @@ class TestStackedWeights:
         assert np.isfinite(calc.log_weights([95.0], (2,), 1)[0]).all()
 
 
+def _window(spec, cover, n_range):
+    """``n_range`` moved up until the top half of its Ns starts at
+    least_n or later."""
+    ns = list(range(n_range[0], n_range[1] + 1))
+    lift = max(0, _least_n(spec, cover.depth) - ns[len(ns) // 2])
+    return n_range[0] + lift, n_range[1] + lift
+
+
 def _plain_bisection(spec, pot, cover, tol, n_range):
     """Bisection with one classification per visited alpha, made of one
-    ``log_weights`` call per N: (value, bracket, trace, weak count).
-    Every N takes one margin, widened from DEPTH_MARGIN to reach the
-    deepest listed word from the window's first N."""
+    ``log_weights`` call per N of the top half of ``n_range``, each with
+    the cap N + DEPTH_MARGIN: (value, bracket, trace, weak count)."""
     calc = _StringCalculus(spec, pot, cover)
     ns = list(range(n_range[0], n_range[1] + 1))
     top = ns[len(ns) // 2:]
-    deepest = max(map(len, spec.words), default=0) - cover.depth + 1
-    margin = max(DEPTH_MARGIN, deepest - top[0])
     gvals = list(pot.table.values())
     k = cover.system.alphabet_size
     lo = min(gvals) - math.log(k) - 1.0
@@ -455,7 +495,7 @@ def _plain_bisection(spec, pot, cover, tol, n_range):
     trace = []
 
     def classify(alpha):
-        logs = [calc.log_weights([alpha], [N], margin)[0][0, 0]
+        logs = [calc.log_weights([alpha], [N], DEPTH_MARGIN)[0][0, 0]
                 for N in top]
         if -math.inf in logs:
             raise InconclusiveError("inconclusive-at-depth: covering "
@@ -481,9 +521,9 @@ def _plain_bisection(spec, pot, cover, tol, n_range):
 
 def _replay_systems(n_range):
     """Twelve seeded trials (trial, system, potential, cover, subsets of
-    ``_random_subsets``).  The union's deep word lies below the entry
-    level of the whole window (the trie walk); in every other pair of
-    trials also below the cap N + DEPTH_MARGIN, so the margin widens."""
+    ``_random_subsets``).  The union's deep word is longer than the entry
+    words of the whole window, so the window moves up; in every other
+    pair of trials by more than DEPTH_MARGIN."""
     rng = np.random.default_rng(83)
     for trial in range(12):
         dim = int(rng.integers(2, 5))
@@ -514,14 +554,14 @@ class TestCriticalAlpha:
     def test_rounds_replay_plain_bisection_randomized(self, monkeypatch):
         n_range = (4, 8)
         tols = (1e-3, 3e-5, 1e-6)
-        visited, raised, path_calls = [], [], []
+        visited, lifted, path_calls = [], [], []
         calls = _count_weight_calls(monkeypatch)
         for trial, _, pot, cover, subsets in _replay_systems(n_range):
-            t = cover.depth
             for spec, _ in subsets:
                 tol = tols[trial % 3]
+                window = _window(spec, cover, n_range)
                 try:
-                    want = _plain_bisection(spec, pot, cover, tol, n_range)
+                    want = _plain_bisection(spec, pot, cover, tol, window)
                 except InconclusiveError as err:
                     with pytest.raises(InconclusiveError,
                                        match=str(err).split(" (")[0]):
@@ -530,6 +570,7 @@ class TestCriticalAlpha:
                 calls.clear()
                 est = critical_alpha(spec, pot, cover, tol, n_range)
                 value, bracket, trace, weak = want
+                assert est.n_range == window
                 assert est.value == value and est.bracket == bracket
                 assert est.diagnostics["trace"] == trace
                 assert est.diagnostics["weak_classifications"] == weak
@@ -537,10 +578,9 @@ class TestCriticalAlpha:
                 # the first call weighs the two bracket ends
                 path_calls.append(len(calls) - 1)
                 if spec.words:
-                    raised.append(max(map(len, spec.words)) - t + 1
-                                  > n_range[1] + DEPTH_MARGIN)
+                    lifted.append(window[0] - n_range[0] > DEPTH_MARGIN)
         assert len(visited) >= 25
-        assert len(raised) >= 5 and any(raised)
+        assert len(lifted) >= 5 and any(lifted) and not all(lifted)
         # some runs follow one predicted path to the end, and some leave
         # their path at least once
         assert 1 in path_calls and any(n > 1 for n in path_calls)
@@ -600,10 +640,10 @@ class TestCriticalAlpha:
         stacked = _StringCalculus.log_weights
 
         def vanishing_off_path(self, alphas, ns, margin):
-            logs, caps, cap_mass = stacked(self, alphas, ns, margin)
+            logs, cap_mass = stacked(self, alphas, ns, margin)
             off = [a not in visited for a in np.asarray(alphas).tolist()]
             logs[off] = -math.inf
-            return logs, caps, cap_mass
+            return logs, cap_mass
 
         monkeypatch.setattr(_StringCalculus, "log_weights",
                             vanishing_off_path)
@@ -672,6 +712,41 @@ class TestCriticalAlpha:
         with pytest.raises(InconclusiveError, match="alpha -1.69315"):
             critical_alpha(SubsetSpec.whole(full2), phi, Cover(full2, 1),
                            tol=1e-4)
+
+
+class TestDeepCylinderWords:
+    """Listed cylinder words longer than the entry words of the requested
+    window: the window moves up to least_n, and the pressure is that of
+    the full 2-shift, log(1 + e^0.7), not a slope along their prefixes."""
+
+    P = math.log(1.0 + math.exp(0.7))
+
+    @staticmethod
+    def _phi(full2):
+        return Potential.depth_one(full2, [0.0, 0.7])
+
+    @pytest.mark.parametrize("length", [16, 20, 24, 30])
+    def test_critical_alpha_answers_past_the_window(self, full2, length):
+        rng = np.random.default_rng(length)
+        spec = SubsetSpec.cylinders(
+            full2, [rng.integers(0, 2, length).tolist() for _ in range(20)])
+        tol = 1e-6
+        est = critical_alpha(spec, self._phi(full2), Cover(full2, 1), tol,
+                             (8, 20))
+        # the top half of (8, 20) starts at 14; least_n is the length
+        assert est.n_range == (length - 6, length + 6)
+        assert abs(est.value - self.P) <= 2 * tol
+
+    def test_capacities_answer_past_the_window(self, full2):
+        rng = np.random.default_rng(1)
+        spec = SubsetSpec.cylinders(
+            full2, [rng.integers(0, 2, 22).tolist() for _ in range(10)])
+        lo, hi = capacity_pressures(spec, self._phi(full2), Cover(full2, 1),
+                                    20)
+        # the first N read, n_half - 1, is raised from 9 to least_n = 22
+        assert lo.n_range == hi.n_range == (23, 33)
+        assert abs(lo.value - self.P) <= 1e-6
+        assert abs(hi.value - self.P) <= 1e-6
 
 
 class TestManyBlockStates:

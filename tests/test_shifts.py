@@ -368,12 +368,16 @@ class TestSubsetSpec:
 
     def test_meets_matches_brute(self, golden):
         # the covering sum adds exactly the words whose cylinders meet the
-        # union
+        # union, from least_n on, where N + t - 1 reaches the word (1, 0, 1)
         words = [(0, 0), (1, 0, 1)]
         spec = SubsetSpec.cylinders(golden, words)
         pot = Potential.depth_one(golden, [0.3, -0.7])
         for t in (1, 2):
             for N in range(1, 5):
+                if N + t - 1 < 3:
+                    with pytest.raises(ValueError, match="least_n"):
+                        log_lambda_n(spec, pot, Cover(golden, t), N)
+                    continue
                 brute = oracles.lambda_brute(golden.adjacency, pot.table, 1, t,
                                              N, "cylinders",
                                              cylinder_words=words)
