@@ -110,7 +110,7 @@ class _StringCalculus:
     at position len - t of the word the step grows to.  Both covering
     sums step along the arcs with it, the sweep adding ``v_string`` in
     log space into each arc's target, and the c-factor recursion summing
-    its exponentials over each state's out-arcs (``out_starts``).
+    its exponentials over each state's out-arcs.
     """
 
     def __init__(self, subset: SubsetSpec, potential: Potential, cover: Cover):
@@ -137,14 +137,9 @@ class _StringCalculus:
         self.graph = BlockGraph(working, sd)
         st = self.graph.words
         n = len(st)
-        src, _, arc_words = self.graph.arcs
+        _, _, arc_words = self.graph.arcs
         lo = sd + 1 - t
         self.v_string = potential.values(arc_words[:, lo:lo + r])
-        # arcs are sorted by source: state i's out-arcs start at
-        # out_starts[i].  The reduceat in ``_cfactors`` needs every state
-        # to have one, and it does: block graphs grow only symbols with a
-        # successor, and ``SubsetSpec`` reduces sub-SFTs to those.
-        self.out_starts = np.searchsorted(src, np.arange(n))
 
         # seed words: the states themselves, or the listed cylinder words
         # (those shorter than a state extended to every state below them)
@@ -242,11 +237,14 @@ class _StringCalculus:
                 f"inconclusive: exp(window - alpha) overflows at alpha "
                 f"{float(alphas[over].min()):.6g}, windows up to "
                 f"{self.v_string.max():.6g}")
-        _, dst, _ = self.graph.arcs
-        cg = np.ones((2, len(alphas), len(self.graph.words)))
+        src, dst, _ = self.graph.arcs
+        n = len(self.graph.words)
+        cg = np.ones((2, len(alphas), n))
+        # one flat bincount per level: bin row * n + i for (c|g, alpha) row
+        bins = (np.arange(2 * len(alphas))[:, None] * n + src).ravel()
         for _ in range(depth):
-            cg = np.add.reduceat(arc_rates * cg[..., dst], self.out_starts,
-                                 axis=-1)
+            cg = np.bincount(bins, (arc_rates * cg[..., dst]).ravel(),
+                             cg.size).reshape(cg.shape)
             total, capped = cg
             np.multiply(capped, total < 1.0, out=capped)
             np.minimum(total, 1.0, out=total)

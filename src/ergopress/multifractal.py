@@ -170,7 +170,7 @@ def correlation_entropy(system: ShiftSystem, potential: Potential,
     P = states.transitions[-1]
     with np.errstate(divide="ignore"):  # 0 ** q for q < 0, off the support
         powers = np.where(P > 0, P ** q_grid[:, None, None], 0.0)
-    rho, _, _ = power_iteration(powers)
+    rho, _ = power_iteration(powers)
     direct = -np.log(rho) / (q_grid - 1.0)
     limit = 0.5 * (-t[-3] / LIMIT_OFFSET + t[-2] / LIMIT_OFFSET)
     return CorrelationEntropyCurve(q_grid, formula, direct, limit,

@@ -77,23 +77,22 @@ class TransferMatrix:
 
 
 def power_iteration(matrix):
-    """Perron eigenvalue and positive left/right eigenvectors of a matrix,
-    or of each member of a stack (..., n, n).
+    """Perron eigenvalue and positive right eigenvector of a matrix, or of
+    each member of a stack (..., n, n).
 
-    Each of v (on M) and u (on its transpose) starts from the LAPACK
-    eigenvector (one batched ``np.linalg.eig``) of the largest real
-    eigenvalue lam0, taken in absolute value, and iterates x <- Mx + lam0 x
-    (lam0 clipped at 0, so periodic matrices converge too), normalized to
-    unit 1-norm.  A member's x is frozen once x > 0 and the Collatz-Wielandt
-    bracket [lo, hi] = [min, max] of (Mx)_i / x_i, which holds rho(M) for
-    every positive x (Seneta, Non-negative Matrices and Markov Chains,
-    ch. 1), has hi - lo <= 1e-13 * hi.  Raises NoUniquePerronError when a
-    support is reducible, ConvergenceError when LAPACK fails or a bracket
-    does not close in MAX_POWER_STEPS steps.
+    v starts from the LAPACK eigenvector (one batched ``np.linalg.eig``)
+    of the largest real eigenvalue lam0, taken in absolute value, and
+    iterates v <- Mv + lam0 v (lam0 clipped at 0, so periodic matrices
+    converge too), normalized to unit 1-norm.  A member's v is frozen once
+    v > 0 and the Collatz-Wielandt bracket [lo, hi] = [min, max] of
+    (Mv)_i / v_i, which holds rho(M) for every positive v (Seneta,
+    Non-negative Matrices and Markov Chains, ch. 1), has hi - lo <= 1e-13
+    * hi.  The left vector is the right one of the transpose.  Raises
+    NoUniquePerronError when a support is reducible, ConvergenceError when
+    LAPACK fails or a bracket does not close in MAX_POWER_STEPS steps.
 
-    Returns (lam, v, u) with the stack's leading axes: lam is the midpoint
-    of the intersection of the two brackets, v > 0 has unit 1-norm, u > 0
-    is scaled so u . v = 1.
+    Returns (lam, v) with the stack's leading axes: lam is the midpoint
+    of the bracket and v > 0 has unit 1-norm.
     """
     M = matrix.matrix if isinstance(matrix, TransferMatrix) else np.asarray(matrix, dtype=float)
     if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
@@ -102,43 +101,34 @@ def power_iteration(matrix):
         raise ValueError("need a nonnegative matrix")
     if not strongly_connected(M).all():
         raise NoUniquePerronError("no-unique-perron: matrix support is reducible")
-
-    def bracket(mats):
-        try:
-            values, vectors = np.linalg.eig(mats)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(
-                f"no-convergence: eigensolver failed: {exc}") from exc
-        top = values.real.argmax(axis=-1)[..., None] == np.arange(mats.shape[-1])
-        x = np.abs((vectors @ top[..., None])[..., 0])  # the top column
-        x = x / x.sum(axis=-1, keepdims=True)
-        for step in range(MAX_POWER_STEPS):
-            img = (mats @ x[..., None])[..., 0]
-            ratio = img / x  # inf or nan where x has a zero: not closed
+    try:
+        values, vectors = np.linalg.eig(M)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"no-convergence: eigensolver failed: {exc}") from exc
+    top = values.real.argmax(axis=-1)[..., None] == np.arange(M.shape[-1])
+    v = np.abs((vectors @ top[..., None])[..., 0])  # the top column
+    v = v / v.sum(axis=-1, keepdims=True)
+    shift = np.maximum(values.real.max(axis=-1, keepdims=True), 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(MAX_POWER_STEPS):
+            img = (M @ v[..., None])[..., 0]
+            ratio = img / v  # inf or nan where v has a zero: not closed
             lo, hi = ratio.min(axis=-1), ratio.max(axis=-1)
             closed = (hi - lo <= 1e-13 * hi) & (hi < np.inf)
             if closed.all():
-                return lo, hi, x
-            if not step:
-                shift = np.maximum(values.real.max(axis=-1, keepdims=True), 0.0)
-            x_next = img + shift * x
-            x = np.where(closed[..., None], x,
-                         x_next / x_next.sum(axis=-1, keepdims=True))
-        raise ConvergenceError("no-convergence: Perron bracket did not close")
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lo, hi, v = bracket(M)
-        lo_left, hi_left, u = bracket(np.swapaxes(M, -1, -2))
-    lam = 0.5 * (np.maximum(lo, lo_left) + np.minimum(hi, hi_left))
-    return lam[()], v, u / (u * v).sum(axis=-1, keepdims=True)
+                return (0.5 * (lo + hi))[()], v
+            v_next = img + shift * v
+            v = np.where(closed[..., None], v,
+                         v_next / v_next.sum(axis=-1, keepdims=True))
+    raise ConvergenceError("no-convergence: Perron bracket did not close")
 
 
 def transfer_pressure(system: ShiftSystem, potential: Potential, scales=1.0):
     """Classical pressure log(Perron eigenvalue) of q * potential for the
     exponents q of ``scales`` (default the potential itself), from one
-    stacked solve; ``power_iteration`` raises NoUniquePerronError on a
-    reducible system."""
-    lam, _, _ = power_iteration(TransferMatrix(system, potential, scales))
+    stacked one-sided solve; ``power_iteration`` raises
+    NoUniquePerronError on a reducible system."""
+    lam, _ = power_iteration(TransferMatrix(system, potential, scales))
     return np.log(lam)
 
 
@@ -333,23 +323,23 @@ def equilibrium_states(system: ShiftSystem, potential: Potential,
     ``scales``, from one Perron solve, as one EquilibriumState stacked
     along the axes of ``scales`` (a 0-d ``scales`` gives one measure).
 
-    For right/left Perron vectors v, u, transition probabilities are
+    For the right Perron vector v, transition probabilities are
     M[a,b] v[b] / (Mv)[a], which is M[a,b] v[b] / (lambda v[a]) to
     within the Perron bracket's relative width (at most 1e-13), and the
-    stationary vector is proportional to u*v.  Rows sum to 1 to
-    rounding, and the stationary identity |pi P - pi| is of the order of
-    the bracket's width, far inside the 1e-9 that ``MarkovMeasure``
-    checks.  The integral of the potential is the
-    sum of pi_s P_st times its value on each arc s -> t, and the Gibbs
-    identity log(lambda) = entropy + q * integral is checked for every
-    member.  A reducible system has a reducible matrix support, on which
-    ``power_iteration`` raises NoUniquePerronError.
+    stationary vectors come from ``_stationary_vector``.  Rows sum to 1
+    to rounding, and the stationary identity |pi P - pi| is of the order
+    of rounding, far inside the 1e-9 that ``MarkovMeasure`` checks.  The
+    integral of the potential is the sum of pi_s P_st times its value on
+    each arc s -> t, and the Gibbs identity log(lambda) = entropy + q *
+    integral is checked for every member.  A reducible system has a
+    reducible matrix support, on which ``power_iteration`` raises
+    NoUniquePerronError.
     """
     tm = TransferMatrix(system, potential, scales)
-    lam, v, u = power_iteration(tm)
+    lam, v = power_iteration(tm)
     P = tm.matrix * v[..., None, :]
     P = P / P.sum(axis=-1, keepdims=True)
-    pi = u * v / (u * v).sum(axis=-1, keepdims=True)
+    pi = _stationary_vector(P)
     src, dst, _ = tm.graph.arcs
     depth = tm.graph.words.shape[1]
     state = EquilibriumState(system, depth, pi, P, np.log(lam),
@@ -386,8 +376,10 @@ def perturbed_chains(base: MarkovMeasure, count: int, rng,
 
     Rows of the transition matrix are reweighted by exp of Gaussian noise
     (support preserved) and renormalized, and the stationary vectors are
-    re-solved, so every sample is genuinely shift-invariant; the stack is
-    drawn (as ``count`` draws of one matrix), solved and checked at once.
+    re-solved by ``_stationary_vector``, so every sample is genuinely
+    shift-invariant; the stack is drawn (as ``count`` draws of one
+    matrix), solved and checked at once.  ``delta_measure``'s identity
+    chain has no unique stationary vector: NoUniquePerronError.
     """
     P0 = base.transitions
     noise = rng.normal(0.0, scale, size=(count,) + P0.shape)
@@ -399,23 +391,28 @@ def perturbed_chains(base: MarkovMeasure, count: int, rng,
 
 def _stationary_vector(P: np.ndarray) -> np.ndarray:
     """Stationary vectors of a row-stochastic matrix, or of a stack of
-    them along leading axes: the solutions of pi (P - I) = 0, sum(pi) = 1,
-    clipped at 0 and renormalized.  The balance rows sum to zero, so the
-    first is dropped and the square systems go to one batched
-    ``np.linalg.solve``, regular for irreducible chains.  When LAPACK
-    reports a singular member, the stack takes the minimum-norm
-    least-squares solutions instead, by one batched pseudo-inverse with
-    ``lstsq``'s cutoff (a reducible chain, such as ``delta_measure``'s
-    identity, yields the uniform vector).
+    them along leading axes, by the GTH state reduction (Grassmann, Taksar
+    and Heyman, Oper. Res. 33, 1985): states n-1, ..., 1 are censored out
+    in turn, column k above the diagonal divided by the exit mass s = sum
+    of P[k, :k] and P[i, j] += P[i, k] P[k, j] for i, j < k; back
+    substitution gives pi_0 = 1, pi_k = sum over i < k of pi_i P[i, k].
+    Nothing is subtracted and the diagonal is never read, so every entry
+    keeps its relative accuracy (O'Cinneide, Numer. Math. 65, 1993).
+    Raises NoUniquePerronError when an exit mass is not positive (0,
+    underflow or NaN), as it is for every chain with two closed classes.
     """
-    dim = P.shape[-1]
-    lhs = np.concatenate([np.swapaxes(P, -1, -2) - np.eye(dim),
-                          np.ones(P.shape[:-2] + (1, dim))], axis=-2)
-    try:
-        pi = np.linalg.solve(lhs[..., 1:, :], np.eye(dim)[-1])
-    except np.linalg.LinAlgError:
-        pi = np.linalg.pinv(lhs, (dim + 1) * np.finfo(float).eps)[..., -1]
-    pi = np.maximum(pi, 0.0)
+    A = np.array(P, dtype=float)
+    n = A.shape[-1]
+    for k in range(n - 1, 0, -1):
+        exit_mass = A[..., k, :k].sum(axis=-1, keepdims=True)
+        if not (exit_mass > 0).all():
+            raise NoUniquePerronError("no-unique-perron: the chain has no "
+                                      "unique stationary vector")
+        A[..., :k, k] /= exit_mass
+        A[..., :k, :k] += A[..., :k, k, None] * A[..., None, k, :k]
+    pi = np.ones(A.shape[:-1])
+    for k in range(1, n):
+        pi[..., k] = (pi[..., :k] * A[..., :k, k]).sum(axis=-1)
     return pi / pi.sum(axis=-1, keepdims=True)
 
 

@@ -3,11 +3,14 @@
 Everything here recomputes quantities from first principles with plain
 enumeration (itertools over raw symbol tuples), deliberately avoiding the
 package's own state-space machinery, so that an implementation bug cannot
-hide on both sides of an assertion.  Usable only at tiny sizes.
+hide on both sides of an assertion.  Usable only at tiny sizes.  The
+Perron and stationary references work in exact rational arithmetic
+(``fractions``), with no float and no numpy in the loop.
 """
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -220,3 +223,108 @@ def typical_cylinder_sum(adjacency, table, depth, block_depth, target_freq,
                 if all(A[full[i], full[i + 1]] for i in range(len(full) - 1)):
                     total += math.exp(window_sum(table, depth, full, n))
     return total, count
+
+
+def exact_stationary(P):
+    """Exact stationary vector (Fractions) of a row-stochastic matrix of
+    rationals: pi (P - I) = 0 with sum(pi) = 1, by Gaussian elimination
+    on the transposed balance equations with the last one replaced by the
+    normalisation.  Raises ValueError when the solution is not unique."""
+    P = [[Fraction(x) for x in row] for row in P]
+    n = len(P)
+    rows = [[P[j][i] - (i == j) for j in range(n)] + [Fraction(0)]
+            for i in range(n - 1)]
+    rows.append([Fraction(1)] * n + [Fraction(1)])
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
+        if pivot is None:
+            raise ValueError("no unique stationary vector")
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for r in range(n):
+            if r != col and rows[r][col] != 0:
+                f = rows[r][col] / rows[col][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
+    return [rows[i][n] / rows[i][i] for i in range(n)]
+
+
+def _trim(p):
+    """Drop zero leading coefficients (coefficients lowest degree first)."""
+    while p and p[-1] == 0:
+        p = p[:-1]
+    return p
+
+
+def _derivative(p):
+    return [i * c for i, c in enumerate(p)][1:]
+
+
+def _rem(a, b):
+    """Remainder of the polynomial a divided by b."""
+    a = list(a)
+    while len(a) >= len(b):
+        f = a[-1] / b[-1]
+        shift = len(a) - len(b)
+        for i, c in enumerate(b):
+            a[shift + i] -= f * c
+        a = _trim(a[:-1])
+    return a
+
+
+def _quotient(a, b):
+    """Exact quotient of the polynomial a by a divisor b."""
+    a, q = list(a), [Fraction(0)] * (len(a) - len(b) + 1)
+    for shift in range(len(q) - 1, -1, -1):
+        q[shift] = f = a[shift + len(b) - 1] / b[-1]
+        for i, c in enumerate(b):
+            a[shift + i] -= f * c
+    return q
+
+
+def _sign_changes(chain, x):
+    """Sign changes along the chain evaluated at x, zeros dropped."""
+    signs = []
+    for p in chain:
+        value = Fraction(0)
+        for c in reversed(p):
+            value = value * x + c
+        if value:
+            signs.append(value > 0)
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def perron_root_bracket(M, rel):
+    """Exact rational bracket (lo, hi] of the Perron root of an
+    irreducible nonnegative matrix with hi - lo <= rel * lo.
+
+    The characteristic polynomial comes from the Faddeev-LeVerrier
+    recursion, its square-free part from one gcd, and the Perron root
+    is its largest real root (every real eigenvalue is at most rho, and
+    rho > 0).  A Sturm chain counts the distinct roots above a point, so
+    bisection from (0, largest row sum] keeps one root above lo and none
+    above hi.
+    """
+    A = [[Fraction(x) for x in row] for row in M]
+    n = len(A)
+    coeffs = [Fraction(0)] * n + [Fraction(1)]  # lowest degree first
+    Mk = [[Fraction(0)] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        for i in range(n):
+            Mk[i][i] += coeffs[n - k + 1]
+        Mk = [[sum(A[i][m] * Mk[m][j] for m in range(n)) for j in range(n)]
+              for i in range(n)]
+        coeffs[n - k] = -sum(Mk[i][i] for i in range(n)) / k
+    a, b = coeffs, _derivative(coeffs)
+    while b:
+        a, b = b, _rem(a, b)
+    p = _quotient(coeffs, a)  # square-free: every root simple
+    chain = [p, _derivative(p)]
+    while len(chain[-1]) > 1:
+        chain.append([-c for c in _rem(chain[-2], chain[-1])])
+    lo, hi = Fraction(0), max(sum(row) for row in A)
+    while hi - lo > rel * lo:
+        mid = (lo + hi) / 2
+        if _sign_changes(chain, mid) > _sign_changes(chain, hi):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi

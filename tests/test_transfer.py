@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,28 +27,30 @@ from ergopress import (
 )
 from ergopress.multifractal import t_curve
 from ergopress.transfer import (ConvergenceError, IncreaseDepthError,
-                                _stationary_vector, power_sum_potential,
-                                power_system)
+                                _stationary_vector, equilibrium_states,
+                                power_sum_potential, power_system)
 
 
 class TestPowerIteration:
     def test_all_ones(self):
-        lam, v, u = power_iteration(np.ones((2, 2)))
+        lam, v = power_iteration(np.ones((2, 2)))
+        _, u = power_iteration(np.ones((2, 2)).T)
         assert lam == pytest.approx(2.0, abs=1e-12)
         assert np.all(v > 0) and np.all(u > 0)
-        assert u @ v == pytest.approx(1.0)
+        assert u.sum() == pytest.approx(1.0)
 
     def test_golden_matrix(self):
-        lam, _, _ = power_iteration(np.array([[1.0, 1.0], [1.0, 0.0]]))
+        lam, _ = power_iteration(np.array([[1.0, 1.0], [1.0, 0.0]]))
         assert lam == pytest.approx(GOLDEN, abs=1e-12)
 
     def test_symmetric_weighted(self):
-        lam, _, _ = power_iteration(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        lam, _ = power_iteration(np.array([[1.0, 2.0], [2.0, 1.0]]))
         assert lam == pytest.approx(3.0, abs=1e-12)
 
     def test_residual_bound(self):
         M = np.array([[1.0, 1.0], [2.0, 2.0]])
-        lam, v, u = power_iteration(M)
+        lam, v = power_iteration(M)
+        _, u = power_iteration(M.T)
         assert np.abs(M @ v - lam * v).max() <= 1e-12 * lam
         assert np.abs(u @ M - lam * u).max() <= 1e-10 * lam
 
@@ -56,7 +59,7 @@ class TestPowerIteration:
             power_iteration(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
     def test_periodic_irreducible_converges(self):
-        lam, _, _ = power_iteration(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        lam, _ = power_iteration(np.array([[0.0, 1.0], [1.0, 0.0]]))
         assert lam == pytest.approx(1.0, abs=1e-12)
 
     def test_against_numpy_eig(self):
@@ -65,7 +68,7 @@ class TestPowerIteration:
             dim = int(rng.integers(2, 7))
             M = random_irreducible_adjacency(rng, dim) * \
                 np.exp(rng.normal(size=(dim, dim)))
-            lam, _, _ = power_iteration(M)
+            lam, _ = power_iteration(M)
             expected = max(np.linalg.eigvals(M).real)
             assert lam == pytest.approx(expected, rel=1e-10)
 
@@ -92,16 +95,16 @@ class TestPowerIteration:
             dim = adj.shape[0]
             M = adj * np.exp(4.0 * rng.normal(size=(dim, dim)))
             try:
-                lam, v, u = power_iteration(M)
+                lam, v = power_iteration(M)
+                _, u = power_iteration(M.T)
             except ConvergenceError:
                 continue
             converged += 1
             assert np.all(v > 0) and np.all(u > 0)
             assert v.sum() == pytest.approx(1.0, abs=1e-14)
-            assert u @ v == pytest.approx(1.0, abs=1e-12)
+            assert u.sum() == pytest.approx(1.0, abs=1e-14)
             assert np.abs(M @ v - lam * v).max() <= 1e-12 * lam
-            un = u / u.sum()
-            assert np.abs(un @ M - lam * un).max() <= 1e-10 * lam
+            assert np.abs(u @ M - lam * u).max() <= 1e-10 * lam
             assert lam == pytest.approx(max(np.linalg.eigvals(M).real),
                                         rel=1e-10)
         # all 180 inputs close the Collatz-Wielandt bracket
@@ -110,12 +113,12 @@ class TestPowerIteration:
     def test_row_sums_far_above_the_perron_root(self):
         # the largest row sum is 46,344 times the Perron root
         M = np.array([[0.0, 1e4, 0.0], [0.0, 0.0, 1e-6], [1.0, 0.0, 1e-3]])
-        lam, v, u = power_iteration(M)
+        lam, v = power_iteration(M)
+        _, u = power_iteration(M.T)
         assert M.sum(axis=1).max() > 1e4 * lam
         assert np.all(v > 0) and np.all(u > 0)
         assert np.abs(M @ v - lam * v).max() <= 1e-12 * lam
-        un = u / u.sum()
-        assert np.abs(un @ M - lam * un).max() <= 1e-10 * lam
+        assert np.abs(u @ M - lam * u).max() <= 1e-10 * lam
         assert lam == pytest.approx(max(np.linalg.eigvals(M).real), rel=1e-10)
 
     def test_converges_from_a_flat_start(self, monkeypatch):
@@ -128,10 +131,11 @@ class TestPowerIteration:
         for adj in self._hard_supports(rng):
             dim = adj.shape[0]
             M = adj * np.exp(rng.normal(size=(dim, dim)))
-            lam, v, u = power_iteration(M)
-            for x, image in ((v, M @ v), (u, u @ M)):
-                assert (image / x).min() <= lam <= (image / x).max()
-            assert lam == pytest.approx(max(eig(M)[0].real), rel=1e-12)
+            lam, v = power_iteration(M)
+            lam_t, u = power_iteration(M.T)
+            for root, x, image in ((lam, v, M @ v), (lam_t, u, u @ M)):
+                assert (image / x).min() <= root <= (image / x).max()
+                assert root == pytest.approx(max(eig(M)[0].real), rel=1e-12)
 
     def test_hard_reducible_inputs_rejected(self):
         rng = np.random.default_rng(12)
@@ -153,36 +157,39 @@ class TestPowerIteration:
 
     @staticmethod
     def _assert_members_match(stack, singles):
-        lam, v, u = power_iteration(stack)
-        assert lam.shape == (len(stack),) and v.shape == u.shape == stack.shape[:2]
-        for i, (lam1, v1, u1) in enumerate(singles):
+        lam, v = power_iteration(stack)
+        assert lam.shape == (len(stack),) and v.shape == stack.shape[:2]
+        for i, (lam1, v1) in enumerate(singles):
             assert lam[i] == pytest.approx(lam1, rel=1e-12)
             np.testing.assert_allclose(v[i], v1, rtol=1e-12)
-            np.testing.assert_allclose(u[i], u1, rtol=1e-12)
 
     def test_stack_members_match_single_calls(self):
         # three weightings of each hard support, solved as one stack,
-        # which raises when one of its members does
+        # which raises when one of its members does; the transposed
+        # stack gives the left vectors
         rng = np.random.default_rng(21)
         for adj in self._hard_supports(rng):
             dim = adj.shape[0]
             stack = adj * np.exp(4.0 * rng.normal(size=(3, dim, dim)))
-            try:
-                singles = [power_iteration(M) for M in stack]
-            except ConvergenceError:
-                with pytest.raises(ConvergenceError):
-                    power_iteration(stack)
-                continue
-            self._assert_members_match(stack, singles)
+            for mats in (stack, np.swapaxes(stack, -1, -2)):
+                try:
+                    singles = [power_iteration(M) for M in mats]
+                except ConvergenceError:
+                    with pytest.raises(ConvergenceError):
+                        power_iteration(mats)
+                    continue
+                self._assert_members_match(mats, singles)
 
     def test_stack_of_extreme_golden_mean_weights(self, golden):
         # rows differing by up to e^300 next to ones differing by e^-300
         phi = Potential.depth_one(golden, [0.0, 1.0])
         scales = np.array([-300.0, -100.0, 100.0, 300.0])
         stack = TransferMatrix(golden, phi, scales).matrix
-        singles = [power_iteration(TransferMatrix(golden, phi.scaled(q)))
+        singles = [TransferMatrix(golden, phi.scaled(q)).matrix
                    for q in scales]
-        self._assert_members_match(stack, singles)
+        self._assert_members_match(stack, [power_iteration(M) for M in singles])
+        self._assert_members_match(np.swapaxes(stack, -1, -2),
+                                   [power_iteration(M.T) for M in singles])
         exact = (1 + np.sqrt(1 + 4 * np.exp(scales))) / 2
         np.testing.assert_allclose(power_iteration(stack)[0], exact,
                                    rtol=1e-12)
@@ -209,10 +216,83 @@ class TestPowerIteration:
 
     def test_stack_keeps_leading_axes(self):
         stack = np.ones((2, 3, 4, 4)) * np.arange(1.0, 4.0)[:, None, None]
-        lam, v, u = power_iteration(stack)
+        lam, v = power_iteration(stack)
+        _, u = power_iteration(np.swapaxes(stack, -1, -2))
         assert lam.shape == (2, 3) and v.shape == u.shape == (2, 3, 4)
         np.testing.assert_allclose(lam, 4.0 * np.arange(1.0, 4.0)[None, :]
                                    + np.zeros((2, 1)), rtol=1e-14)
+
+
+class TestExactReferences:
+    """The Perron root and the stationary vectors against exact rational
+    references (``oracles``), which share no algorithm with the library."""
+
+    @staticmethod
+    def _dyadic(rng, shape, lowest):
+        """Weights k * 2**e, k in 1..15 and e in lowest..0: exact floats."""
+        return np.ldexp(rng.integers(1, 16, shape).astype(float),
+                        rng.integers(lowest, 1, shape))
+
+    def test_stationary_vector_of_tiny_masses(self):
+        # a cycle plus random arcs, weights down to 2^-300: every entry of
+        # pi to 1e-13 relative, the smallest far below float eps
+        rng = np.random.default_rng(41)
+        for _ in range(60):
+            dim = int(rng.integers(3, 7))
+            arcs = rng.random((dim, dim)) < 0.4
+            arcs[np.arange(dim), (np.arange(dim) + 1) % dim] = True
+            W = np.where(arcs, self._dyadic(rng, (dim, dim), -300), 0.0)
+            exact_P = [[Fraction(w) / sum(map(Fraction, row)) for w in row]
+                       for row in W]
+            exact = oracles.exact_stationary(exact_P)
+            pi = _stationary_vector(np.array(exact_P, dtype=float))
+            for got, want in zip(pi, exact):
+                assert abs(Fraction(got) - want) <= Fraction(1e-13) * want
+
+    def test_perron_root_within_its_bracket(self):
+        # irreducible dyadic matrices and one periodic permuted cycle: the
+        # one-sided lambda lies within 1e-13 lambda of the exact root
+        rng = np.random.default_rng(42)
+        mats = []
+        for _ in range(39):
+            dim = int(rng.integers(2, 7))
+            adj = random_irreducible_adjacency(rng, dim)
+            mats.append(adj * np.ldexp(self._dyadic(rng, (dim, dim), -20),
+                                       rng.integers(0, 21, (dim, dim))))
+        perm = rng.permutation(5)
+        cycle = np.roll(np.eye(5), 1, axis=1)[perm][:, perm]
+        mats.append(cycle * self._dyadic(rng, (5, 5), -10))
+        for M in mats:
+            lam, _ = power_iteration(M)
+            lo, hi = oracles.perron_root_bracket(M, Fraction(1, 10 ** 15))
+            slack = Fraction(1e-13) * Fraction(lam)
+            assert lo - slack <= Fraction(lam) <= hi + slack
+
+    def test_chains_without_a_unique_stationary_vector_raise(self):
+        two_classes = np.array([[0.5, 0.5, 0.0, 0.0], [0.5, 0.5, 0.0, 0.0],
+                                [0.0, 0.0, 0.2, 0.8], [0.0, 0.0, 1.0, 0.0]])
+        nan = np.full((3, 3), 1 / 3)
+        nan[2, 0] = np.nan
+        for P in (two_classes, np.eye(3), nan, np.stack([np.ones((4, 4)) / 4,
+                                                         two_classes])):
+            with pytest.raises(NoUniquePerronError,
+                               match="no unique stationary vector"):
+                _stationary_vector(P)
+
+    def test_equilibrium_pi_matches_left_times_right_vector(self):
+        # pi is proportional to u * v, u the left Perron vector
+        rng = np.random.default_rng(43)
+        scales = np.linspace(-24.0, 24.0, 33)
+        for _ in range(300):
+            system = ShiftSystem(random_irreducible_adjacency(
+                rng, int(rng.integers(2, 6))))
+            pot = random_potential(rng, system, int(rng.integers(1, 3)))
+            tm = TransferMatrix(system, pot, scales)
+            _, v = power_iteration(tm)
+            _, u = power_iteration(np.swapaxes(tm.matrix, -1, -2))
+            np.testing.assert_allclose(
+                equilibrium_states(system, pot, scales).stationary,
+                u * v / (u * v).sum(axis=-1, keepdims=True), rtol=1e-10, atol=0)
 
 
 class TestTransferMatrix:
@@ -567,27 +647,25 @@ class TestArrayMeasure:
                                       [m.entropy for m in members])
 
     def test_irreducible_perturbed_stack_is_solved_square(self, monkeypatch):
-        # the pseudo-inverse is only the fallback for a singular member
+        # the state reduction needs no LAPACK solve and no pseudo-inverse
         def refuse(*args, **kwargs):
-            raise AssertionError("pinv reached on an irreducible stack")
+            raise AssertionError("LAPACK solve reached by a chain solve")
 
-        monkeypatch.setattr(np.linalg, "pinv", refuse)
+        for name in ("solve", "pinv", "lstsq"):
+            monkeypatch.setattr(np.linalg, name, refuse)
         for seed, d in ((9, 1), (16, 2)):
             _, _, mu = self._random_measure(seed, d)
             stack = perturbed_chains(mu, 50, np.random.default_rng(seed))
             pi, P = stack.stationary, stack.transitions
             assert np.abs((pi[:, None, :] @ P)[:, 0] - pi).max() <= 1e-12
 
-    def test_perturbed_delta_base_is_accepted(self, full2):
-        # P = I is reducible: the square solve fails and the minimum-norm
-        # solution is uniform
-        stack = perturbed_chains(delta_measure(full2, 1), 5,
-                                 np.random.default_rng(12))
-        np.testing.assert_array_equal(stack.transitions, np.tile(np.eye(2),
-                                                                 (5, 1, 1)))
-        np.testing.assert_allclose(stack.stationary, np.full((5, 2), 0.5),
-                                   rtol=1e-12)
-        np.testing.assert_array_equal(stack.entropy, np.zeros(5))
+    def test_perturbed_delta_base_raises(self, full2):
+        # P = I has two closed classes: any mix of the two point masses is
+        # stationary, so the chain has no unique stationary vector
+        with pytest.raises(NoUniquePerronError,
+                           match="no unique stationary vector"):
+            perturbed_chains(delta_measure(full2, 1), 5,
+                             np.random.default_rng(12))
 
     def test_sampler_matches_per_state_search_on_40_states(self):
         rng = np.random.default_rng(13)
