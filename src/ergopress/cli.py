@@ -223,7 +223,7 @@ class ExperimentConfig:
             table = {tuple(int(c) for c in key.split(",")): float(v)
                      for key, v in self.potential_spec["table"].items()}
             return Potential(system, self.potential_spec["depth"], table)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"config-error at 'potential.table': {exc}")
 
     def build_subset(self, system: ShiftSystem) -> SubsetSpec:

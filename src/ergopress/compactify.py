@@ -116,7 +116,7 @@ def circle_cover_pressure(model: LineDoublingModel, phi=None,
     pole, so the line partition is the circle one less its point -pi, and
     one sweep of pullbacks and orbits serves both.  ``subset_angle``
     restricts the covering sums to the strings whose domain contains that
-    angle.  Each estimate is the least-squares slope of its log covering
+    angle: the same sweep, read at the one cell holding it.  Each estimate is the least-squares slope of its log covering
     sum against the string length over the top half of ``n_range``.
     """
     if arc_count < 8 or arc_count % 2:
@@ -137,16 +137,9 @@ def circle_cover_pressure(model: LineDoublingModel, phi=None,
     P, first = np.unique(_wrap(np.concatenate(points)), return_index=True)
     level = first // arc_count
     if subset_angle is not None:
-        # N reads one cell, whose ends are the nearest points of level < N
-        # either side of the angle (the level records scanning outward from
-        # it) or the ends of the cells at the pole: follow only those
+        # the points at or before the angle: N reads the cell that the last
+        # of them of level < N starts
         upto = np.searchsorted(P, _wrap(np.array([subset_angle]))[0], "right")
-        ends = [0, 1, len(P) - 1]
-        for side in (np.arange(upto - 1, -1, -1), np.arange(upto, len(P))):
-            records = np.diff(np.minimum.accumulate(level[side]), prepend=n_hi)
-            ends.extend(side[records < 0])
-        keep = np.unique(ends)
-        P, level, upto = P[keep], level[keep], np.searchsorted(keep, upto)
 
     loglam = {"line": {}, "circle": {}}
     if phi is zero_potential_angle and subset_angle is None:
@@ -172,11 +165,12 @@ def circle_cover_pressure(model: LineDoublingModel, phi=None,
             for cover, start in (("line", 1), ("circle", 0)):
                 sup[-1] = max(left[-1], left[start], N * phi_pole)
                 s = sup[start:]
-                if subset_angle is not None:  # the one cell holding the angle
+                if subset_angle is None:
+                    m = s.max()
+                    loglam[cover][N] = float(m + np.log(np.exp(s - m).sum()))
+                else:  # the one cell holding the angle
                     cell = np.count_nonzero(part[:upto]) - start - 1
-                    s = s[[cell % len(s)]]
-                m = s.max()
-                loglam[cover][N] = float(m + np.log(np.exp(s - m).sum()))
+                    loglam[cover][N] = float(s[cell % len(s)])
     ns = list(range(n_lo, n_hi + 1))
     top = ns[len(ns) // 2:]
     estimates = []

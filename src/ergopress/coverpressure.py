@@ -34,7 +34,7 @@ located by bisection, classifying each alpha by the least-squares slope
 of log(sum) against N over the top half of the N-window.  The weights
 come in stacks: one call runs the c-factor recursion for many exponents
 at once (one sum over the arcs of all exponents per depth level) and
-reads the whole N-window from a cached stack of entry vectors, so each
+reads the whole N-window's entry vectors from the cached sweep, so each
 call weighs the bisection path predicted from the bracket's regula-falsi
 point.  Lower/upper capacity pressures come from the successive
 differences of log(sum) against N (which converge to the same limit as
@@ -154,7 +154,6 @@ class _StringCalculus:
                 self._fold_seeds(np.array(list(group), dtype=np.int64))
         # every seed and every entry length is at least sd
         self._forward = [self._seeds.get(sd, np.full(n, -np.inf))]
-        self._stack_cache: dict = {}
 
     def _fold_seeds(self, words: np.ndarray):
         """Fold equal-length seed words into ``_seeds[length]``: per end
@@ -250,20 +249,6 @@ class _StringCalculus:
             np.minimum(total, 1.0, out=total)
         return cg
 
-    def _entry_stack(self, ns: tuple):
-        """The entry weights of a window of Ns as one stack, cached per
-        window: exp(logW - shift) per N and state, and the shifts (each
-        N's largest entry log; 0 when all vanish)."""
-        if ns in self._stack_cache:
-            return self._stack_cache[ns]
-        logWs = np.array([self._entry_logs(N) for N in ns]).reshape(
-            len(ns), len(self.graph.words))
-        shift = logWs.max(axis=1, initial=-math.inf)
-        shift[shift == -math.inf] = 0.0
-        result = (np.exp(logWs - shift[:, None]), shift)
-        self._stack_cache[ns] = result
-        return result
-
     def log_weights(self, alphas, ns, margin: int):
         """Optimal covering weights for every exponent in ``alphas`` and
         every N in ``ns``, with string lengths in [N, N + margin].
@@ -285,7 +270,13 @@ class _StringCalculus:
         cap_mass = np.zeros_like(logs)
         if self.empty:
             return logs, cap_mass
-        weights, shift = self._entry_stack(ns)
+        # the entry weights as one stack, exp(logW - shift) per N and state,
+        # each N shifted by its largest entry log (0 when all vanish)
+        logWs = np.array([self._entry_logs(N) for N in ns]).reshape(
+            len(ns), len(self.graph.words))
+        shift = logWs.max(axis=1, initial=-math.inf)
+        shift[shift == -math.inf] = 0.0
+        weights = np.exp(logWs - shift[:, None])
         at_cap = self._cfactors(alphas, margin)
         total = (weights[:, None] * at_cap[0]).sum(axis=-1).T
         capped = (weights[:, None] * at_cap[1]).sum(axis=-1).T
@@ -301,7 +292,7 @@ def _calculus(subset: SubsetSpec, potential: Potential,
               cover: Cover) -> _StringCalculus:
     """The ``_StringCalculus`` of the subset for this potential and cover,
     built once and kept on the subset, so that the covering sums of one
-    job share one forward sweep and one set of entry vectors."""
+    job share one forward sweep."""
     key = (potential, cover.system, cover.depth)
     calc = subset.calculators.get(key)
     if calc is None:
@@ -458,7 +449,7 @@ def critical_alpha(subset: SubsetSpec, potential: Potential, cover: Cover,
             "inconclusive: growth classification is not monotone across "
             f"the initial bracket (slopes {slope_lo:.3g}, {slope_hi:.3g})")
     threshold = 1e-3 * max(1.0, abs(slope_lo), abs(slope_hi))
-    steps = math.ceil(math.log2((alpha_hi - alpha_lo) / tol)) + 1
+    steps = math.ceil(math.log2(alpha_hi - alpha_lo) - math.log2(tol)) + 1
     weak = done = 0
     rows = {}
     while done < steps and alpha_hi - alpha_lo > tol:

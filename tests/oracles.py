@@ -8,6 +8,7 @@ Perron and stationary references work in exact rational arithmetic
 (``fractions``), with no float and no numpy in the loop.
 """
 
+import decimal
 import itertools
 import math
 from fractions import Fraction
@@ -258,73 +259,138 @@ def _derivative(p):
     return [i * c for i, c in enumerate(p)][1:]
 
 
+def _primitive(p):
+    """p over the gcd of its integer coefficients: a positive multiple of
+    p, so every sign is kept."""
+    g = math.gcd(*p)
+    return [c // g for c in p]
+
+
 def _rem(a, b):
-    """Remainder of the polynomial a divided by b."""
-    a = list(a)
+    """A positive multiple of the remainder of the integer polynomial a
+    divided by b, primitive (pseudo-division by |lead(b)|, no fractions)."""
+    a, lead, sign = list(a), abs(b[-1]), 1 if b[-1] > 0 else -1
     while len(a) >= len(b):
-        f = a[-1] / b[-1]
-        shift = len(a) - len(b)
+        f, shift = sign * a[-1], len(a) - len(b)
+        a = [c * lead for c in a]
         for i, c in enumerate(b):
             a[shift + i] -= f * c
         a = _trim(a[:-1])
-    return a
+    return _primitive(a) if a else a
 
 
 def _quotient(a, b):
-    """Exact quotient of the polynomial a by a divisor b."""
-    a, q = list(a), [Fraction(0)] * (len(a) - len(b) + 1)
+    """A nonzero multiple of the exact quotient of a by a divisor b, as a
+    primitive integer polynomial."""
+    a, q = [Fraction(c) for c in a], [Fraction(0)] * (len(a) - len(b) + 1)
     for shift in range(len(q) - 1, -1, -1):
         q[shift] = f = a[shift + len(b) - 1] / b[-1]
         for i, c in enumerate(b):
             a[shift + i] -= f * c
-    return q
+    scale = math.lcm(*(c.denominator for c in q))
+    return _primitive([int(c * scale) for c in q])
 
 
 def _sign_changes(chain, x):
-    """Sign changes along the chain evaluated at x, zeros dropped."""
+    """Sign changes along the chain evaluated at the rational x = m/q,
+    zeros dropped: each p(x) q**deg(p) in integers, whose sign is p(x)'s."""
+    m, q = x.numerator, x.denominator
+    powers = [q ** j for j in range(len(chain[0]))]
     signs = []
     for p in chain:
-        value = Fraction(0)
-        for c in reversed(p):
-            value = value * x + c
+        value, d = 0, len(p) - 1
+        for i in range(d, -1, -1):
+            value = value * m + p[i] * powers[d - i]
         if value:
             signs.append(value > 0)
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
 def perron_root_bracket(M, rel):
-    """Exact rational bracket (lo, hi] of the Perron root of an
-    irreducible nonnegative matrix with hi - lo <= rel * lo.
+    """Exact rational bracket (lo, hi] of the Perron root of a
+    nonnegative matrix, irreducible or not, with hi - lo <= rel * lo;
+    ValueError when rho = 0 (no root in (0, largest row sum]).
 
-    The characteristic polynomial comes from the Faddeev-LeVerrier
-    recursion, its square-free part from one gcd, and the Perron root
-    is its largest real root (every real eigenvalue is at most rho, and
-    rho > 0).  A Sturm chain counts the distinct roots above a point, so
+    The entries are scaled by D, the lcm of their denominators, to an
+    integer matrix B with root D * rho.  B's characteristic polynomial
+    comes from the Faddeev-LeVerrier recursion (its divisions are exact
+    in integers), its square-free part from one gcd, and the Perron root
+    is its largest real root (every real eigenvalue is at most rho).  A
+    Sturm chain counts the distinct roots above a point, so
     bisection from (0, largest row sum] keeps one root above lo and none
-    above hi.
+    above hi.  The chain is kept in primitive integer polynomials, each
+    a positive multiple of the Sturm remainder, so no sign changes.
     """
     A = [[Fraction(x) for x in row] for row in M]
     n = len(A)
-    coeffs = [Fraction(0)] * n + [Fraction(1)]  # lowest degree first
-    Mk = [[Fraction(0)] * n for _ in range(n)]
+    D = math.lcm(*(x.denominator for row in A for x in row))
+    B = [[int(x * D) for x in row] for row in A]
+    coeffs = [0] * n + [1]  # lowest degree first
+    Mk = [[0] * n for _ in range(n)]
     for k in range(1, n + 1):
         for i in range(n):
             Mk[i][i] += coeffs[n - k + 1]
-        Mk = [[sum(A[i][m] * Mk[m][j] for m in range(n)) for j in range(n)]
+        Mk = [[sum(B[i][m] * Mk[m][j] for m in range(n)) for j in range(n)]
               for i in range(n)]
-        coeffs[n - k] = -sum(Mk[i][i] for i in range(n)) / k
-    a, b = coeffs, _derivative(coeffs)
+        coeffs[n - k] = -sum(Mk[i][i] for i in range(n)) // k
+    a, b = coeffs, _primitive(_derivative(coeffs))
     while b:
         a, b = b, _rem(a, b)
     p = _quotient(coeffs, a)  # square-free: every root simple
-    chain = [p, _derivative(p)]
+    chain = [p, _primitive(_derivative(p))]
     while len(chain[-1]) > 1:
         chain.append([-c for c in _rem(chain[-2], chain[-1])])
-    lo, hi = Fraction(0), max(sum(row) for row in A)
+    lo, hi = Fraction(0), Fraction(max(sum(row) for row in B))
+    if _sign_changes(chain, lo) == _sign_changes(chain, hi):
+        raise ValueError("the Perron root is 0: no bracket relative to it")
     while hi - lo > rel * lo:
         mid = (lo + hi) / 2
         if _sign_changes(chain, mid) > _sign_changes(chain, hi):
             lo = mid
         else:
             hi = mid
-    return lo, hi
+    return lo / D, hi / D
+
+
+_LN = decimal.Context(prec=50)
+
+
+def _ln(x):
+    """ln of a positive rational as a 50-digit Decimal: the two logs are
+    correctly rounded, so the error is below 1e-40 while numerator and
+    denominator stay below 10**1000."""
+    x = Fraction(x)
+    return _LN.subtract(_LN.ln(x.numerator), _LN.ln(x.denominator))
+
+
+def float_log(w):
+    """fl(log w): the float nearest log of the positive rational w."""
+    return float(_ln(w))
+
+
+def float_pressure_bracket(M, windows, rel=Fraction(1, 10 ** 20)):
+    """Floats lo <= hi that hold the pressure of a float potential f.
+
+    M is the exact transfer matrix of rational weights w, one per window
+    (its entries are the w of the transitions the adjacency allows), and
+    ``windows`` lists the pairs (f, w) of every window.  log rho(M) is
+    the pressure P(log w) of the potential log w, on every support with
+    rho > 0.  Pressure is 1-Lipschitz in the sup norm, |P(f) - P(g)| <=
+    max |f - g| (Walters, An Introduction to Ergodic Theory, Thm 9.7), so
+    P(f) lies within d = max |f - log w| of log rho(M), and therefore in
+    [log lo - d, log hi + d] for the exact root bracket (lo, hi] of
+    ``perron_root_bracket``.  The logs and d are taken in 50-digit
+    decimal arithmetic, widened by their 1e-40 error bound, and the ends
+    rounded outward to floats, so the bracket holds P(f) itself: only
+    the side under test carries float rounding.
+    """
+    lo, hi = perron_root_bracket(M, rel)
+    d = max(abs(_LN.subtract(decimal.Decimal(f), _ln(w)))
+            for f, w in windows) + decimal.Decimal("3e-40")
+    lo, hi = _LN.subtract(_ln(lo), d), _LN.add(_ln(hi), d)
+    out = [float(lo), float(hi)]
+    if decimal.Decimal(out[0]) > lo:
+        out[0] = math.nextafter(out[0], -math.inf)
+    if decimal.Decimal(out[1]) < hi:
+        out[1] = math.nextafter(out[1], math.inf)
+    return tuple(out)

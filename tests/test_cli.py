@@ -464,6 +464,11 @@ class TestMainEntry:
         # JSON's Infinity, on which the cast overflows
         ("pressure", {"subset": {"kind": "cylinders",
                                  "words": [[float("inf")]]}}, "subset.words"),
+        # an integer past the float range in a table value (listed last, so
+        # that the cases above keep their ids)
+        ("pressure", {"potential": {"kind": "table", "depth": 1,
+                                    "table": {"0": 0, "1": 10 ** 400}}},
+         "potential.table"),
     ])
     def test_malformed_config_exits_two_naming_field(
             self, tmp_path, capsys, task, overrides, field):
@@ -532,6 +537,19 @@ class TestMainEntry:
         assert err.startswith("NoUniquePerronError: ")
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    def test_subnormal_tol_fails_its_checks_without_overflow(self, tmp_path,
+                                                             capsys):
+        # log2 of the bracket width over 5e-324 is log2(inf): the step
+        # count takes the difference of the two logs instead, bisects to
+        # the bracket's float resolution and fails the 2 * tol checks
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"budget": {"tol": 5e-324}}))
+        code = main(["pressure", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "OverflowError" not in err
 
     def test_deep_cylinder_words_move_the_window(self, tmp_path, capsys):
         # ten listed words of 22 symbols, longer than the entry words of

@@ -268,6 +268,77 @@ class TestExactReferences:
             slack = Fraction(1e-13) * Fraction(lam)
             assert lo - slack <= Fraction(lam) <= hi + slack
 
+    @staticmethod
+    def _support(rng, kind, k):
+        """0/1 adjacency on k symbols: irreducible and aperiodic, a
+        permuted k-cycle (period k), a permuted complete bipartite graph
+        (period 2), or two irreducible classes joined by one arc."""
+        if kind == "aperiodic":
+            return random_irreducible_adjacency(rng, k)
+        perm = rng.permutation(k)
+        if kind == "cycle":
+            adj = np.roll(np.eye(k, dtype=np.int64), 1, axis=1)
+        elif kind == "bipartite":
+            side = np.arange(k) < int(rng.integers(1, k))
+            adj = (side[:, None] != side[None, :]).astype(np.int64)
+        else:
+            cut = int(rng.integers(1, k))
+            adj = np.zeros((k, k), dtype=np.int64)
+            adj[:cut, :cut] = random_irreducible_adjacency(rng, cut)
+            adj[cut:, cut:] = random_irreducible_adjacency(rng, k - cut)
+            adj[int(rng.integers(cut)), int(rng.integers(cut, k))] = 1
+        return adj[perm][:, perm]
+
+    def test_pressure_of_float_log_weights_within_exact_bracket(self):
+        # 120 systems of 2-8 symbols with rational weights w, 24 of them
+        # with one weight 2^(+-1154) (about e^(+-800)): transfer_pressure
+        # of fl(log w) lies in the exact bracket of the float potential,
+        # widened by 1e-13 (the Collatz-Wielandt closing width) and a few
+        # ulps, or raises by name; it never returns NaN or inf.  The exact
+        # matrix is built here from the adjacency and the weights.
+        rng = np.random.default_rng(44)
+        kinds = ("aperiodic", "cycle", "bipartite", "reducible")
+        answered = dict.fromkeys(kinds, 0)
+        tiny_answered = 0
+        for trial in range(120):
+            kind = kinds[trial % 4]
+            k, depth = int(rng.integers(2, 9)), int(rng.integers(1, 3))
+            adj = self._support(rng, kind, k)
+            src, dst = np.nonzero(adj)
+            windows = [(a,) for a in range(k)] if depth == 1 \
+                else list(zip(src.tolist(), dst.tolist()))
+            w = {u: Fraction(int(rng.integers(1, 41)),
+                             int(rng.integers(1, 41))) for u in windows}
+            extreme = (1154 if trial // 10 % 2 else -1154) \
+                if trial % 10 >= 8 else 0
+            if extreme:
+                w[windows[int(rng.integers(len(windows)))]] = \
+                    Fraction(2) ** extreme
+            M = [[Fraction(0)] * k for _ in range(k)]
+            for a, b in zip(src.tolist(), dst.tolist()):
+                M[a][b] = w[(a, b)[:depth]]
+            table = {u: oracles.float_log(x) for u, x in w.items()}
+            system = ShiftSystem(adj)
+            if kind == "reducible":  # e^800 overflows before the check
+                with pytest.raises(OverflowError if extreme > 0
+                                   else NoUniquePerronError):
+                    transfer_pressure(system, Potential(system, depth, table))
+                continue
+            try:
+                got = float(transfer_pressure(
+                    system, Potential(system, depth, table)))
+            except (NoUniquePerronError, ConvergenceError, OverflowError):
+                continue
+            answered[kind] += 1
+            tiny_answered += extreme < 0
+            assert math.isfinite(got)
+            lo, hi = oracles.float_pressure_bracket(
+                M, [(table[u], x) for u, x in w.items()])
+            slack = 1e-13 + 4 * math.ulp(max(abs(lo), abs(hi)))
+            assert lo - slack <= got <= hi + slack
+        assert min(answered[kind] for kind in kinds[:3]) >= 20
+        assert tiny_answered >= 4
+
     def test_chains_without_a_unique_stationary_vector_raise(self):
         two_classes = np.array([[0.5, 0.5, 0.0, 0.0], [0.5, 0.5, 0.0, 0.0],
                                 [0.0, 0.0, 0.2, 0.8], [0.0, 0.0, 1.0, 0.0]])
