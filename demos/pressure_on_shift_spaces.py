@@ -11,7 +11,6 @@ bisection tolerance.
 import math
 
 from ergopress import (
-    Cover,
     Potential,
     SubsetSpec,
     capacity_pressures,
@@ -24,10 +23,10 @@ from ergopress import (
 
 def show(system, potential, label, reference):
     whole = SubsetSpec.whole(system)
-    cover = Cover(system, potential.depth)
+    t = potential.depth  # the coarsest cover on which the sums are exact
     oracle = transfer_pressure(system, potential)
-    lo, hi = capacity_pressures(whole, potential, cover, 24)
-    est = critical_alpha(whole, potential, cover, tol=1e-6)
+    lo, hi = capacity_pressures(whole, potential, t, 24)
+    est = critical_alpha(whole, potential, t, tol=1e-6)
     print(f"\n{label}")
     print(f"  transfer-matrix oracle : {oracle:.9f}  (reference {reference})")
     print(f"  capacity growth rate   : [{lo.value:.9f}, {hi.value:.9f}]")
@@ -51,7 +50,7 @@ def main():
     print("constant on every cover element):")
     phi = Potential.depth_one(full2, [0.0, math.log(2)])
     for depth in (1, 2, 3):
-        est = critical_alpha(SubsetSpec.whole(full2), phi, Cover(full2, depth),
+        est = critical_alpha(SubsetSpec.whole(full2), phi, depth,
                              tol=1e-5, n_range=(8, 16))
         print(f"  depth {depth}: estimate {est.value:.9f}")
 

@@ -10,7 +10,6 @@ between the three pressure notions are visible directly in the numbers.
 import math
 
 from ergopress import (
-    Cover,
     Potential,
     SubsetSpec,
     capacity_pressures,
@@ -22,11 +21,11 @@ from ergopress import (
 def main():
     full2 = make_full_shift(2)
     phi = Potential.depth_one(full2, [0.0, math.log(2)])
-    cover = Cover(full2, 1)
+    t = 1
     tol = 1e-5
 
     def pressure(spec):
-        return critical_alpha(spec, phi, cover, tol=tol).value
+        return critical_alpha(spec, phi, t, tol=tol).value
 
     whole = SubsetSpec.whole(full2)
     cyl = SubsetSpec.cylinders(full2, [(0, 0)])
@@ -51,8 +50,8 @@ def main():
 
     print("\nFor the invariant golden-mean subset the three pressures agree:")
     zero = Potential.zero(full2)
-    p = critical_alpha(golden_inside, zero, cover, tol=tol).value
-    lo, hi = capacity_pressures(golden_inside, zero, cover, 24)
+    p = critical_alpha(golden_inside, zero, t, tol=tol).value
+    lo, hi = capacity_pressures(golden_inside, zero, t, 24)
     print(f"  critical exponent {p:.6f}, capacities [{lo.value:.6f}, "
           f"{hi.value:.6f}], golden-ratio log {math.log((1+5**0.5)/2):.6f}")
 

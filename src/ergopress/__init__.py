@@ -16,7 +16,6 @@ from .shifts import (
     make_full_shift,
 )
 from .coverpressure import (
-    Cover,
     InconclusiveError,
     PressureEstimate,
     capacity_pressures,

@@ -1,16 +1,16 @@
 """Batch front end: config-driven experiments with machine-readable output.
 
-A run is described by a JSON config (or assembled from flags), dispatched
-to the computation modules, and reported as comma-separated tables plus a
-structured JSON summary.  Outputs are deterministic for a fixed config
-and seed: no timestamps or timings go into the files (wall-clock is
-printed to stdout only), so reruns are byte-identical.
+A run is described by a JSON config, dispatched to the computation
+modules, and reported as comma-separated tables plus a structured JSON
+summary.  Outputs are deterministic for a fixed config and seed: no
+timestamps or timings go into the files (wall-clock is printed to stdout
+only), so reruns are byte-identical.
 
 Subcommands: pressure, capacity, spectrum, correlation, vp-check,
 inverse-vp, gap-example, transfer-check, suite.  Exit code 0 iff every
 check in the report passed, 1 if a check failed, 2 for a malformed config
-and 3 when the computation raises one of the library's named errors or
-overflows.
+and 3 when the computation raises one of the library's named errors,
+overflows or runs out of memory (printed as ``MemoryError: <message>``).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import compactify
-from .coverpressure import (Cover, InconclusiveError, capacity_pressures,
+from .coverpressure import (InconclusiveError, capacity_pressures,
                             critical_alpha, pressure_refined)
 from .multifractal import correlation_entropy, legendre_check, t_curve
 from .shifts import (Potential, ShiftSystem, SubsetSpec, block_codes_fit,
@@ -102,7 +102,7 @@ class ExperimentConfig:
                  "system.kind", f"line_doubling has no symbolic system for "
                  f"task {task!r}")
         if kind == "full_shift":
-            _require(isinstance(system.get("k"), int) and system["k"] >= 2,
+            _require(_int_at_least(system.get("k"), 2),
                      "system.k", "must be an integer >= 2")
         if kind == "sft":
             adj = system.get("adjacency")
@@ -117,8 +117,7 @@ class ExperimentConfig:
         _require(pkind in ("zero", "constant", "table"),
                  "potential.kind", "must be zero | constant | table")
         if pkind == "table":
-            _require(isinstance(potential.get("depth"), int)
-                     and potential["depth"] >= 1,
+            _require(_int_at_least(potential.get("depth"), 1),
                      "potential.depth", "must be an integer >= 1")
             _require(isinstance(potential.get("table"), dict),
                      "potential.table", "must map words to values")
@@ -220,8 +219,11 @@ class ExperimentConfig:
         if kind == "constant":
             return Potential.constant(system, float(self.potential_spec["value"]))
         try:
+            spec = self.potential_spec["table"]
+            if any(isinstance(v, bool) for v in spec.values()):
+                raise TypeError("values must be numbers, not booleans")
             table = {tuple(int(c) for c in key.split(",")): float(v)
-                     for key, v in self.potential_spec["table"].items()}
+                     for key, v in spec.items()}
             return Potential(system, self.potential_spec["depth"], table)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"config-error at 'potential.table': {exc}")
@@ -247,7 +249,7 @@ def _finite(value) -> bool:
 
 
 def _int_at_least(value, least: int) -> bool:
-    return isinstance(value, int) and value >= least
+    return type(value) is int and value >= least  # refuses JSON's true
 
 
 def _q_points(q) -> float:
@@ -325,8 +327,7 @@ def _task_pressure(cfg: ExperimentConfig) -> TaskResult:
         width = 0.0 if lo_end == hi_end else hi_end - lo_end
         checks.append(Check("pressure bracket width", width <= tol,
                             est.value, tol, "estimate-only"))
-    lo, hi = capacity_pressures(subset, potential, Cover(system, depths[-1]),
-                                max(8, n_max))
+    lo, hi = capacity_pressures(subset, potential, depths[-1], n_max)
     # both -inf for an empty subset, as the bracket ends above
     margin = 0.0 if hi.value == est.value else hi.value - est.value
     checks.append(Check("chain P <= upper capacity + 2tol",
@@ -344,7 +345,7 @@ def _task_capacity(cfg: ExperimentConfig) -> TaskResult:
     tol = cfg.budget.get("tol", 1e-3)
     n_max = cfg.budget.get("n_max", 24)
     depth = cfg.budget.get("depths", [potential.depth])[-1]
-    lo, hi = capacity_pressures(subset, potential, Cover(system, depth), n_max)
+    lo, hi = capacity_pressures(subset, potential, depth, n_max)
     values = {"cp_lower": lo.value, "cp_upper": hi.value,
               "n_range": list(hi.n_range)}
     checks = []
@@ -489,14 +490,14 @@ def _task_property_suite(cfg: ExperimentConfig) -> TaskResult:
     system = make_full_shift(2)
     zero = Potential.zero(system)
     phi = Potential.depth_one(system, [0.0, math.log(2.0)])
-    cover = Cover(system, 1)
+    depth = 1  # the cover by cylinders of length 1
     whole = SubsetSpec.whole(system)
     tol = cfg.budget.get("tol", 1e-4)
     rng = np.random.default_rng(cfg.seed)
 
     def chain():
-        est_p = critical_alpha(whole, phi, cover, tol)
-        lo, _ = capacity_pressures(whole, phi, cover, 20)
+        est_p = critical_alpha(whole, phi, depth, tol)
+        lo, _ = capacity_pressures(whole, phi, depth, 20)
         return Check("chain P <= lower capacity",
                      est_p.value <= lo.value + 2 * tol,
                      est_p.value, 2 * tol, "internal chain")
@@ -504,8 +505,8 @@ def _task_property_suite(cfg: ExperimentConfig) -> TaskResult:
     def monotone():
         z1 = SubsetSpec.cylinders(system, [(0, 0)])
         z2 = SubsetSpec.cylinders(system, [(0,)])
-        p1 = critical_alpha(z1, phi, cover, tol).value
-        p2 = critical_alpha(z2, phi, cover, tol).value
+        p1 = critical_alpha(z1, phi, depth, tol).value
+        p2 = critical_alpha(z2, phi, depth, tol).value
         return Check("monotone under subset inclusion", p1 <= p2 + 2 * tol,
                      p2 - p1, 2 * tol, "nested cylinders")
 
@@ -513,9 +514,9 @@ def _task_property_suite(cfg: ExperimentConfig) -> TaskResult:
         z1 = SubsetSpec.cylinders(system, [(0, 0)])
         z2 = SubsetSpec.cylinders(system, [(1, 0)])
         z12 = SubsetSpec.cylinders(system, [(0, 0), (1, 0)])
-        p = critical_alpha(z12, phi, cover, tol).value
-        pm = max(critical_alpha(z1, phi, cover, tol).value,
-                 critical_alpha(z2, phi, cover, tol).value)
+        p = critical_alpha(z12, phi, depth, tol).value
+        pm = max(critical_alpha(z1, phi, depth, tol).value,
+                 critical_alpha(z2, phi, depth, tol).value)
         return Check("union pressure equals max of parts",
                      abs(p - pm) <= 2 * tol, abs(p - pm), 2 * tol,
                      "finite union")
@@ -539,8 +540,8 @@ def _task_property_suite(cfg: ExperimentConfig) -> TaskResult:
 
     def invariant_subset():
         sub = SubsetSpec.sub_sft(system, [[1, 1], [1, 0]])
-        p = critical_alpha(sub, zero, cover, tol).value
-        lo, hi = capacity_pressures(sub, zero, cover, 24)
+        p = critical_alpha(sub, zero, depth, tol).value
+        lo, hi = capacity_pressures(sub, zero, depth, 24)
         golden = math.log((1 + math.sqrt(5)) / 2)
         ok = abs(p - golden) <= 1e-3 and abs(hi.value - golden) <= 1e-3 \
             and abs(p - lo.value) <= 2 * tol
@@ -631,8 +632,6 @@ def main(argv=None) -> int:
     parser.add_argument("--config", type=Path, default=None,
                         help="JSON experiment config")
     parser.add_argument("--out", type=Path, default=Path("ergopress-out"))
-    parser.add_argument("--tol", type=float, default=None)
-    parser.add_argument("--seed", type=int, default=None)
     args = parser.parse_args(argv)
 
     raw = {}
@@ -649,19 +648,14 @@ def main(argv=None) -> int:
     try:
         _require(isinstance(raw, dict), "", "config must be a JSON object")
         raw["task"] = "property_suite" if task == "suite" else task
-        if args.tol is not None:
-            budget = raw.setdefault("budget", {})
-            _require(isinstance(budget, dict), "budget", "must be an object")
-            budget["tol"] = args.tol
-        if args.seed is not None:
-            raw["seed"] = args.seed
         config = ExperimentConfig.from_dict(raw)
         report = run(config)
     except ConfigError as exc:
         print(exc, file=sys.stderr)
         return 2
     except (NoUniquePerronError, ConvergenceError, InconclusiveError,
-            IncreaseDepthError, OverflowError) as exc:
+            IncreaseDepthError, OverflowError, MemoryError) as exc:
+        # numpy's out-of-memory error is a subclass named MemoryError too
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     files = emit_tables(report, args.out)

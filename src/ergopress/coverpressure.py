@@ -1,10 +1,12 @@
 """String-cover weight functions and critical-exponent pressures.
 
 The cover of reference is always the partition of a shift space into the
-cylinders of a fixed depth t.  A string of N cover elements has nonempty
-domain exactly when the overlapping windows assemble into one admissible
-word of length N + t - 1, so string combinatorics reduce to word
-combinatorics and the two covering sums of interest become exact:
+cylinders of a fixed depth t, balls of diameter 2**(-t), so it is given by
+t alone: every function here takes that depth, an integer >= 1, and
+reads the system from the subset.  A string of N cover elements has
+nonempty domain exactly when the overlapping windows assemble into one
+admissible word of length N + t - 1, so string combinatorics reduce to
+word combinatorics and the two covering sums of interest become exact:
 
 * the fixed-length sum ("capacity" side) is the sum, over admissible
   words of length N + t - 1 whose cylinder meets the target subset, of
@@ -39,8 +41,8 @@ call weighs the bisection path predicted from the bracket's regula-falsi
 point.  Lower/upper capacity pressures come from the successive
 differences of log(sum) against N (which converge to the same limit as
 (1/N) log(sum), but geometrically fast on these systems, instead of at
-rate 1/N).  One calculator per subset, potential and cover serves all of
-these sums (see ``_calculus``).
+rate 1/N).  One calculator per subset, potential and cover depth serves
+all of these sums (see ``_calculus``).
 
 Both estimators read their sums only where every entry word, of length
 N + t - 1, is at least as long as the longest listed cylinder word, that
@@ -59,7 +61,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .shifts import BlockGraph, Potential, ShiftSystem, SubsetSpec
+from .shifts import BlockGraph, Potential, SubsetSpec
 
 
 DEPTH_MARGIN = 8  # string lengths a bisection weight may add beyond N
@@ -67,23 +69,6 @@ DEPTH_MARGIN = 8  # string lengths a bisection weight may add beyond N
 
 class InconclusiveError(RuntimeError):
     """Growth classification failed within the computational budget."""
-
-
-class Cover:
-    """Partition of the shift space into all cylinders of one depth.
-
-    Depth-t cylinders are clopen balls of diameter 2**(-t), so these
-    covers realize arbitrarily small diameters as t grows.
-    """
-
-    def __init__(self, system: ShiftSystem, depth: int):
-        if not float(depth).is_integer() or depth < 1:
-            raise ValueError("cover depth must be an integer >= 1")
-        self.system = system
-        self.depth = int(depth)
-
-    def diameter(self) -> float:
-        return 2.0 ** (-self.depth)
 
 
 @dataclass
@@ -113,13 +98,11 @@ class _StringCalculus:
     its exponentials over each state's out-arcs.
     """
 
-    def __init__(self, subset: SubsetSpec, potential: Potential, cover: Cover):
-        system = cover.system
+    def __init__(self, subset: SubsetSpec, potential: Potential, depth: int):
+        system = subset.system
         if not system.same_as(potential.system):
-            raise ValueError("potential does not match the cover's system")
-        if not system.same_as(subset.system):
-            raise ValueError("subset does not match the cover's system")
-        r, t = potential.depth, cover.depth
+            raise ValueError("potential does not match the subset's system")
+        r, t = potential.depth, int(depth)
         if t < r:
             raise ValueError("cover depth must be >= potential depth "
                              "(exactness regime)")
@@ -289,30 +272,32 @@ class _StringCalculus:
 
 
 def _calculus(subset: SubsetSpec, potential: Potential,
-              cover: Cover) -> _StringCalculus:
-    """The ``_StringCalculus`` of the subset for this potential and cover,
-    built once and kept on the subset, so that the covering sums of one
-    job share one forward sweep."""
-    key = (potential, cover.system, cover.depth)
+              depth: int) -> _StringCalculus:
+    """The ``_StringCalculus`` of the subset for this potential and cover
+    depth (an integer >= 1, else ValueError), built once and kept on the
+    subset, so that the covering sums of one job share one forward sweep."""
+    if not float(depth).is_integer() or depth < 1:
+        raise ValueError("cover depth must be an integer >= 1")
+    key = (potential, int(depth))
     calc = subset.calculators.get(key)
     if calc is None:
         calc = subset.calculators[key] = _StringCalculus(subset, potential,
-                                                         cover)
+                                                         depth)
     return calc
 
 
-def log_lambda_n(subset: SubsetSpec, potential: Potential, cover: Cover,
+def log_lambda_n(subset: SubsetSpec, potential: Potential, depth: int,
                  N: int) -> float:
     """log of the minimal fixed-length covering sum (see module docstring).
 
     N must be at least ``least_n``, where the words of length N + t - 1
     reach the longest listed cylinder word; a smaller N raises ValueError
     naming it."""
-    return _calculus(subset, potential, cover).log_lambda(N)
+    return _calculus(subset, potential, depth).log_lambda(N)
 
 
 def weight_m(subset: SubsetSpec, alpha: float, potential: Potential,
-             cover: Cover, N: int, depth_cap: int | None = None) -> float:
+             depth: int, N: int, depth_cap: int | None = None) -> float:
     """Optimal covering weight over strings of length >= N.
 
     Computed exactly as the cheapest prefix-free antichain in the
@@ -326,12 +311,12 @@ def weight_m(subset: SubsetSpec, alpha: float, potential: Potential,
     that the fixed-length sum counts.
     """
     cap = depth_cap if depth_cap is not None else N + DEPTH_MARGIN
-    logs, _ = _calculus(subset, potential, cover).log_weights(
+    logs, _ = _calculus(subset, potential, depth).log_weights(
         [alpha], [N], cap - N)
     return math.exp(logs[0, 0])
 
 
-def capacity_pressures(subset: SubsetSpec, potential: Potential, cover: Cover,
+def capacity_pressures(subset: SubsetSpec, potential: Potential, depth: int,
                        N_max: int) -> tuple[PressureEstimate, PressureEstimate]:
     """Lower/upper capacity pressure estimates from the covering sums.
 
@@ -346,7 +331,7 @@ def capacity_pressures(subset: SubsetSpec, potential: Potential, cover: Cover,
     """
     if N_max < 8:
         raise ValueError("N_max must be >= 8")
-    calc = _calculus(subset, potential, cover)
+    calc = _calculus(subset, potential, depth)
     n_half = max(2, N_max // 2)
     lift = max(0, calc.least_n - (n_half - 1))
     n_half, N_max = n_half + lift, N_max + lift
@@ -392,7 +377,7 @@ def _bisection_path(lo: float, hi: float, guess: float, tol: float,
     return points
 
 
-def critical_alpha(subset: SubsetSpec, potential: Potential, cover: Cover,
+def critical_alpha(subset: SubsetSpec, potential: Potential, depth: int,
                    tol: float, n_range: tuple = (8, 20)) -> PressureEstimate:
     """Topological pressure of the subset: bisection on the exponent.
 
@@ -415,18 +400,20 @@ def critical_alpha(subset: SubsetSpec, potential: Potential, cover: Cover,
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if subset.is_empty:
+    n_lo, n_hi = n_range
+    if not (1 <= n_lo and n_lo + 2 <= n_hi):
+        raise ValueError("n_range must have 1 <= lo and lo + 2 <= hi")
+    calc = _calculus(subset, potential, depth)
+    if calc.empty:
         return PressureEstimate(-math.inf, n_range, (-math.inf, -math.inf),
                                 {"degenerate": True})
-    calc = _calculus(subset, potential, cover)
-    n_lo, n_hi = n_range
     lift = max(0, calc.least_n - (n_lo + (n_hi - n_lo + 1) // 2))
     n_lo, n_hi = n_lo + lift, n_hi + lift
     ns = list(range(n_lo, n_hi + 1))
     top = ns[len(ns) // 2:]
 
     gvals = potential.vector.tolist()
-    k = cover.system.alphabet_size
+    k = subset.system.alphabet_size
     alpha_lo = min(gvals) - math.log(k) - 1.0
     alpha_hi = max(gvals) + math.log(k) + 1.0
 
@@ -489,5 +476,5 @@ def pressure_refined(subset: SubsetSpec, potential: Potential, depths,
     depths = list(depths)
     if depths != sorted(depths):
         raise ValueError("depths must be increasing")
-    return critical_alpha(subset, potential, Cover(subset.system, depths[-1]),
-                          tol, n_range=(max(4, N_max // 2), N_max))
+    return critical_alpha(subset, potential, depths[-1], tol,
+                          n_range=(max(4, N_max // 2), N_max))

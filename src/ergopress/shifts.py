@@ -332,7 +332,7 @@ class SubsetSpec:
         self.system = system
         self.sub_adjacency = None
         self.words: tuple = ()
-        # string calculators per (potential, cover system, cover depth),
+        # string calculators per (potential, cover depth),
         # built on demand by ``coverpressure``
         self.calculators: dict = {}
         if kind == self.WHOLE:

@@ -94,7 +94,7 @@ def power_iteration(matrix):
     Returns (lam, v) with the stack's leading axes: lam is the midpoint
     of the bracket and v > 0 has unit 1-norm.
     """
-    M = matrix.matrix if isinstance(matrix, TransferMatrix) else np.asarray(matrix, dtype=float)
+    M = np.asarray(matrix, dtype=float)
     if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
         raise ValueError("need a square matrix or a stack of them")
     if (M < 0).any():
@@ -128,7 +128,7 @@ def transfer_pressure(system: ShiftSystem, potential: Potential, scales=1.0):
     exponents q of ``scales`` (default the potential itself), from one
     stacked one-sided solve; ``power_iteration`` raises
     NoUniquePerronError on a reducible system."""
-    lam, _ = power_iteration(TransferMatrix(system, potential, scales))
+    lam, _ = power_iteration(TransferMatrix(system, potential, scales).matrix)
     return np.log(lam)
 
 
@@ -336,7 +336,7 @@ def equilibrium_states(system: ShiftSystem, potential: Potential,
     NoUniquePerronError.
     """
     tm = TransferMatrix(system, potential, scales)
-    lam, v = power_iteration(tm)
+    lam, v = power_iteration(tm.matrix)
     P = tm.matrix * v[..., None, :]
     P = P / P.sum(axis=-1, keepdims=True)
     pi = _stationary_vector(P)

@@ -14,7 +14,6 @@ import pytest
 
 from conftest import GOLDEN, random_irreducible_adjacency, random_potential
 from ergopress import (
-    Cover,
     Potential,
     ShiftSystem,
     SubsetSpec,
@@ -48,9 +47,9 @@ def test_01_full_shift_entropy_both_routes(full2):
     started = time.perf_counter()
     zero = Potential.zero(full2)
     whole = SubsetSpec.whole(full2)
-    cover = Cover(full2, 1)
-    lo, hi = capacity_pressures(whole, zero, cover, 16)
-    est = critical_alpha(whole, zero, cover, tol=1e-6)
+    t = 1
+    lo, hi = capacity_pressures(whole, zero, t, 16)
+    est = critical_alpha(whole, zero, t, tol=1e-6)
     worst = max(abs(lo.value - math.log(2)), abs(hi.value - math.log(2)),
                 abs(est.value - math.log(2)))
     report(1, "full 2-shift entropy log 2 by capacity and critical exponent",
@@ -60,8 +59,7 @@ def test_01_full_shift_entropy_both_routes(full2):
 def test_02_golden_mean_capacity(golden):
     started = time.perf_counter()
     zero = Potential.zero(golden)
-    _, hi = capacity_pressures(SubsetSpec.whole(golden), zero,
-                               Cover(golden, 1), 30)
+    _, hi = capacity_pressures(SubsetSpec.whole(golden), zero, 1, 30)
     err = abs(hi.value - math.log(GOLDEN))
     report(2, "golden-mean upper capacity vs Perron eigenvalue",
            err <= 1e-3, err, 1e-3, started)
@@ -69,8 +67,7 @@ def test_02_golden_mean_capacity(golden):
 
 def test_03_weighted_pressure_and_t_endpoints(full2, phi_log2):
     started = time.perf_counter()
-    est = critical_alpha(SubsetSpec.whole(full2), phi_log2, Cover(full2, 1),
-                         tol=1e-6)
+    est = critical_alpha(SubsetSpec.whole(full2), phi_log2, 1, tol=1e-6)
     curve = t_curve(full2, phi_log2, [0.0, 0.5, 1.0])
     err_p = abs(est.value - math.log(3))
     err_t = max(abs(curve.t_at(0.0) - math.log(2)), abs(curve.t_at(1.0)))
@@ -152,7 +149,7 @@ def test_09_lipschitz_in_potential(full2):
     started = time.perf_counter()
     rng = np.random.default_rng(55)
     whole = SubsetSpec.whole(full2)
-    cover = Cover(full2, 1)
+    t = 1
     tol = 1e-3
     worst_oracle = -math.inf
     worst_cover = -math.inf
@@ -163,8 +160,8 @@ def test_09_lipschitz_in_potential(full2):
         gap = abs(transfer_pressure(full2, a) - transfer_pressure(full2, b))
         worst_oracle = max(worst_oracle, gap - bound)
         if i < 20:  # cover-based estimates on a subsample
-            est_gap = abs(critical_alpha(whole, a, cover, tol).value
-                          - critical_alpha(whole, b, cover, tol).value)
+            est_gap = abs(critical_alpha(whole, a, t, tol).value
+                          - critical_alpha(whole, b, t, tol).value)
             worst_cover = max(worst_cover, est_gap - bound)
     report(9, "pressure is 1-Lipschitz in the potential",
            worst_oracle <= 1e-9 and worst_cover <= 2 * tol,
@@ -184,21 +181,21 @@ def test_10_power_corollary(full2, phi_log2):
 def test_11_chain_monotonicity_union(full2, phi_log2):
     started = time.perf_counter()
     tol = 1e-4
-    cover = Cover(full2, 1)
+    t = 1
     whole = SubsetSpec.whole(full2)
-    p = critical_alpha(whole, phi_log2, cover, tol).value
-    lo, hi = capacity_pressures(whole, phi_log2, cover, 20)
+    p = critical_alpha(whole, phi_log2, t, tol).value
+    lo, hi = capacity_pressures(whole, phi_log2, t, 20)
     chain_ok = p <= lo.value + 2 * tol and lo.value <= hi.value + 2 * tol
     inner = SubsetSpec.cylinders(full2, [(0, 0, 1)])
     outer = SubsetSpec.cylinders(full2, [(0, 0)])
-    mono_ok = critical_alpha(inner, phi_log2, cover, tol).value <= \
-        critical_alpha(outer, phi_log2, cover, tol).value + 2 * tol
+    mono_ok = critical_alpha(inner, phi_log2, t, tol).value <= \
+        critical_alpha(outer, phi_log2, t, tol).value + 2 * tol
     z1 = SubsetSpec.cylinders(full2, [(0, 0)])
     z2 = SubsetSpec.cylinders(full2, [(1, 1)])
     union = SubsetSpec.cylinders(full2, [(0, 0), (1, 1)])
-    union_gap = abs(critical_alpha(union, phi_log2, cover, tol).value
-                    - max(critical_alpha(z1, phi_log2, cover, tol).value,
-                          critical_alpha(z2, phi_log2, cover, tol).value))
+    union_gap = abs(critical_alpha(union, phi_log2, t, tol).value
+                    - max(critical_alpha(z1, phi_log2, t, tol).value,
+                          critical_alpha(z2, phi_log2, t, tol).value))
     report(11, "chain, subset monotonicity and finite-union pressure",
            chain_ok and mono_ok and union_gap <= 2 * tol, union_gap,
            2 * tol, started)
@@ -209,9 +206,9 @@ def test_12_invariant_compact_subset(full2):
     zero = Potential.zero(full2)
     tol = 1e-4
     sub = SubsetSpec.sub_sft(full2, [[1, 1], [1, 0]])
-    cover = Cover(full2, 1)
-    p = critical_alpha(sub, zero, cover, tol).value
-    lo, hi = capacity_pressures(sub, zero, cover, 24)
+    t = 1
+    p = critical_alpha(sub, zero, t, tol).value
+    lo, hi = capacity_pressures(sub, zero, t, 24)
     agree = max(abs(p - lo.value), abs(lo.value - hi.value))
     err = max(abs(p - math.log(GOLDEN)), abs(hi.value - math.log(GOLDEN)))
     report(12, "invariant golden-mean subset: three pressures coincide",

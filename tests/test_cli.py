@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ergopress import Cover, Potential, SubsetSpec
+from ergopress import Potential, SubsetSpec
 from ergopress.cli import (
     Check,
     ConfigError,
@@ -164,7 +164,7 @@ class TestTasks:
         original = coverpressure.critical_alpha
 
         def counting(*args, **kwargs):
-            calls.append(args[2].depth)
+            calls.append(args[2])
             return original(*args, **kwargs)
 
         monkeypatch.setattr(coverpressure, "critical_alpha", counting)
@@ -174,7 +174,7 @@ class TestTasks:
         system = make_config("pressure").build_system()
         direct = original(SubsetSpec.whole(system),
                           Potential.depth_one(system, [0.0, math.log(2)]),
-                          Cover(system, 3), 1e-4, n_range=(8, 16))
+                          3, 1e-4, n_range=(8, 16))
         values = report.results[0].values
         assert values["pressure"] == direct.value
         assert values["bracket"] == list(direct.bracket)
@@ -469,6 +469,17 @@ class TestMainEntry:
         ("pressure", {"potential": {"kind": "table", "depth": 1,
                                     "table": {"0": 0, "1": 10 ** 400}}},
          "potential.table"),
+        # JSON's true, which Python counts as the integer 1
+        ("vp-check", {"budget": {"samples": True}}, "budget.samples"),
+        ("pressure", {"potential": {"kind": "table", "depth": True,
+                                    "table": {"0": 0.0, "1": 0.5}}},
+         "potential.depth"),
+        ("vp-check", {"seed": True}, "seed"),
+        ("pressure", {"budget": {"n_max": 12, "depths": [True]}},
+         "budget.depths"),
+        ("pressure", {"potential": {"kind": "table", "depth": 1,
+                                    "table": {"0": 0.0, "1": True}}},
+         "potential.table"),
     ])
     def test_malformed_config_exits_two_naming_field(
             self, tmp_path, capsys, task, overrides, field):
@@ -536,6 +547,19 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err.startswith("NoUniquePerronError: ")
         assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_out_of_memory_exits_three(self, tmp_path, capsys, monkeypatch):
+        from ergopress import cli
+
+        def exhausted(cfg):
+            raise MemoryError("Unable to allocate 7.28 TiB")
+
+        monkeypatch.setitem(cli._HANDLERS, "pressure", exhausted)
+        code = main(["pressure", "--out", str(tmp_path / "out")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == "MemoryError: Unable to allocate 7.28 TiB\n"
         assert not (tmp_path / "out").exists()
 
     def test_subnormal_tol_fails_its_checks_without_overflow(self, tmp_path,
@@ -612,7 +636,7 @@ class TestMainEntry:
 
     @pytest.mark.parametrize("text, args, field", [
         ("[1, 2]", [], ""),
-        ('{"budget": 5}', ["--tol", "1e-3"], "budget"),
+        ('{"budget": 5}', [], "budget"),
     ])
     def test_non_object_config_exits_two(self, tmp_path, capsys, text, args,
                                          field):

@@ -9,7 +9,6 @@ import oracles
 from conftest import GOLDEN, random_irreducible_adjacency, random_potential
 
 from ergopress import (
-    Cover,
     Potential,
     ShiftSystem,
     SubsetSpec,
@@ -38,38 +37,39 @@ def _least_n(spec, t):
 
 class TestCover:
     def test_elements_partition(self, golden):
-        cover = Cover(golden, 3)
         # one length-1 string per element: the 5 admissible 3-words
         assert math.exp(log_lambda_n(SubsetSpec.whole(golden),
-                                     Potential.zero(golden), cover, 1)) \
+                                     Potential.zero(golden), 3, 1)) \
             == pytest.approx(5.0)
-        assert cover.diameter() == 0.125
 
     def test_non_integral_depth_rejected(self, golden):
-        with pytest.raises(ValueError, match="an integer >= 1"):
-            Cover(golden, 1.5)
-        assert Cover(golden, 2.0).depth == 2
+        zero = Potential.zero(golden)
+        # the empty subset too, whose sum vanishes at every valid depth
+        for spec in (SubsetSpec.whole(golden),
+                     SubsetSpec.cylinders(golden, [])):
+            for depth in (1.5, 0, -2):
+                with pytest.raises(ValueError, match="an integer >= 1"):
+                    log_lambda_n(spec, zero, depth, 4)
+        assert log_lambda_n(SubsetSpec.whole(golden), zero, 2.0, 4) == \
+            log_lambda_n(SubsetSpec.whole(golden), zero, 2, 4)
 
 
 class TestLambda:
     def test_full_shift_counts_strings(self, full2):
         zero = Potential.zero(full2)
-        assert math.exp(log_lambda_n(SubsetSpec.whole(full2), zero,
-                                     Cover(full2, 1), 5)) \
+        assert math.exp(log_lambda_n(SubsetSpec.whole(full2), zero, 1, 5)) \
             == pytest.approx(32.0)
 
     def test_golden_mean_fibonacci(self, golden):
         zero = Potential.zero(golden)
-        value = math.exp(log_lambda_n(SubsetSpec.whole(golden), zero,
-                                      Cover(golden, 1), 5))
+        value = math.exp(log_lambda_n(SubsetSpec.whole(golden), zero, 1, 5))
         brute = oracles.lambda_brute(golden.adjacency, zero.table, 1, 1, 5,
                                      "whole")
         assert value == pytest.approx(brute)
         assert value == pytest.approx(13.0)
 
     def test_weighted_sum(self, full2, phi_log2):
-        value = math.exp(log_lambda_n(SubsetSpec.whole(full2), phi_log2,
-                                      Cover(full2, 1), 3))
+        value = math.exp(log_lambda_n(SubsetSpec.whole(full2), phi_log2, 1, 3))
         brute = oracles.lambda_brute(full2.adjacency, phi_log2.table, 1, 1, 3,
                                      "whole")
         assert value == pytest.approx(brute)
@@ -78,16 +78,15 @@ class TestLambda:
     def test_empty_subset_gives_zero(self, full2):
         zero = Potential.zero(full2)
         empty = SubsetSpec.cylinders(full2, [])
-        assert math.exp(log_lambda_n(empty, zero, Cover(full2, 1), 4)) == 0.0
+        assert math.exp(log_lambda_n(empty, zero, 1, 4)) == 0.0
 
     def test_monotone_under_subset_shrink(self, full2, phi_log2):
-        cover = Cover(full2, 1)
-        big = math.exp(log_lambda_n(SubsetSpec.whole(full2), phi_log2, cover,
-                                    5))
+        t = 1
+        big = math.exp(log_lambda_n(SubsetSpec.whole(full2), phi_log2, t, 5))
         mid = math.exp(log_lambda_n(SubsetSpec.cylinders(full2, [(0,)]),
-                                    phi_log2, cover, 5))
+                                    phi_log2, t, 5))
         small = math.exp(log_lambda_n(SubsetSpec.cylinders(full2, [(0, 0)]),
-                                      phi_log2, cover, 5))
+                                      phi_log2, t, 5))
         assert small <= mid <= big
 
     def test_matches_brute_force_randomized(self):
@@ -99,7 +98,6 @@ class TestLambda:
             pot = random_potential(rng, system, depth)
             t = depth + int(rng.integers(0, 2))
             N = int(rng.integers(1, 5))
-            cover = Cover(system, t)
             subsets = [
                 (SubsetSpec.whole(system), dict(subset_kind="whole")),
             ]
@@ -119,9 +117,9 @@ class TestLambda:
             for spec, kw in subsets:
                 if N < _least_n(spec, t):
                     with pytest.raises(ValueError, match="least_n"):
-                        log_lambda_n(spec, pot, cover, N)
+                        log_lambda_n(spec, pot, t, N)
                     continue
-                got = math.exp(log_lambda_n(spec, pot, cover, N))
+                got = math.exp(log_lambda_n(spec, pot, t, N))
                 brute = oracles.lambda_brute(system.adjacency, pot.table,
                                              depth, t, N, **kw)
                 assert got == pytest.approx(brute, rel=1e-10, abs=1e-12)
@@ -133,9 +131,9 @@ class TestLambda:
         spec = SubsetSpec.cylinders(full2, words)
         for N in (2, 3, 4):
             with pytest.raises(ValueError, match="below least_n = 5"):
-                log_lambda_n(spec, phi_log2, Cover(full2, 1), N)
+                log_lambda_n(spec, phi_log2, 1, N)
         for N in (5, 6, 7):
-            got = math.exp(log_lambda_n(spec, phi_log2, Cover(full2, 1), N))
+            got = math.exp(log_lambda_n(spec, phi_log2, 1, N))
             brute = oracles.lambda_brute(full2.adjacency, phi_log2.table, 1,
                                          1, N, "cylinders",
                                          cylinder_words=words)
@@ -145,41 +143,37 @@ class TestLambda:
         pot = Potential(full2, 2, {(a, b): 0.0
                                    for a in range(2) for b in range(2)})
         with pytest.raises(ValueError):
-            log_lambda_n(SubsetSpec.whole(full2), pot, Cover(full2, 1), 3)
+            log_lambda_n(SubsetSpec.whole(full2), pot, 1, 3)
 
 
 class TestCapacity:
     def test_full_shift_exact_log2(self, full2):
         zero = Potential.zero(full2)
-        lo, hi = capacity_pressures(SubsetSpec.whole(full2), zero,
-                                    Cover(full2, 1), 16)
+        lo, hi = capacity_pressures(SubsetSpec.whole(full2), zero, 1, 16)
         assert lo.value == pytest.approx(math.log(2), abs=1e-12)
         assert hi.value == pytest.approx(math.log(2), abs=1e-12)
 
     def test_golden_mean_vs_perron(self, golden):
         zero = Potential.zero(golden)
-        lo, hi = capacity_pressures(SubsetSpec.whole(golden), zero,
-                                    Cover(golden, 1), 30)
+        lo, hi = capacity_pressures(SubsetSpec.whole(golden), zero, 1, 30)
         assert hi.value == pytest.approx(math.log(GOLDEN), abs=1e-3)
         assert lo.value == pytest.approx(math.log(GOLDEN), abs=1e-3)
 
     def test_weighted_full_shift_log3(self, full2, phi_log2):
-        lo, hi = capacity_pressures(SubsetSpec.whole(full2), phi_log2,
-                                    Cover(full2, 1), 16)
+        lo, hi = capacity_pressures(SubsetSpec.whole(full2), phi_log2, 1, 16)
         assert lo.value == pytest.approx(math.log(3), abs=1e-12)
         assert hi.value == pytest.approx(math.log(3), abs=1e-12)
 
     def test_empty_subset_degenerate(self, full2):
         zero = Potential.zero(full2)
         lo, hi = capacity_pressures(SubsetSpec.cylinders(full2, []), zero,
-                                    Cover(full2, 1), 12)
+                                    1, 12)
         assert lo.value == -math.inf and hi.value == -math.inf
         assert lo.degenerate and hi.degenerate
 
     def test_diagnostics_rows(self, full2):
         zero = Potential.zero(full2)
-        _, hi = capacity_pressures(SubsetSpec.whole(full2), zero,
-                                   Cover(full2, 1), 12)
+        _, hi = capacity_pressures(SubsetSpec.whole(full2), zero, 1, 12)
         rows = hi.diagnostics["rows"]
         assert [n for n, _, _ in rows] == list(range(6, 13))
         for n, loglam, slope in rows:
@@ -189,24 +183,22 @@ class TestCapacity:
     def test_n_max_floor(self, full2):
         zero = Potential.zero(full2)
         with pytest.raises(ValueError):
-            capacity_pressures(SubsetSpec.whole(full2), zero,
-                               Cover(full2, 1), 7)
+            capacity_pressures(SubsetSpec.whole(full2), zero, 1, 7)
 
 
 class TestWeightM:
     def test_uniform_antichain_at_cap(self, full2):
         # with the cap at N the only covering antichain is the full level
         zero = Potential.zero(full2)
-        value = weight_m(SubsetSpec.whole(full2), 1.0, zero, Cover(full2, 1),
-                         4, depth_cap=4)
+        value = weight_m(SubsetSpec.whole(full2), 1.0, zero, 1, 4, depth_cap=4)
         assert value == pytest.approx((2 / math.e) ** 4)
 
     def test_deeper_antichains_win_above_pressure(self, full2):
         # above the critical exponent the optimum migrates to the cap
         zero = Potential.zero(full2)
         spec = SubsetSpec.whole(full2)
-        cover = Cover(full2, 1)
-        values = [weight_m(spec, 1.0, zero, cover, 4, depth_cap=c)
+        t = 1
+        values = [weight_m(spec, 1.0, zero, t, 4, depth_cap=c)
                   for c in (4, 6, 8)]
         assert values[0] > values[1] > values[2]
         assert values[2] == pytest.approx(math.exp(8 * (math.log(2) - 1.0)))
@@ -216,33 +208,33 @@ class TestWeightM:
         # the value is cap-independent and grows without bound in N
         zero = Potential.zero(full2)
         spec = SubsetSpec.whole(full2)
-        cover = Cover(full2, 1)
+        t = 1
         alpha = 0.4
-        by_cap = [weight_m(spec, alpha, zero, cover, 4, depth_cap=c)
+        by_cap = [weight_m(spec, alpha, zero, t, 4, depth_cap=c)
                   for c in (4, 6, 10)]
         assert by_cap[0] == pytest.approx(by_cap[1]) == pytest.approx(by_cap[2])
-        by_n = [weight_m(spec, alpha, zero, cover, n) for n in (4, 8, 12)]
+        by_n = [weight_m(spec, alpha, zero, t, n) for n in (4, 8, 12)]
         assert by_n[0] < by_n[1] < by_n[2]
         assert by_n[2] == pytest.approx(math.exp(12 * (math.log(2) - alpha)))
 
     def test_fixed_point_single_string(self, full2):
         zero = Potential.zero(full2)
         fp = SubsetSpec.fixed_point(full2, 0)
-        cover = Cover(full2, 1)
+        t = 1
         # one-string cover at the cap level is optimal for positive alpha
-        assert weight_m(fp, 0.7, zero, cover, 5, depth_cap=5) == \
+        assert weight_m(fp, 0.7, zero, t, 5, depth_cap=5) == \
             pytest.approx(math.exp(-0.7 * 5))
-        assert weight_m(fp, 0.7, zero, cover, 5, depth_cap=9) == \
+        assert weight_m(fp, 0.7, zero, t, 5, depth_cap=9) == \
             pytest.approx(math.exp(-0.7 * 9))
-        _, cap_mass = _StringCalculus(fp, zero, cover).log_weights(
+        _, cap_mass = _StringCalculus(fp, zero, t).log_weights(
             [0.7], [5], 4)
         assert cap_mass[0, 0] == 1.0
 
     def test_nonincreasing_in_alpha(self, golden):
         zero = Potential.zero(golden)
         spec = SubsetSpec.whole(golden)
-        cover = Cover(golden, 1)
-        values = [weight_m(spec, a, zero, cover, 6)
+        t = 1
+        values = [weight_m(spec, a, zero, t, 6)
                   for a in np.linspace(-1.0, 2.0, 13)]
         assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
 
@@ -257,7 +249,6 @@ class TestWeightM:
             N = int(rng.integers(1, 4))
             cap = N + int(rng.integers(0, 3))
             alpha = float(rng.normal())
-            cover = Cover(system, t)
             cases = [
                 (SubsetSpec.whole(system), dict(subset_kind="whole")),
             ]
@@ -277,7 +268,7 @@ class TestWeightM:
             for spec, kw in cases:
                 if spec.is_empty:
                     continue
-                got = weight_m(spec, alpha, pot, cover, N, depth_cap=cap)
+                got = weight_m(spec, alpha, pot, t, N, depth_cap=cap)
                 brute = oracles.weight_m_brute(system.adjacency, pot.table,
                                                depth, t, alpha, N, cap, **kw)
                 assert got == pytest.approx(brute, rel=1e-9, abs=1e-12)
@@ -287,7 +278,7 @@ class TestWeightM:
         zero = Potential.zero(full2)
         spec = SubsetSpec.whole(full2)
         for alpha in (0.4, 1.0):
-            got = weight_m(spec, alpha, zero, Cover(full2, 1), 2, depth_cap=4)
+            got = weight_m(spec, alpha, zero, 1, 2, depth_cap=4)
             costs = [oracles.antichain_cost(full2.adjacency, zero.table, 1, 1,
                                             alpha, family)
                      for family in oracles.covering_antichains(
@@ -301,10 +292,10 @@ class TestWeightM:
                                             (1, 0)])
         for N, cap in [(2, 6), (3, 5), (4, 4)]:
             with pytest.raises(ValueError, match="below least_n = 5"):
-                weight_m(spec, 0.9, phi_log2, Cover(full2, 1), N,
+                weight_m(spec, 0.9, phi_log2, 1, N,
                          depth_cap=cap)
         for alpha, N, cap in [(0.5, 5, 9), (1.2, 5, 9), (0.9, 6, 8)]:
-            got = weight_m(spec, alpha, phi_log2, Cover(full2, 1), N,
+            got = weight_m(spec, alpha, phi_log2, 1, N,
                            depth_cap=cap)
             brute = oracles.weight_m_brute(
                 full2.adjacency, phi_log2.table, 1, 1, alpha, N, cap,
@@ -318,7 +309,7 @@ class TestWeightM:
         # least_n on the cap is N + margin and the value is exact there
         words = [(0, 1, 1, 0, 1), (0, 1, 1, 0, 0)]
         spec = SubsetSpec.cylinders(full2, words)
-        calc = _StringCalculus(spec, phi_log2, Cover(full2, 1))
+        calc = _StringCalculus(spec, phi_log2, 1)
         assert calc.least_n == 5
         for margin in (0, 3):
             with pytest.raises(ValueError, match="below least_n = 5"):
@@ -326,7 +317,7 @@ class TestWeightM:
         for margin in (0, 2):
             logs, _ = calc.log_weights([0.8], [5], margin)
             logm = logs[0, 0]
-            assert weight_m(spec, 0.8, phi_log2, Cover(full2, 1), 5,
+            assert weight_m(spec, 0.8, phi_log2, 1, 5,
                             depth_cap=5 + margin) == math.exp(logm)
             brute = oracles.weight_m_brute(full2.adjacency, phi_log2.table, 1,
                                            1, 0.8, 5, 5 + margin,
@@ -368,7 +359,7 @@ class TestSweepCache:
             pot = random_potential(rng, system, depth)
             t = depth + extra
             for spec, kw in self._cases(rng, system):
-                calc = _StringCalculus(spec, pot, Cover(system, t))
+                calc = _StringCalculus(spec, pot, t)
                 # four Ns from least_n - 1 (when that is >= 1): the one
                 # below least_n is refused by name
                 low = max(1, _least_n(spec, t) - 1)
@@ -439,13 +430,13 @@ class TestStackedWeights:
             for spec, kw in _random_subsets(rng, system, t + 4):
                 low = _least_n(spec, t)
                 ns = (low, low + 1, low + 2)
-                calc = _StringCalculus(spec, pot, Cover(system, t))
+                calc = _StringCalculus(spec, pot, t)
                 if low > 1:
                     with pytest.raises(ValueError, match="below least_n = 5"):
                         calc.log_weights(alphas, (1, 2, 3), margin)
                     unions += 1
                 logs, cap_mass = calc.log_weights(alphas, ns, margin)
-                single = _StringCalculus(spec, pot, Cover(system, t))
+                single = _StringCalculus(spec, pot, t)
                 for (a, alpha), (i, N) in itertools.product(
                         enumerate(alphas.tolist()), enumerate(ns)):
                     one, one_mass = single.log_weights([alpha], [N], margin)
@@ -462,34 +453,34 @@ class TestStackedWeights:
     def test_empty_subset_vanishes(self, full2):
         logs, cap_mass = _StringCalculus(
             SubsetSpec.cylinders(full2, []), Potential.zero(full2),
-            Cover(full2, 1)).log_weights([0.1, 0.5], (3, 4), 2)
+            1).log_weights([0.1, 0.5], (3, 4), 2)
         assert (logs == -math.inf).all() and (cap_mass == 0.0).all()
 
     def test_overflow_names_least_exponent(self, full2):
         phi = Potential.depth_one(full2, [0.0, 800.0])
-        calc = _StringCalculus(SubsetSpec.whole(full2), phi, Cover(full2, 1))
+        calc = _StringCalculus(SubsetSpec.whole(full2), phi, 1)
         with pytest.raises(InconclusiveError, match="at alpha 80,"):
             calc.log_weights([500.0, 85.0, 80.0, 95.0], (2,), 1)
         assert np.isfinite(calc.log_weights([95.0], (2,), 1)[0]).all()
 
 
-def _window(spec, cover, n_range):
+def _window(spec, t, n_range):
     """``n_range`` moved up until the top half of its Ns starts at
     least_n or later."""
     ns = list(range(n_range[0], n_range[1] + 1))
-    lift = max(0, _least_n(spec, cover.depth) - ns[len(ns) // 2])
+    lift = max(0, _least_n(spec, t) - ns[len(ns) // 2])
     return n_range[0] + lift, n_range[1] + lift
 
 
-def _plain_bisection(spec, pot, cover, tol, n_range):
+def _plain_bisection(spec, pot, t, tol, n_range):
     """Bisection with one classification per visited alpha, made of one
     ``log_weights`` call per N of the top half of ``n_range``, each with
     the cap N + DEPTH_MARGIN: (value, bracket, trace, weak count)."""
-    calc = _StringCalculus(spec, pot, cover)
+    calc = _StringCalculus(spec, pot, t)
     ns = list(range(n_range[0], n_range[1] + 1))
     top = ns[len(ns) // 2:]
     gvals = list(pot.table.values())
-    k = cover.system.alphabet_size
+    k = spec.system.alphabet_size
     lo = min(gvals) - math.log(k) - 1.0
     hi = max(gvals) + math.log(k) + 1.0
     trace = []
@@ -532,7 +523,7 @@ def _replay_systems(n_range):
         pot = random_potential(rng, system, depth)
         t = depth + trial % 2
         deep = n_range[1] + t + (1, DEPTH_MARGIN + 1)[trial // 2 % 2]
-        yield trial, system, pot, Cover(system, t), \
+        yield trial, system, pot, t, \
             _random_subsets(rng, system, deep)
 
 
@@ -556,19 +547,19 @@ class TestCriticalAlpha:
         tols = (1e-3, 3e-5, 1e-6)
         visited, lifted, path_calls = [], [], []
         calls = _count_weight_calls(monkeypatch)
-        for trial, _, pot, cover, subsets in _replay_systems(n_range):
+        for trial, _, pot, t, subsets in _replay_systems(n_range):
             for spec, _ in subsets:
                 tol = tols[trial % 3]
-                window = _window(spec, cover, n_range)
+                window = _window(spec, t, n_range)
                 try:
-                    want = _plain_bisection(spec, pot, cover, tol, window)
+                    want = _plain_bisection(spec, pot, t, tol, window)
                 except InconclusiveError as err:
                     with pytest.raises(InconclusiveError,
                                        match=str(err).split(" (")[0]):
-                        critical_alpha(spec, pot, cover, tol, n_range)
+                        critical_alpha(spec, pot, t, tol, n_range)
                     continue
                 calls.clear()
-                est = critical_alpha(spec, pot, cover, tol, n_range)
+                est = critical_alpha(spec, pot, t, tol, n_range)
                 value, bracket, trace, weak = want
                 assert est.n_range == window
                 assert est.value == value and est.bracket == bracket
@@ -592,10 +583,10 @@ class TestCriticalAlpha:
         calls = _count_weight_calls(monkeypatch)
         path = coverpressure._bisection_path
         cases = 0
-        for _, _, pot, cover, subsets in _replay_systems(n_range):
+        for _, _, pot, t, subsets in _replay_systems(n_range):
             spec = subsets[0][0]
             try:
-                want = _plain_bisection(spec, pot, cover, 1e-5, n_range)
+                want = _plain_bisection(spec, pot, t, 1e-5, n_range)
             except InconclusiveError:
                 continue
             value, bracket, trace, weak = want
@@ -604,7 +595,7 @@ class TestCriticalAlpha:
                 lambda lo, hi, guess, tol, count:
                     path(lo, hi, lo + hi - value, tol, count))
             calls.clear()
-            est = critical_alpha(spec, pot, cover, 1e-5, n_range)
+            est = critical_alpha(spec, pot, t, 1e-5, n_range)
             assert est.value == value and est.bracket == bracket
             assert est.diagnostics["trace"] == trace
             assert est.diagnostics["weak_classifications"] == weak
@@ -615,8 +606,7 @@ class TestCriticalAlpha:
     def test_weighted_full_shift_takes_few_calls(self, full2, phi_log2,
                                                  monkeypatch):
         calls = _count_weight_calls(monkeypatch)
-        est = critical_alpha(SubsetSpec.whole(full2), phi_log2,
-                             Cover(full2, 1), tol=1e-6)
+        est = critical_alpha(SubsetSpec.whole(full2), phi_log2, 1, tol=1e-6)
         assert len(est.diagnostics["trace"]) - 2 >= 20
         assert len(calls) <= 3
 
@@ -627,15 +617,15 @@ class TestCriticalAlpha:
         # raised "not monotone", one read 1.4454 for 1.4306); one margin
         # for the window keeps every union at the pressure of its system
         n_range = (4, 8)
-        for _, system, pot, cover, subsets in _replay_systems(n_range):
+        for _, system, pot, t, subsets in _replay_systems(n_range):
             spec, _ = subsets[-1]
-            est = critical_alpha(spec, pot, cover, 1e-4, n_range)
+            est = critical_alpha(spec, pot, t, 1e-4, n_range)
             assert abs(est.value - transfer_pressure(system, pot)) <= 5e-4
 
     def test_vanished_weight_raises_only_where_visited(self, full2, phi_log2,
                                                       monkeypatch):
-        spec, cover = SubsetSpec.whole(full2), Cover(full2, 1)
-        want = critical_alpha(spec, phi_log2, cover, 1e-4)
+        spec, t = SubsetSpec.whole(full2), 1
+        want = critical_alpha(spec, phi_log2, t, 1e-4)
         visited = {alpha for alpha, _ in want.diagnostics["trace"]}
         stacked = _StringCalculus.log_weights
 
@@ -647,42 +637,39 @@ class TestCriticalAlpha:
 
         monkeypatch.setattr(_StringCalculus, "log_weights",
                             vanishing_off_path)
-        est = critical_alpha(SubsetSpec.whole(full2), phi_log2, cover, 1e-4)
+        est = critical_alpha(SubsetSpec.whole(full2), phi_log2, t, 1e-4)
         assert est.value == want.value
         assert est.diagnostics["trace"] == want.diagnostics["trace"]
         visited.discard(want.diagnostics["trace"][-1][0])
         with pytest.raises(InconclusiveError, match="vanished"):
-            critical_alpha(SubsetSpec.whole(full2), phi_log2, cover, 1e-4)
+            critical_alpha(SubsetSpec.whole(full2), phi_log2, t, 1e-4)
 
     def test_full_shift_entropy(self, full2):
         zero = Potential.zero(full2)
-        est = critical_alpha(SubsetSpec.whole(full2), zero, Cover(full2, 1),
-                             tol=1e-6)
+        est = critical_alpha(SubsetSpec.whole(full2), zero, 1, tol=1e-6)
         assert est.value == pytest.approx(math.log(2), abs=1e-6)
         assert est.bracket[1] - est.bracket[0] <= 1e-6
         assert est.bracket[0] <= est.value <= est.bracket[1]
 
     def test_weighted_full_shift(self, full2, phi_log2):
-        est = critical_alpha(SubsetSpec.whole(full2), phi_log2,
-                             Cover(full2, 1), tol=1e-6)
+        est = critical_alpha(SubsetSpec.whole(full2), phi_log2, 1, tol=1e-6)
         assert est.value == pytest.approx(math.log(3), abs=1e-6)
 
     def test_fixed_point_zero_pressure(self, full2):
         zero = Potential.zero(full2)
         est = critical_alpha(SubsetSpec.fixed_point(full2, 0), zero,
-                             Cover(full2, 1), tol=1e-5)
+                             1, tol=1e-5)
         assert est.value == pytest.approx(0.0, abs=1e-5)
 
     def test_empty_subset_degenerate(self, full2):
         zero = Potential.zero(full2)
         est = critical_alpha(SubsetSpec.cylinders(full2, []), zero,
-                             Cover(full2, 1), tol=1e-4)
+                             1, tol=1e-4)
         assert est.value == -math.inf and est.degenerate
 
     def test_trace_recorded(self, full2):
         zero = Potential.zero(full2)
-        est = critical_alpha(SubsetSpec.whole(full2), zero, Cover(full2, 1),
-                             tol=1e-3)
+        est = critical_alpha(SubsetSpec.whole(full2), zero, 1, tol=1e-3)
         assert est.diagnostics["classification_threshold"] > 0
         assert len(est.diagnostics["trace"]) >= 10
 
@@ -690,11 +677,18 @@ class TestCriticalAlpha:
         zero = Potential.zero(full2)
         whole = SubsetSpec.whole(full2)
         with pytest.raises(ValueError):
-            critical_alpha(whole, zero, Cover(full2, 1), tol=0.0)
+            critical_alpha(whole, zero, 1, tol=0.0)
         with pytest.raises(ValueError):
-            weight_m(whole, 1.0, zero, Cover(full2, 1), 4, depth_cap=3)
+            weight_m(whole, 1.0, zero, 1, 4, depth_cap=3)
         with pytest.raises(ValueError):
-            log_lambda_n(whole, zero, Cover(full2, 1), 0)
+            log_lambda_n(whole, zero, 1, 0)
+        # a window with one N in its top half (or none) cannot be
+        # classified: refused by name before any sum, on the empty subset
+        # too (a RuntimeWarning from an empty slope would fail this)
+        for spec in (whole, SubsetSpec.cylinders(full2, [])):
+            for n_range in ((5, 5), (9, 5), (4, 5), (0, 5)):
+                with pytest.raises(ValueError, match="n_range"):
+                    critical_alpha(spec, zero, 1, 1e-4, n_range)
 
     def test_slope_is_least_squares(self):
         rng = np.random.default_rng(21)
@@ -710,8 +704,7 @@ class TestCriticalAlpha:
         # exp(800 - alpha) overflows on the initial bracket's low end
         phi = Potential.depth_one(full2, [0.0, 800.0])
         with pytest.raises(InconclusiveError, match="alpha -1.69315"):
-            critical_alpha(SubsetSpec.whole(full2), phi, Cover(full2, 1),
-                           tol=1e-4)
+            critical_alpha(SubsetSpec.whole(full2), phi, 1, tol=1e-4)
 
 
 class TestDeepCylinderWords:
@@ -731,8 +724,7 @@ class TestDeepCylinderWords:
         spec = SubsetSpec.cylinders(
             full2, [rng.integers(0, 2, length).tolist() for _ in range(20)])
         tol = 1e-6
-        est = critical_alpha(spec, self._phi(full2), Cover(full2, 1), tol,
-                             (8, 20))
+        est = critical_alpha(spec, self._phi(full2), 1, tol, (8, 20))
         # the top half of (8, 20) starts at 14; least_n is the length
         assert est.n_range == (length - 6, length + 6)
         assert abs(est.value - self.P) <= 2 * tol
@@ -741,8 +733,7 @@ class TestDeepCylinderWords:
         rng = np.random.default_rng(1)
         spec = SubsetSpec.cylinders(
             full2, [rng.integers(0, 2, 22).tolist() for _ in range(10)])
-        lo, hi = capacity_pressures(spec, self._phi(full2), Cover(full2, 1),
-                                    20)
+        lo, hi = capacity_pressures(spec, self._phi(full2), 1, 20)
         # the first N read, n_half - 1, is raised from 9 to least_n = 22
         assert lo.n_range == hi.n_range == (23, 33)
         assert abs(lo.value - self.P) <= 1e-6
@@ -763,18 +754,18 @@ class TestManyBlockStates:
         # 4,096 block states; the oracles run on 2 states
         table = self._depth_two()
         pot = Potential(full2, 2, table)
-        cover, tol = Cover(full2, 13), 1e-6
+        t, tol = 13, 1e-6
         assert len(_StringCalculus(SubsetSpec.whole(full2), pot,
-                                   cover).graph.words) == 4096
+                                   t).graph.words) == 4096
         oracle = transfer_pressure(full2, pot)
         for spec in (SubsetSpec.whole(full2),
                      SubsetSpec.cylinders(full2, [(0, 1, 1), (1, 0)])):
-            est = critical_alpha(spec, pot, cover, tol)
+            est = critical_alpha(spec, pot, t, tol)
             assert abs(est.value - oracle) <= 2 * tol
         sub = SubsetSpec.sub_sft(full2, golden.adjacency)
         golden_pot = Potential(golden, 2, {w: v for w, v in table.items()
                                            if w != (1, 1)})
-        est = critical_alpha(sub, pot, cover, tol)
+        est = critical_alpha(sub, pot, t, tol)
         assert abs(est.value - transfer_pressure(golden, golden_pot)) \
             <= 2 * tol
 
@@ -784,8 +775,7 @@ class TestManyBlockStates:
         pot = Potential(full2, 2, self._depth_two())
         tracemalloc.start()
         try:
-            critical_alpha(SubsetSpec.whole(full2), pot, Cover(full2, 11),
-                           1e-6)
+            critical_alpha(SubsetSpec.whole(full2), pot, 11, 1e-6)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -798,7 +788,7 @@ class TestPressureRefined:
         # t >= 1, so each depth gives the exact pressure
         whole = SubsetSpec.whole(full2)
         for t in (1, 2, 3):
-            est = critical_alpha(whole, phi_log2, Cover(full2, t), 1e-5,
+            est = critical_alpha(whole, phi_log2, t, 1e-5,
                                  n_range=(8, 16))
             assert est.value == pytest.approx(math.log(3), abs=1e-5)
 
@@ -840,12 +830,12 @@ class TestStructuralProperties:
     TOL = 1e-4
 
     def _p(self, spec, pot, depth=1, tol=TOL):
-        return critical_alpha(spec, pot, Cover(spec.system, depth), tol).value
+        return critical_alpha(spec, pot, depth, tol).value
 
     def test_chain_inequality(self, full2, phi_log2):
         spec = SubsetSpec.whole(full2)
         p = self._p(spec, phi_log2)
-        lo, hi = capacity_pressures(spec, phi_log2, Cover(full2, 1), 20)
+        lo, hi = capacity_pressures(spec, phi_log2, 1, 20)
         assert p <= lo.value + 2 * self.TOL
         assert lo.value <= hi.value + 2 * self.TOL
 
@@ -859,15 +849,15 @@ class TestStructuralProperties:
             inner = SubsetSpec.cylinders(system, [inner_word])
             outer = SubsetSpec.cylinders(system, [inner_word[:2]])
             assert self._p(inner, pot) <= self._p(outer, pot) + 2 * self.TOL
-            cover = Cover(system, 1)
+            t = 1
             # covering sums are monotone pointwise (exactly); capacity
             # values inherit it up to the slope brackets' own widths
             from ergopress import log_lambda_n
             for N in (4, 8, 12):
-                assert log_lambda_n(inner, pot, cover, N) <= \
-                    log_lambda_n(outer, pot, cover, N) + 1e-12
-            lo_in, hi_in = capacity_pressures(inner, pot, cover, 24)
-            lo_out, hi_out = capacity_pressures(outer, pot, cover, 24)
+                assert log_lambda_n(inner, pot, t, N) <= \
+                    log_lambda_n(outer, pot, t, N) + 1e-12
+            lo_in, hi_in = capacity_pressures(inner, pot, t, 24)
+            lo_out, hi_out = capacity_pressures(outer, pot, t, 24)
             slack = (hi_in.bracket[1] - hi_in.bracket[0]) + \
                 (hi_out.bracket[1] - hi_out.bracket[0]) + 2 * self.TOL
             assert lo_in.value <= lo_out.value + slack
@@ -878,7 +868,7 @@ class TestStructuralProperties:
         zero = Potential.zero(golden)
         whole = SubsetSpec.whole(golden)
         for t in (1, 2, 3):
-            _, hi = capacity_pressures(whole, zero, Cover(golden, t), 24)
+            _, hi = capacity_pressures(whole, zero, t, 24)
             assert hi.value == pytest.approx(math.log(GOLDEN), abs=1e-4)
 
     def test_union_equals_max(self, full2, phi_log2):
@@ -902,7 +892,7 @@ class TestStructuralProperties:
         zero = Potential.zero(full2)
         sub = SubsetSpec.sub_sft(full2, [[1, 1], [1, 0]])
         p = self._p(sub, zero)
-        lo, hi = capacity_pressures(sub, zero, Cover(full2, 1), 24)
+        lo, hi = capacity_pressures(sub, zero, 1, 24)
         assert abs(p - lo.value) <= 2 * self.TOL
         assert abs(lo.value - hi.value) <= 2 * self.TOL
         assert p == pytest.approx(math.log(GOLDEN), abs=1e-3)
@@ -919,7 +909,7 @@ class TestStructuralProperties:
         values = []
         for words in traces.values():
             trace = SubsetSpec.cylinders(full2, words)
-            lo, hi = capacity_pressures(trace, phi, Cover(full2, 1), 16)
+            lo, hi = capacity_pressures(trace, phi, 1, 16)
             values.append(hi.value)
         for v in values:
             assert v == pytest.approx(values[0], abs=1e-9)

@@ -6,7 +6,6 @@ import pytest
 import oracles
 from conftest import random_irreducible_adjacency, random_potential
 from ergopress import (
-    Cover,
     Potential,
     SubsetSpec,
     correlation_entropy,
@@ -76,12 +75,12 @@ class TestTCurve:
 
     def test_scaled_pressure_vs_covering_sums(self, full2, phi_log2):
         # the transfer value matches the growth of the covering sums
-        cover = Cover(full2, 1)
+        t = 1
         whole = SubsetSpec.whole(full2)
         for q in (-1.0, 0.5, 2.0):
             scaled = phi_log2.scaled(q)
-            d15 = log_lambda_n(whole, scaled, cover, 15) \
-                - log_lambda_n(whole, scaled, cover, 14)
+            d15 = log_lambda_n(whole, scaled, t, 15) \
+                - log_lambda_n(whole, scaled, t, 14)
             assert d15 == pytest.approx(transfer_pressure(full2, scaled),
                                         abs=1e-10)
 

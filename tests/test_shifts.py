@@ -8,7 +8,6 @@ import pytest
 import oracles
 from conftest import random_irreducible_adjacency, random_potential
 from ergopress import (
-    Cover,
     Potential,
     ShiftSystem,
     SubsetSpec,
@@ -138,11 +137,6 @@ class TestWordAndCylinder:
         assert not full2.is_admissible((0, 2))
         with pytest.raises(ValueError):
             SubsetSpec.cylinders(full2, [(0, 2)])
-
-    def test_diameter_halves_per_depth(self, full2):
-        diams = [Cover(full2, m).diameter() for m in range(1, 8)]
-        for a, b in zip(diams, diams[1:]):
-            assert b == a / 2
 
 
 class TestBlockGraph:
@@ -376,12 +370,12 @@ class TestSubsetSpec:
             for N in range(1, 5):
                 if N + t - 1 < 3:
                     with pytest.raises(ValueError, match="least_n"):
-                        log_lambda_n(spec, pot, Cover(golden, t), N)
+                        log_lambda_n(spec, pot, t, N)
                     continue
                 brute = oracles.lambda_brute(golden.adjacency, pot.table, 1, t,
                                              N, "cylinders",
                                              cylinder_words=words)
-                got = math.exp(log_lambda_n(spec, pot, Cover(golden, t), N))
+                got = math.exp(log_lambda_n(spec, pot, t, N))
                 assert got == pytest.approx(brute, rel=1e-10)
 
     def test_sub_sft_requires_dominated_matrix(self, golden):
@@ -399,7 +393,7 @@ class TestSubsetSpec:
         np.testing.assert_array_equal(spec.sub_adjacency, [[1, 0], [0, 0]])
         zero = Potential.zero(full2)
         for N in range(1, 5):  # only 0^N meets the fixed point
-            assert math.exp(log_lambda_n(spec, zero, Cover(full2, 1), N)) == \
+            assert math.exp(log_lambda_n(spec, zero, 1, N)) == \
                 pytest.approx(1.0)
         self._check_lambda(spec, phi_log2, [[1, 0], [0, 0]])
 
@@ -410,7 +404,7 @@ class TestSubsetSpec:
         np.testing.assert_array_equal(spec.sub_adjacency, sub)
         zero = Potential.zero(full2)
         for N in range(2, 6):  # 1^N and 0 1^(N-1)
-            assert math.exp(log_lambda_n(spec, zero, Cover(full2, 1), N)) == \
+            assert math.exp(log_lambda_n(spec, zero, 1, N)) == \
                 pytest.approx(2.0)
         self._check_lambda(spec, phi_log2, sub)
 
@@ -422,7 +416,7 @@ class TestSubsetSpec:
                 brute = oracles.lambda_brute(system.adjacency, pot.table,
                                              pot.depth, t, N, "sub_sft",
                                              sub_adjacency=sub)
-                got = math.exp(log_lambda_n(spec, pot, Cover(system, t), N))
+                got = math.exp(log_lambda_n(spec, pot, t, N))
                 assert got == pytest.approx(brute, rel=1e-10)
 
     def test_empty_specs(self, full2):

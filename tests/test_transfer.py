@@ -359,7 +359,7 @@ class TestExactReferences:
                 rng, int(rng.integers(2, 6))))
             pot = random_potential(rng, system, int(rng.integers(1, 3)))
             tm = TransferMatrix(system, pot, scales)
-            _, v = power_iteration(tm)
+            _, v = power_iteration(tm.matrix)
             _, u = power_iteration(np.swapaxes(tm.matrix, -1, -2))
             np.testing.assert_allclose(
                 equilibrium_states(system, pot, scales).stationary,
