@@ -4,8 +4,8 @@ The same number is computed (1) as the log of the Perron eigenvalue of
 the weighted transfer matrix, (2) as the growth rate of fixed-length
 string-cover sums, and (3) as the critical exponent at which the
 variable-length covering weight flips from divergent to vanishing.
-Locally constant potentials make all three exact, so they agree to
-bisection tolerance.
+Locally constant potentials make all three exact, so they agree within
+the width of their certified brackets.
 """
 
 import math
@@ -50,8 +50,7 @@ def main():
     print("constant on every cover element):")
     phi = Potential.depth_one(full2, [0.0, math.log(2)])
     for depth in (1, 2, 3):
-        est = critical_alpha(SubsetSpec.whole(full2), phi, depth,
-                             tol=1e-5, n_range=(8, 16))
+        est = critical_alpha(SubsetSpec.whole(full2), phi, depth, tol=1e-5)
         print(f"  depth {depth}: estimate {est.value:.9f}")
 
 

@@ -60,6 +60,7 @@ KNOWN_KEYS = {
 
 
 MAX_Q_POINTS = 2001  # ten times the default grid's 201 points
+MAX_BLOCK_STATES = 2 ** 20  # block states of a cover's string calculus
 
 
 class ConfigError(ValueError):
@@ -108,7 +109,7 @@ class ExperimentConfig:
             adj = system.get("adjacency")
             _require(isinstance(adj, list) and adj and
                      all(isinstance(row, list) and len(row) == len(adj)
-                         for row in adj),
+                         and all(a in (0, 1) for a in row) for row in adj),
                      "system.adjacency", "must be a square 0/1 matrix")
         potential = raw.get("potential", {"kind": "zero"})
         _require(isinstance(potential, dict), "potential", "must be an object")
@@ -157,9 +158,20 @@ class ExperimentConfig:
                 # a depth-t cover runs on blocks of length max(t - 1, 1),
                 # whose base-k codes must fit in int64
                 k = system["k"] if kind == "full_shift" else len(adj)
-                _require(block_codes_fit(k, max(d[-1] - 1, 1)),
+                n = max(d[-1] - 1, 1)
+                _require(block_codes_fit(k, n),
                          "budget.depths", f"must keep {k}**(depth - 1) below "
                          "2**63, the int64 range of the block codes")
+                states = k ** n
+                if kind == "sft":  # 1^T A^(n-1) 1, as ShiftSystem.word_count
+                    A = np.array(adj, dtype=np.int64)
+                    row = np.ones(k, dtype=np.int64)
+                    for _ in range(n - 1):
+                        row = row @ A  # at most k**n: int64 holds it
+                    states = int(row.sum())
+                _require(states <= MAX_BLOCK_STATES, "budget.depths",
+                         f"must keep the deepest cover's block states, its "
+                         f"{n}-blocks, at most {MAX_BLOCK_STATES}: {states}")
         if "n" in budget and task == "inverse_vp":
             # a block depth max(depth, 2) below n
             least_n = max(4, depth + 1)
@@ -312,7 +324,7 @@ def _task_pressure(cfg: ExperimentConfig) -> TaskResult:
     tol = cfg.budget.get("tol", 1e-4)
     depths = cfg.budget.get("depths", [potential.depth])
     n_max = cfg.budget.get("n_max", 20)
-    est = pressure_refined(subset, potential, depths, n_max, tol)
+    est = pressure_refined(subset, potential, depths, tol)
     checks = []
     values = {"pressure": est.value, "bracket": list(est.bracket),
               "n_range": list(est.n_range)}

@@ -36,9 +36,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coverpressure import PressureEstimate, _slope
+from .coverpressure import PressureEstimate
 
 PI = math.pi
+
+
+def _slope(ns, values) -> float:
+    """Least-squares slope of values against ns, in closed form."""
+    x = np.asarray(ns, dtype=float)
+    x = x - x.mean()
+    return float(x @ np.asarray(values, dtype=float) / (x @ x))
 
 
 def arccot_potential_line(x):

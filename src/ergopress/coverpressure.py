@@ -19,38 +19,29 @@ word combinatorics and the two covering sums of interest become exact:
   infimum is a minimum over antichains and is computed by dynamic
   programming on the cylinder tree, truncated at a reported depth cap.
 
-Both computations run on a small state space (the trailing symbols a
-word needs to extend: max(t, potential depth) - 1 of them, at least 1),
-so costs are linear in the word length instead of exponential.  Each
-arc carries one window, the one a string-length step completes, and
-both sums step along the arcs with it, so a step costs one term per arc
-and no state-by-state matrix is built.  The word sums come from one
-forward sweep over word lengths, a log-space sum into each arc's target
-per step, cached and extended on demand: every N reads the same sweep,
-so a whole N-window up to N_max costs O(N_max) steps rather than a fresh
-dynamic program per N.
+Both computations run on the states of max(t - 1, 1) trailing symbols a
+word needs to extend.  Each arc carries the window that a string-length
+step completes, and both sums step along the arcs with it, one term per
+arc, with no state-by-state matrix.  The word sums come from one forward
+sweep over word lengths, a log-space sum into each arc's target per
+step, cached and extended on demand: N up to N_max costs O(N_max) steps.
 
-The topological pressure of a subset is the critical alpha at which the
-variable-length sum switches from growing to vanishing with N; it is
-located by bisection, classifying each alpha by the least-squares slope
-of log(sum) against N over the top half of the N-window.  The weights
-come in stacks: one call runs the c-factor recursion for many exponents
-at once (one sum over the arcs of all exponents per depth level) and
-reads the whole N-window's entry vectors from the cached sweep, so each
-call weighs the bisection path predicted from the bracket's regula-falsi
-point.  Lower/upper capacity pressures come from the successive
-differences of log(sum) against N (which converge to the same limit as
-(1/N) log(sum), but geometrically fast on these systems, instead of at
-rate 1/N).  One calculator per subset, potential and cover depth serves
-all of these sums (see ``_calculus``).
+The pressure of a subset, where the variable-length sum switches from
+growing to vanishing, and its capacities, the growth rates of the
+fixed-length sum, are all log rho(R) for the arc weights R = exp(v_string)
+over the irreducible classes that the subset reaches (the calculator's
+own split, cached with it).  ``critical_alpha`` brackets it with right
+Collatz-Wielandt vectors and ``capacity_pressures`` with the sweep's left
+ones: two vectors and two code paths for one matrix, so that the chain
+check P <= upper capacity can fail on a bug in either.  One calculator
+per subset, potential and cover depth serves all of these (``_calculus``).
 
-Both estimators read their sums only where every entry word, of length
-N + t - 1, is at least as long as the longest listed cylinder word, that
-is from N = ``least_n`` on.  Below it, prefixes of the listed words
-already cover the union, and the sums follow the potential along those
-prefixes, not the pressure.  Each estimator moves its window up until
-the first N it reads is at least ``least_n`` and reports the window it
-used (``PressureEstimate.n_range``); the sums refuse a smaller N by name.
+Both estimators read the sums only from N = ``least_n`` on, where every
+entry word, of length N + t - 1, is at least as long as the longest
+listed cylinder word; below it, prefixes of the listed words cover the
+union and the sums follow the potential along them, not the pressure.
+Each estimate reports the Ns it read (``PressureEstimate.n_range``), and
+the sums refuse a smaller N by name.
 """
 
 from __future__ import annotations
@@ -58,17 +49,20 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .shifts import BlockGraph, Potential, SubsetSpec
 
 
-DEPTH_MARGIN = 8  # string lengths a bisection weight may add beyond N
+MAX_CW_STEPS = 20_000  # (I + R) steps before a bracket is inconclusive
 
 
 class InconclusiveError(RuntimeError):
-    """Growth classification failed within the computational budget."""
+    """A cover-route value left uncertified: a Collatz-Wielandt bracket
+    open after MAX_CW_STEPS steps, arc weights of a class spanning more
+    than the normal float range, or an overflowing exp(window - alpha)."""
 
 
 @dataclass
@@ -90,12 +84,10 @@ class _StringCalculus:
 
     States are the sdepth-blocks of ``graph``, a ``BlockGraph`` of the
     reduced sub-adjacency for a sub-SFT, of the parent adjacency otherwise.
-    Each arc carries one window: ``v_string[e]`` is the window that one
-    string-length step completes along arc e of ``graph.arcs``, the one
-    at position len - t of the word the step grows to.  Both covering
-    sums step along the arcs with it, the sweep adding ``v_string`` in
-    log space into each arc's target, and the c-factor recursion summing
-    its exponentials over each state's out-arcs.
+    ``v_string[e]`` is the window that one string-length step completes
+    along arc e of ``graph.arcs``, at position len - t of the word the step
+    grows to: the sweep adds it in log space into each arc's target, and
+    the c-factor recursion sums its exponentials over out-arcs.
     """
 
     def __init__(self, subset: SubsetSpec, potential: Potential, depth: int):
@@ -110,7 +102,7 @@ class _StringCalculus:
         # parts read here are kept: no reference cycle holds the arrays
         self.empty = subset.is_empty
         self.potential = potential
-        self.r, self.t = r, t
+        self.t = t
         # the least N whose entry words, of length N + t - 1, are at
         # least as long as every listed cylinder word
         self.least_n = max(1, max(map(len, subset.words), default=0) - t + 1)
@@ -119,7 +111,6 @@ class _StringCalculus:
             else system.adjacency
         self.graph = BlockGraph(working, sd)
         st = self.graph.words
-        n = len(st)
         _, _, arc_words = self.graph.arcs
         lo = sd + 1 - t
         self.v_string = potential.values(arc_words[:, lo:lo + r])
@@ -136,7 +127,7 @@ class _StringCalculus:
             else:
                 self._fold_seeds(np.array(list(group), dtype=np.int64))
         # every seed and every entry length is at least sd
-        self._forward = [self._seeds.get(sd, np.full(n, -np.inf))]
+        self._forward = [self._seeds.get(sd, np.full(len(st), -np.inf))]
 
     def _fold_seeds(self, words: np.ndarray):
         """Fold equal-length seed words into ``_seeds[length]``: per end
@@ -184,6 +175,59 @@ class _StringCalculus:
                 "longest listed cylinder word")
         return self._sweep(N + self.t - 1)
 
+    @cached_property
+    def classes(self) -> tuple:
+        """The irreducible classes reached from the states whose entry logs
+        at ``least_n`` are finite (an iterative Tarjan search along the
+        arcs), as (order, starts, src, dst, v): their states, class c being
+        order[starts[c]:starts[c + 1]], and the arcs inside them, src and
+        dst as positions in ``order`` and v their windows.  A class has an
+        arc inside it."""
+        src, dst, _ = self.graph.arcs
+        n = len(self.graph.words)
+        first = np.searchsorted(src, np.arange(n + 1)).tolist()
+        succ = dst.tolist()
+        index, low, label = [-1] * n, [0] * n, [-1] * n
+        stack, path, found, ticket = [], [], 0, itertools.count()
+
+        def visit(w):
+            index[w] = low[w] = next(ticket)
+            stack.append(w)
+            path.append([w, first[w]])  # a state and its next out-arc
+
+        roots = np.flatnonzero(np.isfinite(self._entry_logs(self.least_n)))
+        for root in roots.tolist():
+            if index[root] < 0:
+                visit(root)
+            while path:
+                top = path[-1]
+                v, e = top
+                if e < first[v + 1]:
+                    top[1] = e + 1
+                    w = succ[e]
+                    if index[w] < 0:
+                        visit(w)
+                    elif label[w] < 0:  # still on the stack
+                        low[v] = min(low[v], index[w])
+                    continue
+                path.pop()
+                if path:
+                    u = path[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:  # v roots a component: pop it
+                    while label[v] < 0:
+                        label[stack.pop()] = found
+                    found += 1
+        label = np.array(label)
+        inside = (label[src] >= 0) & (label[src] == label[dst])
+        order = np.flatnonzero(np.bincount(src[inside], minlength=n))
+        order = order[np.argsort(label[order], kind="stable")]
+        where = np.empty(n, dtype=np.int64)
+        where[order] = np.arange(len(order))
+        starts = np.flatnonzero(np.diff(label[order], prepend=-1))
+        return (order, starts, where[src[inside]], where[dst[inside]],
+                self.v_string[inside])
+
     # -- fixed-length covering sum ------------------------------------------
 
     def log_lambda(self, N: int) -> float:
@@ -196,79 +240,47 @@ class _StringCalculus:
 
     # -- variable-length covering infimum ------------------------------------
 
-    def _cfactors(self, alphas: np.ndarray, depth: int) -> np.ndarray:
+    def _cfactors(self, alpha: float, depth: int) -> tuple:
         """Cost of the optimal antichain at most ``depth`` levels below a
-        node, per unit of the node's own weight, and the part of that cost
-        carried by nodes sitting at the depth cap.
-
-        Returns cg of shape (2, alphas, states): the cost c = cg[0] and the
-        capped part g = cg[1] at ``depth``, where c = g = 1 at depth 0 and
-        each level d >= 1 gives c_d = min(1, R c_{d-1}) and g_d = R g_{d-1}
-        where R c_{d-1} < 1, else 0.  (R x)[i] sums exp(v_string - alpha)
-        x[dst] over the out-arcs of state i.  Each depth level is one sum
-        over the arcs of all exponents, in which each exponent's row is the
-        one it gets alone.  Raises InconclusiveError when R overflows,
-        naming the least exponent at which it does.
-        """
-        arc_rates = self.v_string - alphas[:, None]
+        node, per unit of its own weight, and the part of it at the depth
+        cap: (c, g) per state, c = g = 1 at depth 0, then c_d = min(1,
+        R c_{d-1}) and g_d = R g_{d-1} where R c_{d-1} < 1, else 0, with
+        (R x)[i] the sum of exp(v_string - alpha) x[dst] over the out-arcs
+        of i.  Raises InconclusiveError, naming alpha, when R overflows."""
         with np.errstate(over="ignore"):
-            np.exp(arc_rates, out=arc_rates)
-        over = np.isinf(arc_rates).any(axis=1)
-        if over.any():
+            rates = np.exp(self.v_string - alpha)
+        if np.isinf(rates).any():
             raise InconclusiveError(
                 f"inconclusive: exp(window - alpha) overflows at alpha "
-                f"{float(alphas[over].min()):.6g}, windows up to "
-                f"{self.v_string.max():.6g}")
+                f"{alpha:.6g}, windows up to {self.v_string.max():.6g}")
         src, dst, _ = self.graph.arcs
         n = len(self.graph.words)
-        cg = np.ones((2, len(alphas), n))
-        # one flat bincount per level: bin row * n + i for (c|g, alpha) row
-        bins = (np.arange(2 * len(alphas))[:, None] * n + src).ravel()
+        c, g = np.ones(n), np.ones(n)
         for _ in range(depth):
-            cg = np.bincount(bins, (arc_rates * cg[..., dst]).ravel(),
-                             cg.size).reshape(cg.shape)
-            total, capped = cg
-            np.multiply(capped, total < 1.0, out=capped)
-            np.minimum(total, 1.0, out=total)
-        return cg
+            c = np.bincount(src, rates * c[dst], n)
+            g = np.bincount(src, rates * g[dst], n) * (c < 1.0)
+            np.minimum(c, 1.0, out=c)
+        return c, g
 
-    def log_weights(self, alphas, ns, margin: int):
-        """Optimal covering weights for every exponent in ``alphas`` and
-        every N in ``ns``, with string lengths in [N, N + margin].
-
-        Returns (logs, cap_mass): logs[a, i] is the log-weight at alphas[a]
-        and ns[i] (-inf when it vanishes), and cap_mass[a, i] the fraction
-        of the optimum sitting at the depth cap ns[i] + margin.  Every N
-        must be at least ``least_n`` (see ``_entry_logs``).  One c-factor
-        recursion serves every exponent and N, and each value equals the
-        one a call with that exponent and N alone gives.
-        """
-        alphas = np.asarray(alphas, dtype=float).reshape(-1)
-        ns = tuple(int(N) for N in ns)
-        if ns and min(ns) < 1:
+    def log_weight(self, alpha: float, N: int, margin: int) -> tuple:
+        """(log, -inf when it vanishes, of the optimal covering weight at
+        ``alpha`` with string lengths in [N, N + margin]; the fraction of it
+        at that cap), for N >= ``least_n`` (see ``_entry_logs``)."""
+        if N < 1:
             raise ValueError("N must be >= 1")
         if margin < 0:
             raise ValueError("depth cap must be >= N")
-        logs = np.full((len(alphas), len(ns)), -math.inf)
-        cap_mass = np.zeros_like(logs)
         if self.empty:
-            return logs, cap_mass
-        # the entry weights as one stack, exp(logW - shift) per N and state,
-        # each N shifted by its largest entry log (0 when all vanish)
-        logWs = np.array([self._entry_logs(N) for N in ns]).reshape(
-            len(ns), len(self.graph.words))
-        shift = logWs.max(axis=1, initial=-math.inf)
-        shift[shift == -math.inf] = 0.0
-        weights = np.exp(logWs - shift[:, None])
-        at_cap = self._cfactors(alphas, margin)
-        total = (weights[:, None] * at_cap[0]).sum(axis=-1).T
-        capped = (weights[:, None] * at_cap[1]).sum(axis=-1).T
-        logs[:] = [[math.log(x) if x > 0.0 else -math.inf for x in row]
-                   for row in total.tolist()]
-        logs += shift
-        logs -= alphas[:, None] * np.array(ns)
-        np.divide(capped, total, out=cap_mass, where=total > 0.0)
-        return logs, cap_mass
+            return -math.inf, 0.0
+        logw = self._entry_logs(N)
+        shift = logw.max()
+        c, g = self._cfactors(alpha, margin)
+        weights = np.exp(logw - shift)  # entry weights over the largest
+        total = float(weights @ c)
+        if total == 0.0:
+            return -math.inf, 0.0
+        return (math.log(total) + shift - alpha * N,
+                float(weights @ g) / total)
 
 
 def _calculus(subset: SubsetSpec, potential: Potential,
@@ -286,6 +298,25 @@ def _calculus(subset: SubsetSpec, potential: Potential,
     return calc
 
 
+def _allowance(terms: int, scale: float) -> float:
+    """Rounding allowance of a log Collatz-Wielandt ratio summed over up to
+    ``terms`` arcs from log-space numbers of magnitude up to ``scale``:
+    2**-50 (four units in the last place) per summand and three per unit
+    of magnitude bound the rounding of the exps, sum, division and logs."""
+    return 2.0 ** -50 * (terms + 2 + 3 * float(scale))
+
+
+def _class_bracket(ratio, starts, allowance: float) -> tuple:
+    """Per-class min and max (lo, hi) of log Collatz-Wielandt ratios in
+    class order, +inf at a state without weight (lo = -inf on a class with
+    none), and the bracket [max_C lo_C, max_C hi_C] of log rho that they
+    certify, each end widened by ``allowance``."""
+    lo = np.minimum.reduceat(ratio, starts)
+    lo[lo == math.inf] = -math.inf
+    hi = np.maximum.reduceat(ratio, starts)
+    return lo, hi, (float(lo.max()) - allowance, float(hi.max()) + allowance)
+
+
 def log_lambda_n(subset: SubsetSpec, potential: Potential, depth: int,
                  N: int) -> float:
     """log of the minimal fixed-length covering sum (see module docstring).
@@ -298,36 +329,29 @@ def log_lambda_n(subset: SubsetSpec, potential: Potential, depth: int,
 
 def weight_m(subset: SubsetSpec, alpha: float, potential: Potential,
              depth: int, N: int, depth_cap: int | None = None) -> float:
-    """Optimal covering weight over strings of length >= N.
-
-    Computed exactly as the cheapest prefix-free antichain in the
-    cylinder tree with string lengths in [N, depth_cap] (default N + 8).
-    Always an upper bound for the unbounded-depth infimum.  N must be at
-    least the calculator's ``least_n``, where the entry words of length
-    N + t - 1 reach the longest listed cylinder word; a smaller N raises
-    ValueError naming it.  ``_StringCalculus.log_weights`` also reports
-    the fraction of the optimum sitting at the cap.  The entry words
-    carry the windows of one string-length step per arc, the same ones
-    that the fixed-length sum counts.
-    """
-    cap = depth_cap if depth_cap is not None else N + DEPTH_MARGIN
-    logs, _ = _calculus(subset, potential, depth).log_weights(
-        [alpha], [N], cap - N)
-    return math.exp(logs[0, 0])
+    """Optimal covering weight over strings of length >= N: the cheapest
+    prefix-free antichain in the cylinder tree with string lengths in
+    [N, depth_cap] (default N + 8), an upper bound for the unbounded-depth
+    infimum.  N must be at least ``least_n`` (see ``log_lambda_n``);
+    ``_StringCalculus.log_weight`` also gives the fraction at the cap."""
+    cap = N + 8 if depth_cap is None else depth_cap
+    log, _ = _calculus(subset, potential, depth).log_weight(alpha, N, cap - N)
+    return math.exp(log)
 
 
 def capacity_pressures(subset: SubsetSpec, potential: Potential, depth: int,
                        N_max: int) -> tuple[PressureEstimate, PressureEstimate]:
-    """Lower/upper capacity pressure estimates from the covering sums.
+    """Lower/upper capacity pressures: the ends of a certified bracket of
+    the growth rate of Lambda_N, from the sweep's left vectors.
 
-    The limit values are bracketed by the extremes of the successive
-    differences of log Lambda over the window [N_max/2, N_max] (the raw
-    sequence (1/N) log Lambda converges only at rate 1/N, which is why
-    the differenced estimator is the reported value); the diagnostics
-    keep the (N, log Lambda, difference) rows.  The window moves up until
-    its first difference reads no N below ``least_n`` (listed cylinder
-    words longer than the entry words), and ``n_range`` is the window
-    used.
+    W_{N+1} = W_N R, R with arc weights exp(v_string), so Lambda_N grows
+    at log rho(R) over the reached classes.  ``_class_bracket`` reads the
+    left Collatz-Wielandt ratios of W_{N_max}: per state j, the logsumexp
+    over its in-arcs of log W_i + v, less log W_j, +inf where W_j = 0, so
+    the bracket is (-inf, +inf) until the sweep reaches a class; it
+    narrows with N_max, but stays open on a periodic class.  Diagnostics:
+    the (N, log Lambda, difference) rows over [N_max/2, N_max], a window
+    moved up until it reads no N below ``least_n``, and ``n_range`` is it.
     """
     if N_max < 8:
         raise ValueError("N_max must be >= 8")
@@ -336,145 +360,101 @@ def capacity_pressures(subset: SubsetSpec, potential: Potential, depth: int,
     lift = max(0, calc.least_n - (n_half - 1))
     n_half, N_max = n_half + lift, N_max + lift
     ns = list(range(n_half - 1, N_max + 1))
-    loglam = {N: calc.log_lambda(N) for N in ns}
-    if all(v == -math.inf for v in loglam.values()):
-        svals = [-math.inf]
-        diag = {"degenerate": True, "rows": []}
+    loglam = [calc.log_lambda(N) for N in ns]
+    if calc.empty:
+        ends, diag = (-math.inf, -math.inf), {"degenerate": True, "rows": []}
     else:
-        slopes = {N: loglam[N] - loglam[N - 1] for N in ns[1:]}
-        window = [N for N in slopes if N >= n_half]
-        svals = [slopes[N] for N in window]
-        diag = {"rows": [(N, loglam[N], slopes[N]) for N in window]}
-    lo = PressureEstimate(min(svals), (n_half, N_max),
-                          (min(svals), max(svals)), dict(diag))
-    hi = PressureEstimate(max(svals), (n_half, N_max),
-                          (min(svals), max(svals)), dict(diag))
-    return lo, hi
-
-
-def _centred(ns) -> tuple[np.ndarray, float]:
-    """x = ns less their mean, and x @ x: a slope is x @ values / (x @ x)."""
-    x = np.asarray(ns, dtype=float)
-    x = x - x.mean()
-    return x, x @ x
-
-
-def _slope(ns, values) -> float:
-    """Least-squares slope of values against ns, in closed form."""
-    x, xx = _centred(ns)
-    return float(x @ np.asarray(values, dtype=float) / xx)
-
-
-def _bisection_path(lo: float, hi: float, guess: float, tol: float,
-                    count: int) -> list[float]:
-    """The midpoints that up to ``count`` bisection steps from [lo, hi]
-    compute while wider than tol, each keeping the half holding ``guess``."""
-    points = []
-    while len(points) < count and hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        points.append(mid)
-        lo, hi = (mid, hi) if mid < guess else (lo, mid)
-    return points
+        diag = {"rows": [(N, b, b - a)
+                         for N, a, b in zip(ns[1:], loglam, loglam[1:])]}
+        order, starts, src, dst, v = calc.classes
+        logw = calc._entry_logs(N_max)[order]
+        into = np.full(len(order), -math.inf)
+        np.logaddexp.at(into, dst, logw[src] + v)
+        seen = np.isfinite(logw)  # none where the roots reach no class yet
+        ratio = np.where(seen, into - np.where(seen, logw, 0.0), math.inf)
+        scale = np.abs(logw[seen]).max(initial=0.0) + np.abs(v).max()
+        *_, ends = _class_bracket(
+            ratio, starts, _allowance(int(np.bincount(dst).max()), scale))
+    return (PressureEstimate(ends[0], (n_half, N_max), ends, dict(diag)),
+            PressureEstimate(ends[1], (n_half, N_max), ends, dict(diag)))
 
 
 def critical_alpha(subset: SubsetSpec, potential: Potential, depth: int,
-                   tol: float, n_range: tuple = (8, 20)) -> PressureEstimate:
-    """Topological pressure of the subset: bisection on the exponent.
+                   tol: float) -> PressureEstimate:
+    """Topological pressure of the subset: the midpoint of a certified
+    Collatz-Wielandt bracket of log rho(R_0) over the reached classes, at
+    most max(tol, its rounding floor) wide.
 
-    For each candidate alpha the covering weight (depth cap N +
-    DEPTH_MARGIN) is computed over the top half of the N-window and
-    classified by the ``_slope`` of its log: positive slope means the
-    weight diverges (alpha below the critical value), negative means it
-    vanishes.  The bracket is narrowed until its width is at most tol.
-    The window moves up until its top half starts at ``least_n`` or
-    later, so that every listed cylinder word fits in the entry words,
-    and the estimate's ``n_range`` is the window used.
+    R_alpha, with arc weights exp(v_string - alpha), is the operator of
+    the c-factor recursion c_d = min(1, R_alpha c_{d-1}), and the covering
+    weight is M(alpha, N) = e^(-alpha N) sum_s W_N(s) c(s), W_N the sweep.
+    Upper end: if rho(R_alpha) < 1 on the reached states, c_d <= R_alpha^d
+    1 -> 0, so M = 0 for every N and alpha >= P_Z.  Lower end: if x > 0 on
+    a reached class C has R_alpha x >= theta x there, theta > 1, then
+    c_d >= x / max x on C for every d, so M(alpha, N) >= (min x / max x)
+    e^(-alpha N) sum_C W_N grows like theta^N (W_{N+1} >= W_N R_0), and
+    alpha <= P_Z.  As R_alpha = e^(-alpha) R_0, one bracket of R_0 per
+    class decides every alpha: rho(R_C) lies between the min and max over
+    C of (R x)_i / x_i for any x > 0 (Horn and Johnson, Matrix Analysis,
+    8.1; Seneta, Non-negative Matrices and Markov Chains, ch. 1).
 
-    Each ``log_weights`` call after the first (the two bracket ends)
-    weighs the path the remaining steps take if each keeps the half that
-    holds the bracket's regula-falsi point; a step reads its row there
-    when its midpoint is on the path, else predicts a new path.  A
-    stacked row is the one its exponent gets alone, and only visited
-    points are classified, traced, counted weak or raise, so value,
-    bracket and diagnostics are plain bisection's, bit for bit.
+    x <- s_C x + R x from x = 1, R = exp(v_string - max v_string) on the
+    arcs inside the classes and s_C half the geometric midpoint of C's last
+    ratios, about rho_C / 2 (periodic classes then converge at any scale of
+    rho_C), is normalised per class every step and read every 10 steps.  The
+    bracket is [max_C lo_C, max_C hi_C] in log, plus max v_string, each end
+    widened by ``_allowance``; the floor is four allowances.  Raises
+    InconclusiveError naming the spread where a class's arc weight falls
+    below the smallest normal float, or the width when the bracket is open
+    after MAX_CW_STEPS steps.  ``n_range`` is (least_n, least_n), whose
+    entry words seed the classes; diagnostics: steps taken and classes.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    n_lo, n_hi = n_range
-    if not (1 <= n_lo and n_lo + 2 <= n_hi):
-        raise ValueError("n_range must have 1 <= lo and lo + 2 <= hi")
     calc = _calculus(subset, potential, depth)
+    n_range = (calc.least_n, calc.least_n)
     if calc.empty:
         return PressureEstimate(-math.inf, n_range, (-math.inf, -math.inf),
                                 {"degenerate": True})
-    lift = max(0, calc.least_n - (n_lo + (n_hi - n_lo + 1) // 2))
-    n_lo, n_hi = n_lo + lift, n_hi + lift
-    ns = list(range(n_lo, n_hi + 1))
-    top = ns[len(ns) // 2:]
-
-    gvals = potential.vector.tolist()
-    k = subset.system.alphabet_size
-    alpha_lo = min(gvals) - math.log(k) - 1.0
-    alpha_hi = max(gvals) + math.log(k) + 1.0
-
-    trace = []
-    x, xx = _centred(top)
-
-    def classify(alpha: float, logs: np.ndarray) -> float:
-        if (logs == -math.inf).any():
-            raise InconclusiveError("inconclusive-at-depth: covering "
-                                    "weight vanished identically")
-        s = float(x @ logs / xx)
-        trace.append((alpha, s))
-        return s
-
-    logs, _ = calc.log_weights([alpha_lo, alpha_hi], top, DEPTH_MARGIN)
-    slope_lo = classify(alpha_lo, logs[0])
-    slope_hi = classify(alpha_hi, logs[1])
-    if not (slope_lo > 0 > slope_hi):
+    order, starts, src, dst, v = calc.classes
+    top, sizes = float(v.max()), np.diff(starts, append=len(order))
+    rates = np.exp(v - top)
+    if rates.min() < np.finfo(float).tiny:
         raise InconclusiveError(
-            "inconclusive: growth classification is not monotone across "
-            f"the initial bracket (slopes {slope_lo:.3g}, {slope_hi:.3g})")
-    threshold = 1e-3 * max(1.0, abs(slope_lo), abs(slope_hi))
-    steps = math.ceil(math.log2(alpha_hi - alpha_lo) - math.log2(tol)) + 1
-    weak = done = 0
-    rows = {}
-    while done < steps and alpha_hi - alpha_lo > tol:
-        mid = 0.5 * (alpha_lo + alpha_hi)
-        if mid not in rows:
-            root = alpha_lo + slope_lo * (alpha_hi - alpha_lo) \
-                / (slope_lo - slope_hi)
-            path = _bisection_path(alpha_lo, alpha_hi, root, tol, steps - done)
-            logs, _ = calc.log_weights(path, top, DEPTH_MARGIN)
-            rows = dict(zip(path, logs))
-        s = classify(mid, rows[mid])
-        done += 1
-        weak += abs(s) < threshold
-        if s > 0:
-            alpha_lo, slope_lo = mid, s
-        else:
-            alpha_hi, slope_hi = mid, s
-    value = 0.5 * (alpha_lo + alpha_hi)
-    diag = {
-        "classification_threshold": threshold,
-        "weak_classifications": weak,
-        "trace": trace,
-    }
-    return PressureEstimate(value, (n_lo, n_hi), (alpha_lo, alpha_hi), diag)
+            f"inconclusive: the arc windows of a class spread over "
+            f"{top - float(v.min()):.6g}, past the normal float range")
+    allowance = _allowance(int(np.bincount(src).max()),
+                           2.0 * float(np.abs(v).max()))
+    x = np.ones(len(order))
+    for step in range(MAX_CW_STEPS + 1):
+        rx = np.bincount(src, rates * x[dst], len(x))
+        if step % 10 == 0:
+            los, his, (lo, hi) = _class_bracket(np.log(rx / x) + top, starts,
+                                                allowance)
+            if hi - lo <= max(tol, 4 * allowance):
+                return PressureEstimate(0.5 * (lo + hi), n_range, (lo, hi),
+                                        {"steps": step, "classes": len(sizes)})
+            shift = np.repeat(0.5 * np.exp(0.5 * (los + his) - top), sizes)
+        x = shift * x + rx
+        x /= np.repeat(np.maximum.reduceat(x, starts), sizes)
+    raise InconclusiveError(
+        f"inconclusive: the Collatz-Wielandt bracket is still {hi - lo:.3g} "
+        f"wide after {MAX_CW_STEPS} steps, above tol {tol:.3g}")
 
 
 def pressure_refined(subset: SubsetSpec, potential: Potential, depths,
-                     N_max: int, tol: float) -> PressureEstimate:
+                     tol: float) -> PressureEstimate:
     """Pressure on the cover of the deepest of the increasing ``depths``.
 
     For locally constant potentials every cover depth t >= r is already
     exact (the potential does not vary inside a cover element), so one
-    bisection at the deepest depth gives the value and bracket that every
-    such depth would; a refinement with error envelopes for potentials
-    that are not locally constant is not implemented.
+    ``critical_alpha`` at the deepest depth gives the value and bracket
+    that every such depth would; a refinement with error envelopes for
+    potentials that are not locally constant is not implemented.
     """
     depths = list(depths)
+    if not depths:
+        raise ValueError("depths must list at least one cover depth")
     if depths != sorted(depths):
         raise ValueError("depths must be increasing")
-    return critical_alpha(subset, potential, depths[-1], tol,
-                          n_range=(max(4, N_max // 2), N_max))
+    return critical_alpha(subset, potential, depths[-1], tol)

@@ -38,6 +38,27 @@ def random_irreducible_adjacency(rng, dim):
     return adj
 
 
+def random_support(rng, kind, k):
+    """0/1 adjacency on k symbols: irreducible and aperiodic, a permuted
+    k-cycle (period k), a permuted complete bipartite graph (period 2), or
+    two irreducible classes joined by one arc."""
+    if kind == "aperiodic":
+        return random_irreducible_adjacency(rng, k)
+    perm = rng.permutation(k)
+    if kind == "cycle":
+        adj = np.roll(np.eye(k, dtype=np.int64), 1, axis=1)
+    elif kind == "bipartite":
+        side = np.arange(k) < int(rng.integers(1, k))
+        adj = (side[:, None] != side[None, :]).astype(np.int64)
+    else:
+        cut = int(rng.integers(1, k))
+        adj = np.zeros((k, k), dtype=np.int64)
+        adj[:cut, :cut] = random_irreducible_adjacency(rng, cut)
+        adj[cut:, cut:] = random_irreducible_adjacency(rng, k - cut)
+        adj[int(rng.integers(cut)), int(rng.integers(cut, k))] = 1
+    return adj[perm][:, perm]
+
+
 def random_potential(rng, system, depth):
     from ergopress.shifts import iter_admissible_tuples
 

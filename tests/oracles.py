@@ -127,6 +127,55 @@ def weight_m_brute(adjacency, table, depth, t, alpha, N, cap,
     return total
 
 
+def reached_class_log_rhos(adjacency, table, depth, t, subset_kind,
+                           **subset_kw):
+    """log spectral radius of each irreducible class of the depth-t
+    cover's block matrix that the subset's entry words reach.
+
+    A string of N cover elements is an admissible word of length
+    N + t - 1 whose N windows start at 0..N - 1; one more element appends
+    a symbol and the window that starts t symbols before the new end.  So
+    the states are the words of length s = max(t - 1, 1), and each
+    admissible (s + 1)-word u is an arc u[:s] -> u[1:] of weight
+    exp(table value of the window of u at s + 1 - t); a sub-SFT's words
+    are those of its own matrix.  The entry words are the words of length
+    n0 + t - 1 that meet the subset, n0 the least N at which they are at
+    least as long as every listed cylinder word.  The states they end in,
+    and the states reachable from those, are the reached states; a class
+    is a set of mutually reachable states with a path from each to
+    itself (boolean transitive closure), and each gets the largest
+    |eigenvalue| of its block.
+    """
+    A = np.asarray(subset_kw["sub_adjacency"] if subset_kind == "sub_sft"
+                   else adjacency)
+    s = max(t - 1, 1)
+    states = enumerate_words(A, s)
+    pos = {u: i for i, u in enumerate(states)}
+    n = len(states)
+    W = np.zeros((n, n))
+    at = s + 1 - t
+    for u in enumerate_words(A, s + 1):
+        W[pos[u[:s]], pos[u[1:]]] += math.exp(table[u[at:at + depth]])
+    words = subset_kw.get("cylinder_words", ())
+    n0 = max(1, max(map(len, words), default=0) - t + 1)
+    seeds = np.zeros(n, dtype=bool)
+    for w in enumerate_words(A, n0 + t - 1):
+        if meets(subset_kind, w, **subset_kw):
+            seeds[pos[w[-s:]]] = True
+    path = W > 0  # path[i, j]: a path of length >= 1 from i to j
+    for m in range(n):
+        path |= path[:, m, None] & path[None, m, :]
+    reached = seeds | (seeds[:, None] & path).any(axis=0)
+    rhos, done = [], np.zeros(n, dtype=bool)
+    for i in np.flatnonzero(reached & np.diag(path)):
+        if not done[i]:
+            members = path[i] & path[:, i]
+            done |= members
+            block = W[np.ix_(members, members)]
+            rhos.append(math.log(max(abs(np.linalg.eigvals(block)))))
+    return rhos
+
+
 def covering_antichains(adjacency, t, N, cap, subset_kind, **subset_kw):
     """Yield every covering antichain (frozenset of words) of the meeting
     tree with string lengths in [N, cap].  Exponential; tiny cases only."""

@@ -53,14 +53,34 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("k, depth", [(2, 63), (3, 40)])
     def test_deepest_cover_within_int64_accepted(self, k, depth):
-        # k**(depth - 1) < 2**63 <= k**depth
+        # k**(depth - 1) < 2**63 <= k**depth, on the k-cycle, whose k
+        # blocks of every length stay far below the block-state bound
+        cycle = np.roll(np.eye(k, dtype=int), 1, axis=1).tolist()
         ExperimentConfig.from_dict({
-            "task": "pressure", "system": {"kind": "full_shift", "k": k},
+            "task": "pressure", "system": {"kind": "sft", "adjacency": cycle},
             "budget": {"depths": [depth]}})
-        with pytest.raises(ConfigError, match="budget.depths"):
+        with pytest.raises(ConfigError, match="int64"):
             ExperimentConfig.from_dict({
-                "task": "pressure", "system": {"kind": "full_shift", "k": k},
+                "task": "pressure",
+                "system": {"kind": "sft", "adjacency": cycle},
                 "budget": {"depths": [depth + 1]}})
+
+    @pytest.mark.parametrize("system, depth", [
+        # 2**20 blocks of 20 symbols, then 2**21
+        ({"kind": "full_shift", "k": 2}, 21),
+        # 832,040 golden-mean blocks of 28 symbols, then 1,346,269
+        ({"kind": "sft", "adjacency": [[1, 1], [1, 0]]}, 29),
+    ])
+    def test_block_states_bounded(self, system, depth):
+        # the bound reads the config only: no block graph is built
+        ExperimentConfig.from_dict({"task": "capacity", "system": system,
+                                    "budget": {"depths": [depth]}})
+        for depths in ([depth + 1], [1, 30]):
+            with pytest.raises(ConfigError,
+                               match=r"'budget.depths'.*at most 1048576"):
+                ExperimentConfig.from_dict({"task": "capacity",
+                                            "system": system,
+                                            "budget": {"depths": depths}})
 
     def test_negative_tolerance(self):
         with pytest.raises(ConfigError, match="budget.tol"):
@@ -127,6 +147,23 @@ class TestTasks:
                                                                      abs=1e-3)
         assert report.results[0].values["n_range"] == [15, 30]
 
+    def test_transient_cylinder_root_answers(self):
+        # the only class the cylinder [1] reaches, the fixed point 9, lies
+        # past W_8: both tasks answer, the capacities as (-inf, +inf)
+        adj = np.zeros((10, 10), dtype=int)
+        adj[0, 0] = adj[0, 1] = adj[9, 9] = 1
+        adj[np.arange(1, 9), np.arange(2, 10)] = 1
+        overrides = dict(system={"kind": "sft", "adjacency": adj.tolist()},
+                         potential={"kind": "zero"},
+                         subset={"kind": "cylinders", "words": [[1]]},
+                         budget={"n_max": 8})
+        values = run(make_config("capacity", **overrides)).results[0].values
+        assert (values["cp_lower"], values["cp_upper"]) == (-math.inf,
+                                                            math.inf)
+        report = run(make_config("pressure", **overrides))
+        assert report.passed
+        assert abs(report.results[0].values["pressure"]) <= 1e-4
+
     def test_spectrum_task(self):
         report = run(make_config("spectrum",
                                  budget={"q_grid": {"lo": -2.0, "hi": 2.0,
@@ -174,7 +211,7 @@ class TestTasks:
         system = make_config("pressure").build_system()
         direct = original(SubsetSpec.whole(system),
                           Potential.depth_one(system, [0.0, math.log(2)]),
-                          3, 1e-4, n_range=(8, 16))
+                          3, 1e-4)
         values = report.results[0].values
         assert values["pressure"] == direct.value
         assert values["bracket"] == list(direct.bracket)
@@ -562,23 +599,22 @@ class TestMainEntry:
         assert err == "MemoryError: Unable to allocate 7.28 TiB\n"
         assert not (tmp_path / "out").exists()
 
-    def test_subnormal_tol_fails_its_checks_without_overflow(self, tmp_path,
-                                                             capsys):
-        # log2 of the bracket width over 5e-324 is log2(inf): the step
-        # count takes the difference of the two logs instead, bisects to
-        # the bracket's float resolution and fails the 2 * tol checks
+    def test_subnormal_tol_answers_without_overflow(self, tmp_path, capsys):
+        # the bracket stops at its rounding floor, not at tol; on the full
+        # 2-shift x = 1 is the Perron vector, so the bracket is symmetric
+        # about log 2 and its midpoint meets the oracle bit for bit
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"budget": {"tol": 5e-324}}))
         code = main(["pressure", "--config", str(cfg),
                      "--out", str(tmp_path / "out")])
-        assert code == 1
+        assert code == 0
         err = capsys.readouterr().err
         assert "Traceback" not in err and "OverflowError" not in err
 
     def test_deep_cylinder_words_move_the_window(self, tmp_path, capsys):
-        # ten listed words of 22 symbols, longer than the entry words of
-        # the default window (10, 20): the window moves up to (17, 27)
-        # and the pressure is the full shift's log(1 + e^0.7)
+        # ten listed words of 22 symbols: the classes are seeded from the
+        # entry words at least_n = 22, and the pressure is the full
+        # shift's log(1 + e^0.7)
         rng = np.random.default_rng(1)
         words = [rng.integers(0, 2, 22).tolist() for _ in range(10)]
         cfg = tmp_path / "cfg.json"
@@ -593,7 +629,7 @@ class TestMainEntry:
         assert code == 0
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         values = summary["values"]["pressure"]
-        assert values["n_range"] == [17, 27]
+        assert values["n_range"] == [22, 22]
         assert abs(values["pressure"] - math.log(1.0 + math.exp(0.7))) \
             <= 2 * 1e-4
 
@@ -608,7 +644,7 @@ class TestMainEntry:
                      "--out", str(tmp_path / "out")])
         assert code == 3
         err = capsys.readouterr().err
-        assert err.startswith("InconclusiveError: ") and "alpha" in err
+        assert err.startswith("InconclusiveError: ") and "spread" in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 

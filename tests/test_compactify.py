@@ -11,7 +11,7 @@ from ergopress import (
     gap_example,
     invariant_measures,
 )
-from ergopress.compactify import _wrap, zero_potential_angle
+from ergopress.compactify import _slope, _wrap, zero_potential_angle
 
 PI = math.pi
 
@@ -177,6 +177,16 @@ class TestCoverPressure:
         assert estimates[cover].diagnostics["rows"] == [
             (N, logs[N], logs[N] - logs[N - 1])
             for N in range(n_range[0], n_range[1] + 1)]
+
+    def test_slope_is_least_squares(self):
+        rng = np.random.default_rng(21)
+        for _ in range(50):
+            lo = int(rng.integers(-20, 40))
+            ns = list(range(lo, lo + int(rng.integers(2, 30))))
+            noise = rng.normal(scale=10.0 ** rng.uniform(-3, 3), size=len(ns))
+            values = noise + rng.normal() * np.array(ns)
+            assert _slope(ns, values) == \
+                pytest.approx(np.polyfit(ns, values, 1)[0], rel=1e-12)
 
     def test_invalid_budget(self):
         model = LineDoublingModel()

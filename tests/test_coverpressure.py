@@ -1,12 +1,14 @@
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import oracles
-from conftest import GOLDEN, random_irreducible_adjacency, random_potential
+from conftest import (GOLDEN, random_irreducible_adjacency, random_potential,
+                      random_support)
 
 from ergopress import (
     Potential,
@@ -21,12 +23,7 @@ from ergopress import (
     weight_m,
 )
 from ergopress import coverpressure
-from ergopress.coverpressure import (
-    DEPTH_MARGIN,
-    InconclusiveError,
-    _slope,
-    _StringCalculus,
-)
+from ergopress.coverpressure import InconclusiveError, _StringCalculus
 
 
 def _least_n(spec, t):
@@ -226,9 +223,8 @@ class TestWeightM:
             pytest.approx(math.exp(-0.7 * 5))
         assert weight_m(fp, 0.7, zero, t, 5, depth_cap=9) == \
             pytest.approx(math.exp(-0.7 * 9))
-        _, cap_mass = _StringCalculus(fp, zero, t).log_weights(
-            [0.7], [5], 4)
-        assert cap_mass[0, 0] == 1.0
+        _, cap_mass = _StringCalculus(fp, zero, t).log_weight(0.7, 5, 4)
+        assert cap_mass == 1.0
 
     def test_nonincreasing_in_alpha(self, golden):
         zero = Potential.zero(golden)
@@ -313,10 +309,9 @@ class TestWeightM:
         assert calc.least_n == 5
         for margin in (0, 3):
             with pytest.raises(ValueError, match="below least_n = 5"):
-                calc.log_weights([0.8], [2], margin)
+                calc.log_weight(0.8, 2, margin)
         for margin in (0, 2):
-            logs, _ = calc.log_weights([0.8], [5], margin)
-            logm = logs[0, 0]
+            logm, _ = calc.log_weight(0.8, 5, margin)
             assert weight_m(spec, 0.8, phi_log2, 1, 5,
                             depth_cap=5 + margin) == math.exp(logm)
             brute = oracles.weight_m_brute(full2.adjacency, phi_log2.table, 1,
@@ -324,6 +319,50 @@ class TestWeightM:
                                            subset_kind="cylinders",
                                            cylinder_words=words)
             assert math.exp(logm) == pytest.approx(brute, rel=1e-10)
+
+
+    def test_single_calls_match_brute_force(self):
+        # the whole space, a sub-SFT and a union holding a listed word of
+        # t + 4 symbols: least_n = 5, so the union is refused below it by
+        # name and weighed from there on
+        rng = np.random.default_rng(71)
+        unions = 0
+        for _ in range(6):
+            dim = int(rng.integers(2, 4))
+            system = ShiftSystem(random_irreducible_adjacency(rng, dim))
+            depth = int(rng.integers(1, 3))
+            pot = random_potential(rng, system, depth)
+            t = depth + int(rng.integers(0, 2))
+            margin = 1
+            alphas = rng.normal(size=5).tolist()
+            for spec, kw in _random_subsets(rng, system, t + 4):
+                low = _least_n(spec, t)
+                calc = _StringCalculus(spec, pot, t)
+                if low > 1:
+                    with pytest.raises(ValueError, match="below least_n = 5"):
+                        calc.log_weight(alphas[0], 1, margin)
+                    unions += 1
+                for alpha, N in itertools.product(alphas, range(low, low + 3)):
+                    logm, _ = calc.log_weight(alpha, N, margin)
+                    brute = oracles.weight_m_brute(
+                        system.adjacency, pot.table, depth, t, alpha, N,
+                        N + margin, **kw)
+                    assert math.exp(logm) == pytest.approx(
+                        brute, rel=1e-9, abs=1e-12)
+        assert unions == 6
+
+    def test_empty_subset_vanishes(self, full2):
+        empty = SubsetSpec.cylinders(full2, [])
+        calc = _StringCalculus(empty, Potential.zero(full2), 1)
+        assert calc.log_weight(0.1, 3, 2) == (-math.inf, 0.0)
+        assert weight_m(empty, 0.5, Potential.zero(full2), 1, 4) == 0.0
+
+    def test_overflow_names_the_exponent(self, full2):
+        phi = Potential.depth_one(full2, [0.0, 800.0])
+        calc = _StringCalculus(SubsetSpec.whole(full2), phi, 1)
+        with pytest.raises(InconclusiveError, match="at alpha 80,"):
+            calc.log_weight(80.0, 2, 1)
+        assert math.isfinite(calc.log_weight(95.0, 2, 1)[0])
 
 
 class TestSweepCache:
@@ -369,17 +408,17 @@ class TestSweepCache:
                         with pytest.raises(ValueError, match="least_n"):
                             calc.log_lambda(N)
                         with pytest.raises(ValueError, match="least_n"):
-                            calc.log_weights([alpha], [N], 2)
+                            calc.log_weight(alpha, N, 2)
                         continue
                     brute = oracles.lambda_brute(system.adjacency, pot.table,
                                                  depth, t, N, **kw)
                     assert math.exp(calc.log_lambda(N)) == pytest.approx(
                         brute, rel=1e-10, abs=1e-12)
-                    logs, _ = calc.log_weights([alpha], [N], 2)
+                    logm, _ = calc.log_weight(alpha, N, 2)
                     brute = oracles.weight_m_brute(
                         system.adjacency, pot.table, depth, t, alpha, N,
                         N + 2, **kw)
-                    assert math.exp(logs[0, 0]) == pytest.approx(
+                    assert math.exp(logm) == pytest.approx(
                         brute, rel=1e-9, abs=1e-12)
 
 
@@ -410,111 +449,10 @@ def _random_subsets(rng, system, deep_length):
     return cases
 
 
-class TestStackedWeights:
-    """``log_weights`` over a stack of exponents and Ns gives exactly what
-    one call per exponent and N gives, and the brute-force optimum."""
-
-    def test_stack_equals_single_calls_and_brute_force(self):
-        rng = np.random.default_rng(71)
-        unions = 0
-        for _ in range(6):
-            dim = int(rng.integers(2, 4))
-            system = ShiftSystem(random_irreducible_adjacency(rng, dim))
-            depth = int(rng.integers(1, 3))
-            pot = random_potential(rng, system, depth)
-            t = depth + int(rng.integers(0, 2))
-            margin = 1
-            alphas = rng.normal(size=5)
-            # a listed word of t + 4 symbols: least_n = 5, so the union's
-            # stack (1, 2, 3) is refused by name and it is weighed from 5
-            for spec, kw in _random_subsets(rng, system, t + 4):
-                low = _least_n(spec, t)
-                ns = (low, low + 1, low + 2)
-                calc = _StringCalculus(spec, pot, t)
-                if low > 1:
-                    with pytest.raises(ValueError, match="below least_n = 5"):
-                        calc.log_weights(alphas, (1, 2, 3), margin)
-                    unions += 1
-                logs, cap_mass = calc.log_weights(alphas, ns, margin)
-                single = _StringCalculus(spec, pot, t)
-                for (a, alpha), (i, N) in itertools.product(
-                        enumerate(alphas.tolist()), enumerate(ns)):
-                    one, one_mass = single.log_weights([alpha], [N], margin)
-                    logm = one[0, 0]
-                    assert logs[a, i] == logm
-                    assert cap_mass[a, i] == one_mass[0, 0]
-                    brute = oracles.weight_m_brute(
-                        system.adjacency, pot.table, depth, t, alpha, N,
-                        N + margin, **kw)
-                    assert math.exp(logm) == pytest.approx(
-                        brute, rel=1e-9, abs=1e-12)
-        assert unions == 6
-
-    def test_empty_subset_vanishes(self, full2):
-        logs, cap_mass = _StringCalculus(
-            SubsetSpec.cylinders(full2, []), Potential.zero(full2),
-            1).log_weights([0.1, 0.5], (3, 4), 2)
-        assert (logs == -math.inf).all() and (cap_mass == 0.0).all()
-
-    def test_overflow_names_least_exponent(self, full2):
-        phi = Potential.depth_one(full2, [0.0, 800.0])
-        calc = _StringCalculus(SubsetSpec.whole(full2), phi, 1)
-        with pytest.raises(InconclusiveError, match="at alpha 80,"):
-            calc.log_weights([500.0, 85.0, 80.0, 95.0], (2,), 1)
-        assert np.isfinite(calc.log_weights([95.0], (2,), 1)[0]).all()
-
-
-def _window(spec, t, n_range):
-    """``n_range`` moved up until the top half of its Ns starts at
-    least_n or later."""
-    ns = list(range(n_range[0], n_range[1] + 1))
-    lift = max(0, _least_n(spec, t) - ns[len(ns) // 2])
-    return n_range[0] + lift, n_range[1] + lift
-
-
-def _plain_bisection(spec, pot, t, tol, n_range):
-    """Bisection with one classification per visited alpha, made of one
-    ``log_weights`` call per N of the top half of ``n_range``, each with
-    the cap N + DEPTH_MARGIN: (value, bracket, trace, weak count)."""
-    calc = _StringCalculus(spec, pot, t)
-    ns = list(range(n_range[0], n_range[1] + 1))
-    top = ns[len(ns) // 2:]
-    gvals = list(pot.table.values())
-    k = spec.system.alphabet_size
-    lo = min(gvals) - math.log(k) - 1.0
-    hi = max(gvals) + math.log(k) + 1.0
-    trace = []
-
-    def classify(alpha):
-        logs = [calc.log_weights([alpha], [N], DEPTH_MARGIN)[0][0, 0]
-                for N in top]
-        if -math.inf in logs:
-            raise InconclusiveError("inconclusive-at-depth: covering "
-                                    "weight vanished identically")
-        trace.append((alpha, _slope(top, logs)))
-        return trace[-1][1]
-
-    s_lo, s_hi = classify(lo), classify(hi)
-    if not s_lo > 0 > s_hi:
-        raise InconclusiveError("inconclusive: growth classification is "
-                                "not monotone")
-    threshold = 1e-3 * max(1.0, abs(s_lo), abs(s_hi))
-    weak = 0
-    for _ in range(math.ceil(math.log2((hi - lo) / tol)) + 1):
-        if hi - lo <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        s = classify(mid)
-        weak += abs(s) < threshold
-        lo, hi = (mid, hi) if s > 0 else (lo, mid)
-    return 0.5 * (lo + hi), (lo, hi), trace, weak
-
-
-def _replay_systems(n_range):
-    """Twelve seeded trials (trial, system, potential, cover, subsets of
-    ``_random_subsets``).  The union's deep word is longer than the entry
-    words of the whole window, so the window moves up; in every other
-    pair of trials by more than DEPTH_MARGIN."""
+def _deep_union_systems():
+    """Twelve seeded trials (system, potential, cover depth, union): the
+    union of ``_random_subsets`` holds a word t + 9 or t + 17 symbols
+    long, alternating by pairs of trials."""
     rng = np.random.default_rng(83)
     for trial in range(12):
         dim = int(rng.integers(2, 5))
@@ -522,127 +460,19 @@ def _replay_systems(n_range):
         depth = int(rng.integers(1, 3))
         pot = random_potential(rng, system, depth)
         t = depth + trial % 2
-        deep = n_range[1] + t + (1, DEPTH_MARGIN + 1)[trial // 2 % 2]
-        yield trial, system, pot, t, \
-            _random_subsets(rng, system, deep)
-
-
-def _count_weight_calls(monkeypatch) -> list:
-    """Wrap ``_StringCalculus.log_weights`` so that each call appends its
-    number of exponents to the returned list."""
-    calls = []
-    stacked = _StringCalculus.log_weights
-
-    def counted(self, alphas, ns, margin):
-        calls.append(len(alphas))
-        return stacked(self, alphas, ns, margin)
-
-    monkeypatch.setattr(_StringCalculus, "log_weights", counted)
-    return calls
+        deep = t + (9, 17)[trial // 2 % 2]
+        yield system, pot, t, _random_subsets(rng, system, deep)[-1][0]
 
 
 class TestCriticalAlpha:
-    def test_rounds_replay_plain_bisection_randomized(self, monkeypatch):
-        n_range = (4, 8)
-        tols = (1e-3, 3e-5, 1e-6)
-        visited, lifted, path_calls = [], [], []
-        calls = _count_weight_calls(monkeypatch)
-        for trial, _, pot, t, subsets in _replay_systems(n_range):
-            for spec, _ in subsets:
-                tol = tols[trial % 3]
-                window = _window(spec, t, n_range)
-                try:
-                    want = _plain_bisection(spec, pot, t, tol, window)
-                except InconclusiveError as err:
-                    with pytest.raises(InconclusiveError,
-                                       match=str(err).split(" (")[0]):
-                        critical_alpha(spec, pot, t, tol, n_range)
-                    continue
-                calls.clear()
-                est = critical_alpha(spec, pot, t, tol, n_range)
-                value, bracket, trace, weak = want
-                assert est.n_range == window
-                assert est.value == value and est.bracket == bracket
-                assert est.diagnostics["trace"] == trace
-                assert est.diagnostics["weak_classifications"] == weak
-                visited.append(len(trace) - 2)
-                # the first call weighs the two bracket ends
-                path_calls.append(len(calls) - 1)
-                if spec.words:
-                    lifted.append(window[0] - n_range[0] > DEPTH_MARGIN)
-        assert len(visited) >= 25
-        assert len(lifted) >= 5 and any(lifted) and not all(lifted)
-        # some runs follow one predicted path to the end, and some leave
-        # their path at least once
-        assert 1 in path_calls and any(n > 1 for n in path_calls)
-
-    def test_wrong_predictions_replay_plain_bisection(self, monkeypatch):
-        # a path that keeps the wrong half at every level: the stack is
-        # left after its first point, so each step makes its own call
-        n_range = (4, 8)
-        calls = _count_weight_calls(monkeypatch)
-        path = coverpressure._bisection_path
-        cases = 0
-        for _, _, pot, t, subsets in _replay_systems(n_range):
-            spec = subsets[0][0]
-            try:
-                want = _plain_bisection(spec, pot, t, 1e-5, n_range)
-            except InconclusiveError:
-                continue
-            value, bracket, trace, weak = want
-            monkeypatch.setattr(
-                coverpressure, "_bisection_path",
-                lambda lo, hi, guess, tol, count:
-                    path(lo, hi, lo + hi - value, tol, count))
-            calls.clear()
-            est = critical_alpha(spec, pot, t, 1e-5, n_range)
-            assert est.value == value and est.bracket == bracket
-            assert est.diagnostics["trace"] == trace
-            assert est.diagnostics["weak_classifications"] == weak
-            assert len(calls) == len(trace) - 1
-            cases += 1
-        assert cases >= 6
-
-    def test_weighted_full_shift_takes_few_calls(self, full2, phi_log2,
-                                                 monkeypatch):
-        calls = _count_weight_calls(monkeypatch)
-        est = critical_alpha(SubsetSpec.whole(full2), phi_log2, 1, tol=1e-6)
-        assert len(est.diagnostics["trace"]) - 2 >= 20
-        assert len(calls) <= 3
-
     def test_deep_cylinder_unions_match_oracle(self):
-        # a listed word deeper than N + DEPTH_MARGIN: with the cap pinned
-        # at that word for every N, the caps' distance from N shrinks
-        # along the window and bends the slope (5 of these 12 unions
-        # raised "not monotone", one read 1.4454 for 1.4306); one margin
-        # for the window keeps every union at the pressure of its system
-        n_range = (4, 8)
-        for _, system, pot, t, subsets in _replay_systems(n_range):
-            spec, _ = subsets[-1]
-            est = critical_alpha(spec, pot, t, 1e-4, n_range)
+        # a listed word far deeper than the cover: the classes are seeded
+        # from the entry words at least_n, which hold it, so every union
+        # is at the pressure of its system
+        for system, pot, t, spec in _deep_union_systems():
+            est = critical_alpha(spec, pot, t, 1e-4)
+            assert est.n_range == (_least_n(spec, t),) * 2
             assert abs(est.value - transfer_pressure(system, pot)) <= 5e-4
-
-    def test_vanished_weight_raises_only_where_visited(self, full2, phi_log2,
-                                                      monkeypatch):
-        spec, t = SubsetSpec.whole(full2), 1
-        want = critical_alpha(spec, phi_log2, t, 1e-4)
-        visited = {alpha for alpha, _ in want.diagnostics["trace"]}
-        stacked = _StringCalculus.log_weights
-
-        def vanishing_off_path(self, alphas, ns, margin):
-            logs, cap_mass = stacked(self, alphas, ns, margin)
-            off = [a not in visited for a in np.asarray(alphas).tolist()]
-            logs[off] = -math.inf
-            return logs, cap_mass
-
-        monkeypatch.setattr(_StringCalculus, "log_weights",
-                            vanishing_off_path)
-        est = critical_alpha(SubsetSpec.whole(full2), phi_log2, t, 1e-4)
-        assert est.value == want.value
-        assert est.diagnostics["trace"] == want.diagnostics["trace"]
-        visited.discard(want.diagnostics["trace"][-1][0])
-        with pytest.raises(InconclusiveError, match="vanished"):
-            critical_alpha(SubsetSpec.whole(full2), phi_log2, t, 1e-4)
 
     def test_full_shift_entropy(self, full2):
         zero = Potential.zero(full2)
@@ -667,12 +497,6 @@ class TestCriticalAlpha:
                              1, tol=1e-4)
         assert est.value == -math.inf and est.degenerate
 
-    def test_trace_recorded(self, full2):
-        zero = Potential.zero(full2)
-        est = critical_alpha(SubsetSpec.whole(full2), zero, 1, tol=1e-3)
-        assert est.diagnostics["classification_threshold"] > 0
-        assert len(est.diagnostics["trace"]) >= 10
-
     def test_preconditions(self, full2):
         zero = Potential.zero(full2)
         whole = SubsetSpec.whole(full2)
@@ -682,35 +506,208 @@ class TestCriticalAlpha:
             weight_m(whole, 1.0, zero, 1, 4, depth_cap=3)
         with pytest.raises(ValueError):
             log_lambda_n(whole, zero, 1, 0)
-        # a window with one N in its top half (or none) cannot be
-        # classified: refused by name before any sum, on the empty subset
-        # too (a RuntimeWarning from an empty slope would fail this)
-        for spec in (whole, SubsetSpec.cylinders(full2, [])):
-            for n_range in ((5, 5), (9, 5), (4, 5), (0, 5)):
-                with pytest.raises(ValueError, match="n_range"):
-                    critical_alpha(spec, zero, 1, 1e-4, n_range)
-
-    def test_slope_is_least_squares(self):
-        rng = np.random.default_rng(21)
-        for _ in range(50):
-            lo = int(rng.integers(-20, 40))
-            ns = list(range(lo, lo + int(rng.integers(2, 30))))
-            noise = rng.normal(scale=10.0 ** rng.uniform(-3, 3), size=len(ns))
-            values = noise + rng.normal() * np.array(ns)
-            assert _slope(ns, values) == \
-                pytest.approx(np.polyfit(ns, values, 1)[0], rel=1e-12)
 
     def test_overflowing_rates_are_inconclusive(self, full2):
-        # exp(800 - alpha) overflows on the initial bracket's low end
+        # exp(0 - 800) underflows past the normal float range
         phi = Potential.depth_one(full2, [0.0, 800.0])
-        with pytest.raises(InconclusiveError, match="alpha -1.69315"):
+        with pytest.raises(InconclusiveError, match="spread over 800,"):
             critical_alpha(SubsetSpec.whole(full2), phi, 1, tol=1e-4)
+
+    def test_open_bracket_raises_naming_its_width(self, golden,
+                                                  monkeypatch):
+        # x = 1 gives the ratios 2 and 1 on the golden mean: the bracket
+        # [0, log 2] is open at step 0, the whole budget here
+        monkeypatch.setattr(coverpressure, "MAX_CW_STEPS", 0)
+        with pytest.raises(InconclusiveError,
+                           match="still 0.693 wide after 0 steps"):
+            critical_alpha(SubsetSpec.whole(golden), Potential.zero(golden),
+                           1, 1e-6)
+
+    def test_equal_classes_in_series(self, full2):
+        # the sub-SFT [[1, 1], [0, 1]]: two fixed points, each a class of
+        # weight 1, joined by one arc, so P_Z = 0, while the covering sums
+        # grow polynomially in N
+        tol = 1e-6
+        sub = SubsetSpec.sub_sft(full2, [[1, 1], [0, 1]])
+        est = critical_alpha(sub, Potential.zero(full2), 1, tol)
+        assert abs(est.value) <= tol
+        assert est.bracket[0] <= 0.0 <= est.bracket[1]
+        assert est.diagnostics["classes"] == 2
+
+    def test_periodic_class(self, full2):
+        # the two-cycle 0 -> 1 -> 0 with phi = (0.3, -0.5): P_Z = -0.1, the
+        # mean of the potential along the cycle
+        tol = 1e-6
+        sub = SubsetSpec.sub_sft(full2, [[0, 1], [1, 0]])
+        phi = Potential.depth_one(full2, [0.3, -0.5])
+        est = critical_alpha(sub, phi, 1, tol)
+        assert abs(est.value + 0.1) <= tol
+        assert est.bracket[0] <= -0.1 <= est.bracket[1]
+        lo, hi = capacity_pressures(sub, phi, 1, 20)
+        assert lo.value <= -0.1 <= hi.value
+
+    @pytest.mark.parametrize("spread", [20.0, 300.0, 700.0])
+    @pytest.mark.parametrize("period", [2, 3])
+    def test_periodic_class_of_small_rho(self, period, spread):
+        # the whole p-cycle with phi = (0, -s, 0, ...): rho = e^(-s / p)
+        # on the scale of the largest arc weight, 1, where a shift I in
+        # (I + R) x swamps R; e^-700 is still a normal float
+        cycle = np.roll(np.eye(period, dtype=int), 1, axis=1)
+        system = ShiftSystem(cycle)
+        phi = Potential.depth_one(system, [0.0, -spread, 0.0][:period])
+        tol = 1e-6
+        est = critical_alpha(SubsetSpec.whole(system), phi, 1, tol)
+        assert abs(est.value + spread / period) <= tol * spread
+        assert est.bracket[0] <= -spread / period <= est.bracket[1]
+
+
+class TestCertifiedBrackets:
+    """Both estimators' brackets hold log rho of the cover's block matrix
+    on the reached states, with references from ``tests/oracles.py``."""
+
+    KINDS = ("aperiodic", "cycle", "bipartite", "reducible")
+
+    def test_brackets_hold_reached_log_rho_randomized(self):
+        # 48 systems of 2-5 symbols, every support kind, each with the
+        # whole space, a random sub-SFT (often reducible) and a union of
+        # three random cylinders of 1-6 symbols; N(0, 1) potential values
+        rng = np.random.default_rng(103)
+        tol = 1e-6
+        answered, several, raised = 0, 0, 0
+        for trial in range(48):
+            k = int(rng.integers(2, 6))
+            system = ShiftSystem(random_support(rng, self.KINDS[trial % 4], k))
+            depth = int(rng.integers(1, 3))
+            pot = random_potential(rng, system, depth)
+            t = depth + int(rng.integers(0, 2))
+            adj = system.adjacency
+            sub_adj = adj * (rng.random(adj.shape) < 0.7)
+            words = [_random_walk(rng, adj, int(rng.integers(1, 7)))
+                     for _ in range(3)]
+            cases = [(SubsetSpec.whole(system), dict(subset_kind="whole")),
+                     (SubsetSpec.sub_sft(system, sub_adj),
+                      dict(subset_kind="sub_sft", sub_adjacency=sub_adj)),
+                     (SubsetSpec.cylinders(system, words),
+                      dict(subset_kind="cylinders", cylinder_words=words))]
+            for spec, kw in cases:
+                if spec.is_empty:
+                    continue
+                rhos = oracles.reached_class_log_rhos(adj, pot.table, depth,
+                                                      t, **kw)
+                ref = max(rhos)
+                several += len(rhos) > 1
+                # the reference's own eigenvalue rounding
+                slack = 1e-12 * max(1.0, abs(ref))
+                try:
+                    est = critical_alpha(spec, pot, t, tol)
+                except InconclusiveError:
+                    raised += 1
+                    continue
+                lo, hi = est.bracket
+                assert lo - slack <= ref <= hi + slack
+                assert hi - lo <= tol
+                cap_lo, cap_hi = capacity_pressures(spec, pot, t, 24)
+                assert cap_lo.value - slack <= ref <= cap_hi.value + slack
+                answered += 1
+        assert answered >= 120 and raised == 0 and several >= 20
+
+    def test_wide_potentials_randomized(self):
+        # 24 systems with N(0, s^2) potential values, s up to 200: the
+        # arc weights of a class span up to e^800 (then the call raises by
+        # name), and most classes' rho lies far below the largest weight
+        rng = np.random.default_rng(107)
+        answered = 0
+        for trial in range(24):
+            k = int(rng.integers(2, 6))
+            system = ShiftSystem(random_support(rng, self.KINDS[trial % 4], k))
+            spread = float(rng.choice([10.0, 50.0, 200.0]))
+            pot = Potential.depth_one(system, spread * rng.normal(size=k))
+            sub_adj = system.adjacency * (rng.random((k, k)) < 0.7)
+            for spec, kw in [(SubsetSpec.whole(system),
+                              dict(subset_kind="whole")),
+                             (SubsetSpec.sub_sft(system, sub_adj),
+                              dict(subset_kind="sub_sft",
+                                   sub_adjacency=sub_adj))]:
+                if spec.is_empty:
+                    continue
+                ref = max(oracles.reached_class_log_rhos(
+                    system.adjacency, pot.table, 1, 1, **kw))
+                try:
+                    est = critical_alpha(spec, pot, 1, 1e-6)
+                except InconclusiveError as exc:
+                    assert "past the normal float range" in str(exc)
+                    continue
+                slack = 1e-12 * max(1.0, abs(ref))
+                assert est.bracket[0] - slack <= ref <= est.bracket[1] + slack
+                assert est.bracket[1] - est.bracket[0] <= 1e-6
+                answered += 1
+        assert answered >= 30
+
+    def test_transient_cylinder_root(self):
+        # the cylinder [1] enters the fixed point 9 only after the path
+        # 1 -> 2 -> ... -> 8, longer than the sweep at N_max = 8: the
+        # capacities stay (-inf, +inf) there, not a crash; P_Z = phi(9)
+        adj = np.zeros((10, 10), dtype=int)
+        adj[0, 0] = adj[0, 1] = adj[9, 9] = 1
+        adj[np.arange(1, 9), np.arange(2, 10)] = 1
+        system = ShiftSystem(adj)
+        pot = Potential.depth_one(system, np.linspace(-1.0, 0.5, 10))
+        spec = SubsetSpec.cylinders(system, [[1]])
+        lo, hi = capacity_pressures(spec, pot, 1, 8)
+        assert (lo.value, hi.value) == (-math.inf, math.inf)
+        lo, hi = capacity_pressures(spec, pot, 1, 16)
+        assert lo.value <= 0.5 <= hi.value
+        assert abs(critical_alpha(spec, pot, 1, 1e-6).value - 0.5) <= 1e-6
+
+    def test_brackets_hold_exact_bracket_rational_weights(self):
+        # 120 whole-space systems of 2-6 symbols with rational weights w,
+        # 12 of them with one weight 2^(+-1154) (about e^(+-800)): each
+        # bracket holds the exact bracket of the float potential fl(log w)
+        # on its cover of depth r or r + 1, or the call raises by name
+        # where the weights span more than the float range.  The exact
+        # matrix is built here from the adjacency and the weights.
+        rng = np.random.default_rng(107)
+        answered = 0
+        for trial in range(120):
+            kind = self.KINDS[trial % 4]
+            k, depth = int(rng.integers(2, 7)), int(rng.integers(1, 3))
+            adj = random_support(rng, kind, k)
+            src, dst = np.nonzero(adj)
+            windows = [(a,) for a in range(k)] if depth == 1 \
+                else list(zip(src.tolist(), dst.tolist()))
+            w = {u: Fraction(int(rng.integers(1, 41)),
+                             int(rng.integers(1, 41))) for u in windows}
+            extreme = (1154 if trial // 10 % 2 else -1154) \
+                if trial % 10 == 9 else 0
+            if extreme:
+                w[windows[int(rng.integers(len(windows)))]] = \
+                    Fraction(2) ** extreme
+            M = [[Fraction(0)] * k for _ in range(k)]
+            for a, b in zip(src.tolist(), dst.tolist()):
+                M[a][b] = w[(a, b)[:depth]]
+            table = {u: oracles.float_log(x) for u, x in w.items()}
+            system = ShiftSystem(adj)
+            pot = Potential(system, depth, table)
+            spec = SubsetSpec.whole(system)
+            t = depth + trial // 4 % 2
+            try:
+                est = critical_alpha(spec, pot, t, 1e-6)
+                cap_lo, cap_hi = capacity_pressures(spec, pot, t, 24)
+            except InconclusiveError as err:
+                assert extreme and "spread over" in str(err)
+                continue
+            lo, hi = oracles.float_pressure_bracket(
+                M, [(table[u], x) for u, x in w.items()])
+            assert est.bracket[0] <= lo <= hi <= est.bracket[1]
+            assert cap_lo.value <= lo <= hi <= cap_hi.value
+            answered += 1
+        assert answered >= 100
 
 
 class TestDeepCylinderWords:
-    """Listed cylinder words longer than the entry words of the requested
-    window: the window moves up to least_n, and the pressure is that of
-    the full 2-shift, log(1 + e^0.7), not a slope along their prefixes."""
+    """Listed cylinder words longer than the entry words of small N: the
+    sums are read from least_n on, and the pressure is that of the full
+    2-shift, log(1 + e^0.7), not a growth rate along their prefixes."""
 
     P = math.log(1.0 + math.exp(0.7))
 
@@ -724,9 +721,9 @@ class TestDeepCylinderWords:
         spec = SubsetSpec.cylinders(
             full2, [rng.integers(0, 2, length).tolist() for _ in range(20)])
         tol = 1e-6
-        est = critical_alpha(spec, self._phi(full2), 1, tol, (8, 20))
-        # the top half of (8, 20) starts at 14; least_n is the length
-        assert est.n_range == (length - 6, length + 6)
+        est = critical_alpha(spec, self._phi(full2), 1, tol)
+        # on the depth-1 cover, least_n is the length
+        assert est.n_range == (length, length)
         assert abs(est.value - self.P) <= 2 * tol
 
     def test_capacities_answer_past_the_window(self, full2):
@@ -770,8 +767,8 @@ class TestManyBlockStates:
             <= 2 * tol
 
     def test_memory_follows_the_arcs(self, full2):
-        # 1,024 block states and a stacked bisection path; a dense
-        # (exponents, states, states) rate stack alone takes 196 MiB here
+        # 1,024 block states; a dense (states, states) weight matrix alone
+        # takes 8 MiB here
         pot = Potential(full2, 2, self._depth_two())
         tracemalloc.start()
         try:
@@ -788,28 +785,30 @@ class TestPressureRefined:
         # t >= 1, so each depth gives the exact pressure
         whole = SubsetSpec.whole(full2)
         for t in (1, 2, 3):
-            est = critical_alpha(whole, phi_log2, t, 1e-5,
-                                 n_range=(8, 16))
+            est = critical_alpha(whole, phi_log2, t, 1e-5)
             assert est.value == pytest.approx(math.log(3), abs=1e-5)
 
     def test_golden_mean(self, golden):
         zero = Potential.zero(golden)
         est = pressure_refined(SubsetSpec.whole(golden), zero, [1, 2],
-                               N_max=16, tol=1e-4)
+                               tol=1e-4)
         assert est.value == pytest.approx(math.log(GOLDEN), abs=1e-4)
 
     def test_bracket_respects_tolerance(self, full2):
-        # the refined estimate carries the final bisection bracket
+        # the refined estimate carries the certified bracket
         sub = SubsetSpec.sub_sft(full2, [[1, 1], [1, 0]])
-        est = pressure_refined(sub, Potential.zero(full2), [1], N_max=20,
-                               tol=1e-4)
+        est = pressure_refined(sub, Potential.zero(full2), [1], tol=1e-4)
         assert est.bracket[1] - est.bracket[0] <= 1e-4
         assert est.bracket[0] <= est.value <= est.bracket[1]
 
     def test_depths_must_increase(self, full2, phi_log2):
         with pytest.raises(ValueError):
             pressure_refined(SubsetSpec.whole(full2), phi_log2, [3, 1],
-                             N_max=16, tol=1e-4)
+                             tol=1e-4)
+
+    def test_empty_depths_refused(self, full2, phi_log2):
+        with pytest.raises(ValueError, match="depths"):
+            pressure_refined(SubsetSpec.whole(full2), phi_log2, [], tol=1e-4)
 
     def test_agrees_with_transfer_oracle_random_systems(self):
         # the central cross-validation: cover-based pressure against the
@@ -820,8 +819,7 @@ class TestPressureRefined:
             system = ShiftSystem(random_irreducible_adjacency(rng, 3))
             pot = random_potential(rng, system, int(rng.integers(1, 3)))
             est = pressure_refined(SubsetSpec.whole(system), pot,
-                                   [pot.depth, pot.depth + 1], N_max=16,
-                                   tol=tol)
+                                   [pot.depth, pot.depth + 1], tol=tol)
             oracle = transfer_pressure(system, pot)
             assert abs(est.value - oracle) <= 2 * tol
 

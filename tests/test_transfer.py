@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import GOLDEN, random_irreducible_adjacency, random_potential
+from conftest import (GOLDEN, random_irreducible_adjacency, random_potential,
+                      random_support)
 from ergopress import (
     MarkovMeasure,
     NoUniquePerronError,
@@ -268,27 +269,6 @@ class TestExactReferences:
             slack = Fraction(1e-13) * Fraction(lam)
             assert lo - slack <= Fraction(lam) <= hi + slack
 
-    @staticmethod
-    def _support(rng, kind, k):
-        """0/1 adjacency on k symbols: irreducible and aperiodic, a
-        permuted k-cycle (period k), a permuted complete bipartite graph
-        (period 2), or two irreducible classes joined by one arc."""
-        if kind == "aperiodic":
-            return random_irreducible_adjacency(rng, k)
-        perm = rng.permutation(k)
-        if kind == "cycle":
-            adj = np.roll(np.eye(k, dtype=np.int64), 1, axis=1)
-        elif kind == "bipartite":
-            side = np.arange(k) < int(rng.integers(1, k))
-            adj = (side[:, None] != side[None, :]).astype(np.int64)
-        else:
-            cut = int(rng.integers(1, k))
-            adj = np.zeros((k, k), dtype=np.int64)
-            adj[:cut, :cut] = random_irreducible_adjacency(rng, cut)
-            adj[cut:, cut:] = random_irreducible_adjacency(rng, k - cut)
-            adj[int(rng.integers(cut)), int(rng.integers(cut, k))] = 1
-        return adj[perm][:, perm]
-
     def test_pressure_of_float_log_weights_within_exact_bracket(self):
         # 120 systems of 2-8 symbols with rational weights w, 24 of them
         # with one weight 2^(+-1154) (about e^(+-800)): transfer_pressure
@@ -303,7 +283,7 @@ class TestExactReferences:
         for trial in range(120):
             kind = kinds[trial % 4]
             k, depth = int(rng.integers(2, 9)), int(rng.integers(1, 3))
-            adj = self._support(rng, kind, k)
+            adj = random_support(rng, kind, k)
             src, dst = np.nonzero(adj)
             windows = [(a,) for a in range(k)] if depth == 1 \
                 else list(zip(src.tolist(), dst.tolist()))
