@@ -328,7 +328,9 @@ def _task_pressure(cfg: ExperimentConfig) -> TaskResult:
     checks = []
     values = {"pressure": est.value, "bracket": list(est.bracket),
               "n_range": list(est.n_range)}
-    if subset.kind == SubsetSpec.WHOLE and system.irreducible:
+    # a nonempty cylinder union has the pressure of an irreducible system
+    if system.irreducible and (subset.kind == SubsetSpec.WHOLE or (
+            subset.kind == SubsetSpec.CYLINDERS and not subset.is_empty)):
         oracle = transfer_pressure(system, potential)
         values["oracle"] = oracle
         checks.append(Check("pressure vs transfer oracle",

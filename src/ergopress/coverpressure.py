@@ -22,8 +22,9 @@ word combinatorics and the two covering sums of interest become exact:
 Both computations run on the states of max(t - 1, 1) trailing symbols a
 word needs to extend.  Each arc carries the window that a string-length
 step completes, and both sums step along the arcs with it, one term per
-arc, with no state-by-state matrix.  The word sums come from one forward
-sweep over word lengths, a log-space sum into each arc's target per
+arc, with no state-by-state matrix, and every arc sum is one log-space
+step (``_pull``): no window is exponentiated.  The word sums come from
+one forward sweep over word lengths, a pull into each arc's target per
 step, cached and extended on demand: N up to N_max costs O(N_max) steps.
 
 The pressure of a subset, where the variable-length sum switches from
@@ -56,13 +57,12 @@ import numpy as np
 from .shifts import BlockGraph, Potential, SubsetSpec
 
 
-MAX_CW_STEPS = 20_000  # (I + R) steps before a bracket is inconclusive
+MAX_CW_STEPS = 20_000  # x <- s x + R x steps before a bracket is inconclusive
 
 
 class InconclusiveError(RuntimeError):
     """A cover-route value left uncertified: a Collatz-Wielandt bracket
-    open after MAX_CW_STEPS steps, arc weights of a class spanning more
-    than the normal float range, or an overflowing exp(window - alpha)."""
+    still open after MAX_CW_STEPS steps."""
 
 
 @dataclass
@@ -86,8 +86,8 @@ class _StringCalculus:
     reduced sub-adjacency for a sub-SFT, of the parent adjacency otherwise.
     ``v_string[e]`` is the window that one string-length step completes
     along arc e of ``graph.arcs``, at position len - t of the word the step
-    grows to: the sweep adds it in log space into each arc's target, and
-    the c-factor recursion sums its exponentials over out-arcs.
+    grows to: the sweep pulls it into each arc's target, and the c-factor
+    recursion into each arc's source (``_pull``).
     """
 
     def __init__(self, subset: SubsetSpec, potential: Potential, depth: int):
@@ -134,14 +134,10 @@ class _StringCalculus:
         state, the log-sum of exp(window sum) over the words, each word
         with its windows 0..length - t (a word of length N + t - 1 holds
         the N windows of a string of length N)."""
-        length, n = words.shape[1], len(self.graph.words)
-        end = self.graph.index(words[:, -self.sdepth:])
-        v = self.potential.window_sums(words, length - self.t + 1)
-        top = np.full(n, -np.inf)
-        np.maximum.at(top, end, v)
-        total = np.bincount(end, np.exp(v - top[end]), minlength=n)
-        with np.errstate(divide="ignore"):
-            row = np.log(total) + top
+        length = words.shape[1]
+        row = _pull(self.graph.index(words[:, -self.sdepth:]),
+                    self.potential.window_sums(words, length - self.t + 1),
+                    len(self.graph.words))
         old = self._seeds.get(length)
         self._seeds[length] = row if old is None else np.logaddexp(old, row)
 
@@ -155,8 +151,8 @@ class _StringCalculus:
         forward = self._forward
         src, dst, _ = self.graph.arcs
         while self.sdepth + len(forward) <= length:
-            grown = np.full(len(self.graph.words), -np.inf)
-            np.logaddexp.at(grown, dst, forward[-1][src] + self.v_string)
+            grown = _pull(dst, forward[-1][src] + self.v_string,
+                          len(self.graph.words))
             seeds = self._seeds.get(self.sdepth + len(forward))
             forward.append(grown if seeds is None
                            else np.logaddexp(grown, seeds))
@@ -241,25 +237,19 @@ class _StringCalculus:
     # -- variable-length covering infimum ------------------------------------
 
     def _cfactors(self, alpha: float, depth: int) -> tuple:
-        """Cost of the optimal antichain at most ``depth`` levels below a
-        node, per unit of its own weight, and the part of it at the depth
-        cap: (c, g) per state, c = g = 1 at depth 0, then c_d = min(1,
-        R c_{d-1}) and g_d = R g_{d-1} where R c_{d-1} < 1, else 0, with
-        (R x)[i] the sum of exp(v_string - alpha) x[dst] over the out-arcs
-        of i.  Raises InconclusiveError, naming alpha, when R overflows."""
-        with np.errstate(over="ignore"):
-            rates = np.exp(self.v_string - alpha)
-        if np.isinf(rates).any():
-            raise InconclusiveError(
-                f"inconclusive: exp(window - alpha) overflows at alpha "
-                f"{alpha:.6g}, windows up to {self.v_string.max():.6g}")
+        """Log cost of the optimal antichain at most ``depth`` levels below
+        a node, per unit of its own weight, and log of the part of it at
+        the depth cap: (c, g) per state, c = g = 0 at depth 0, then c_d =
+        min(0, pull c_{d-1}) and g_d = pull g_{d-1} where pull c_{d-1} < 0,
+        else -inf, with (pull x)[i] the log-sum of v_string - alpha +
+        x[dst] over the out-arcs of i."""
         src, dst, _ = self.graph.arcs
-        n = len(self.graph.words)
-        c, g = np.ones(n), np.ones(n)
+        n, rate = len(self.graph.words), self.v_string - alpha
+        c, g = np.zeros(n), np.zeros(n)
         for _ in range(depth):
-            c = np.bincount(src, rates * c[dst], n)
-            g = np.bincount(src, rates * g[dst], n) * (c < 1.0)
-            np.minimum(c, 1.0, out=c)
+            c = _pull(src, rate + c[dst], n)
+            g = np.where(c < 0.0, _pull(src, rate + g[dst], n), -np.inf)
+            np.minimum(c, 0.0, out=c)
         return c, g
 
     def log_weight(self, alpha: float, N: int, margin: int) -> tuple:
@@ -273,14 +263,12 @@ class _StringCalculus:
         if self.empty:
             return -math.inf, 0.0
         logw = self._entry_logs(N)
-        shift = logw.max()
         c, g = self._cfactors(alpha, margin)
-        weights = np.exp(logw - shift)  # entry weights over the largest
-        total = float(weights @ c)
-        if total == 0.0:
+        total, cap = np.logaddexp.reduce(logw + np.stack([c, g]), axis=1,
+                                         initial=-math.inf)
+        if total == -math.inf:
             return -math.inf, 0.0
-        return (math.log(total) + shift - alpha * N,
-                float(weights @ g) / total)
+        return float(total - alpha * N), float(np.exp(cap - total))
 
 
 def _calculus(subset: SubsetSpec, potential: Potential,
@@ -298,12 +286,20 @@ def _calculus(subset: SubsetSpec, potential: Potential,
     return calc
 
 
+def _pull(index: np.ndarray, terms: np.ndarray, n: int) -> np.ndarray:
+    """Log-sum ``terms`` in order into ``n`` slots by ``index``, else -inf."""
+    out = np.full(n, -np.inf)
+    np.logaddexp.at(out, index, terms)
+    return out
+
+
 def _allowance(terms: int, scale: float) -> float:
-    """Rounding allowance of a log Collatz-Wielandt ratio summed over up to
-    ``terms`` arcs from log-space numbers of magnitude up to ``scale``:
-    2**-50 (four units in the last place) per summand and three per unit
-    of magnitude bound the rounding of the exps, sum, division and logs."""
-    return 2.0 ** -50 * (terms + 2 + 3 * float(scale))
+    """Rounding allowance of a log Collatz-Wielandt ratio: a ``_pull`` of
+    d = ``terms`` terms of magnitude up to ``scale`` less one more.  Each
+    logaddexp step errs by half an ulp of its partial sum, at most S =
+    scale + log d, plus three half ulps of 1, and passes earlier errors on
+    unamplified: under (d + 2) ulps of S + 4, 2**-52 (d + 2) (S + 4)."""
+    return 2.0 ** -52 * (terms + 2) * (4.0 + float(scale) + math.log(terms))
 
 
 def _class_bracket(ratio, starts, allowance: float) -> tuple:
@@ -332,11 +328,15 @@ def weight_m(subset: SubsetSpec, alpha: float, potential: Potential,
     """Optimal covering weight over strings of length >= N: the cheapest
     prefix-free antichain in the cylinder tree with string lengths in
     [N, depth_cap] (default N + 8), an upper bound for the unbounded-depth
-    infimum.  N must be at least ``least_n`` (see ``log_lambda_n``);
-    ``_StringCalculus.log_weight`` also gives the fraction at the cap."""
+    infimum (math.inf past the float range).  N >= ``least_n`` (see
+    ``log_lambda_n``); ``_StringCalculus.log_weight`` gives its log and
+    the fraction at the cap."""
     cap = N + 8 if depth_cap is None else depth_cap
     log, _ = _calculus(subset, potential, depth).log_weight(alpha, N, cap - N)
-    return math.exp(log)
+    try:
+        return math.exp(log)
+    except OverflowError:  # M takes values in [0, inf]
+        return math.inf
 
 
 def capacity_pressures(subset: SubsetSpec, potential: Potential, depth: int,
@@ -368,8 +368,7 @@ def capacity_pressures(subset: SubsetSpec, potential: Potential, depth: int,
                          for N, a, b in zip(ns[1:], loglam, loglam[1:])]}
         order, starts, src, dst, v = calc.classes
         logw = calc._entry_logs(N_max)[order]
-        into = np.full(len(order), -math.inf)
-        np.logaddexp.at(into, dst, logw[src] + v)
+        into = _pull(dst, logw[src] + v, len(order))
         seen = np.isfinite(logw)  # none where the roots reach no class yet
         ratio = np.where(seen, into - np.where(seen, logw, 0.0), math.inf)
         scale = np.abs(logw[seen]).max(initial=0.0) + np.abs(v).max()
@@ -398,16 +397,17 @@ def critical_alpha(subset: SubsetSpec, potential: Potential, depth: int,
     C of (R x)_i / x_i for any x > 0 (Horn and Johnson, Matrix Analysis,
     8.1; Seneta, Non-negative Matrices and Markov Chains, ch. 1).
 
-    x <- s_C x + R x from x = 1, R = exp(v_string - max v_string) on the
-    arcs inside the classes and s_C half the geometric midpoint of C's last
-    ratios, about rho_C / 2 (periodic classes then converge at any scale of
-    rho_C), is normalised per class every step and read every 10 steps.  The
-    bracket is [max_C lo_C, max_C hi_C] in log, plus max v_string, each end
-    widened by ``_allowance``; the floor is four allowances.  Raises
-    InconclusiveError naming the spread where a class's arc weight falls
-    below the smallest normal float, or the width when the bracket is open
-    after MAX_CW_STEPS steps.  ``n_range`` is (least_n, least_n), whose
-    entry words seed the classes; diagnostics: steps taken and classes.
+    lx <- logaddexp(s_C + lx, log R x) from lx = 0, x = exp(lx) and log R
+    x the ``_pull`` of v_string + lx[dst] over the arcs inside the classes,
+    with s_C half the geometric midpoint of C's last ratios, about rho_C /
+    2 in log (periodic classes then converge at any scale of rho_C), is
+    read every 10 steps and only then normalised to max 0 per class: a
+    log-space iterate can neither overflow nor underflow.  The bracket is
+    [max_C lo_C, max_C hi_C] of log R x - lx, each end widened by
+    ``_allowance``; the floor is four allowances.  Raises
+    InconclusiveError naming the width when the bracket is open after
+    MAX_CW_STEPS steps.  ``n_range`` is (least_n, least_n), whose entry
+    words seed the classes; diagnostics: steps taken and classes.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -417,26 +417,21 @@ def critical_alpha(subset: SubsetSpec, potential: Potential, depth: int,
         return PressureEstimate(-math.inf, n_range, (-math.inf, -math.inf),
                                 {"degenerate": True})
     order, starts, src, dst, v = calc.classes
-    top, sizes = float(v.max()), np.diff(starts, append=len(order))
-    rates = np.exp(v - top)
-    if rates.min() < np.finfo(float).tiny:
-        raise InconclusiveError(
-            f"inconclusive: the arc windows of a class spread over "
-            f"{top - float(v.min()):.6g}, past the normal float range")
-    allowance = _allowance(int(np.bincount(src).max()),
-                           2.0 * float(np.abs(v).max()))
-    x = np.ones(len(order))
+    sizes, n = np.diff(starts, append=len(order)), len(order)
+    terms, vmax = int(np.bincount(src).max()), float(np.abs(v).max())
+    lx = np.zeros(n)
     for step in range(MAX_CW_STEPS + 1):
-        rx = np.bincount(src, rates * x[dst], len(x))
+        lrx = _pull(src, v + lx[dst], n)
         if step % 10 == 0:
-            los, his, (lo, hi) = _class_bracket(np.log(rx / x) + top, starts,
-                                                allowance)
+            allowance = _allowance(terms, vmax + float(np.abs(lx).max()))
+            los, his, (lo, hi) = _class_bracket(lrx - lx, starts, allowance)
             if hi - lo <= max(tol, 4 * allowance):
                 return PressureEstimate(0.5 * (lo + hi), n_range, (lo, hi),
                                         {"steps": step, "classes": len(sizes)})
-            shift = np.repeat(0.5 * np.exp(0.5 * (los + his) - top), sizes)
-        x = shift * x + rx
-        x /= np.repeat(np.maximum.reduceat(x, starts), sizes)
+            shift = np.repeat(0.5 * (los + his) - math.log(2.0), sizes)
+            top = np.repeat(np.maximum.reduceat(lx, starts), sizes)
+            lx, lrx = lx - top, lrx - top
+        lx = np.logaddexp(shift + lx, lrx)
     raise InconclusiveError(
         f"inconclusive: the Collatz-Wielandt bracket is still {hi - lo:.3g} "
         f"wide after {MAX_CW_STEPS} steps, above tol {tol:.3g}")

@@ -630,23 +630,30 @@ class TestMainEntry:
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         values = summary["values"]["pressure"]
         assert values["n_range"] == [22, 22]
+        # a cylinder union of an irreducible system meets the oracle
+        assert [c["name"] for c in summary["checks"]][0] == \
+            "pressure vs transfer oracle"
         assert abs(values["pressure"] - math.log(1.0 + math.exp(0.7))) \
             <= 2 * 1e-4
 
-    def test_cover_overflow_exits_three(self, tmp_path, capsys):
+    def test_cover_route_past_float_range_answers(self, tmp_path, capsys):
+        # e^800 leaves the float range, its log does not: the cover route
+        # gives log(1 + e^800) = 800 on the sub-SFT that keeps every arc
+        # (the whole space stops at the oracle's overflow, exit 3)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
             "system": {"kind": "full_shift", "k": 2},
             "potential": {"kind": "table", "depth": 1,
                           "table": {"0": 0, "1": 800}},
+            "subset": {"kind": "sub_sft", "adjacency": [[1, 1], [1, 1]]},
         }))
         code = main(["pressure", "--config", str(cfg),
                      "--out", str(tmp_path / "out")])
-        assert code == 3
-        err = capsys.readouterr().err
-        assert err.startswith("InconclusiveError: ") and "spread" in err
-        assert "Traceback" not in err
-        assert not (tmp_path / "out").exists()
+        assert code == 0
+        assert "Traceback" not in capsys.readouterr().err
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert abs(summary["values"]["pressure"]["pressure"] - 800.0) \
+            <= 2 * 1e-4
 
     @pytest.mark.parametrize("task, system, table, budget", [
         # e^800 on the oracle's one matrix

@@ -357,12 +357,21 @@ class TestWeightM:
         assert calc.log_weight(0.1, 3, 2) == (-math.inf, 0.0)
         assert weight_m(empty, 0.5, Potential.zero(full2), 1, 4) == 0.0
 
-    def test_overflow_names_the_exponent(self, full2):
+    def test_wide_windows_sum_in_log_space(self, full2):
+        # exp(800 - 80) overflows a float, its log does not: the full level
+        # at N = 2 weighs e^(-160) (1 + e^800)^2 = e^1440, as c = 1 there
         phi = Potential.depth_one(full2, [0.0, 800.0])
         calc = _StringCalculus(SubsetSpec.whole(full2), phi, 1)
-        with pytest.raises(InconclusiveError, match="at alpha 80,"):
-            calc.log_weight(80.0, 2, 1)
-        assert math.isfinite(calc.log_weight(95.0, 2, 1)[0])
+        assert calc.log_weight(80.0, 2, 1)[0] == 1440.0
+        assert calc.log_weight(95.0, 2, 1)[0] == 1410.0
+
+    def test_weight_past_float_range_is_infinite(self, full2):
+        # M takes values in [0, inf]: e^1400 and e^1210 read as inf
+        phi = Potential.depth_one(full2, [0.0, 700.0])
+        whole = SubsetSpec.whole(full2)
+        for alpha in (0.0, 95.0):
+            assert weight_m(whole, alpha, phi, 1, 2) == math.inf
+        assert weight_m(whole, 700.0, phi, 1, 2) == pytest.approx(1.0)
 
 
 class TestSweepCache:
@@ -507,11 +516,32 @@ class TestCriticalAlpha:
         with pytest.raises(ValueError):
             log_lambda_n(whole, zero, 1, 0)
 
-    def test_overflowing_rates_are_inconclusive(self, full2):
-        # exp(0 - 800) underflows past the normal float range
-        phi = Potential.depth_one(full2, [0.0, 800.0])
-        with pytest.raises(InconclusiveError, match="spread over 800,"):
-            critical_alpha(SubsetSpec.whole(full2), phi, 1, tol=1e-4)
+    @pytest.mark.parametrize("value", [800.0, -800.0, 2000.0, -2000.0])
+    def test_windows_past_float_range_answer(self, full2, value):
+        # exp(+-800) leaves the float range, its log does not: P_Z is
+        # log(1 + e^v) = max(0, v) + log1p(e^-|v|)
+        tol = 1e-6
+        phi = Potential.depth_one(full2, [0.0, value])
+        est = critical_alpha(SubsetSpec.whole(full2), phi, 1, tol)
+        exact = max(0.0, value) + math.log1p(math.exp(-abs(value)))
+        assert abs(est.value - exact) <= tol
+        assert est.bracket[0] <= exact <= est.bracket[1]
+
+    def test_perron_vector_past_float_range(self):
+        # 0 -> 0 and the 4-cycle 0 -> 1 -> 2 -> 3 -> 0, depth-2 windows 0
+        # on 0 -> 0 and 0 -> 1 and -700 on the other three arcs: P_Z = 0,
+        # and the Perron vector spans about e^-1400, past the float range
+        adj = np.zeros((4, 4), dtype=int)
+        adj[0, 0] = adj[0, 1] = adj[1, 2] = adj[2, 3] = adj[3, 0] = 1
+        system = ShiftSystem(adj)
+        pot = Potential(system, 2, {(0, 0): 0.0, (0, 1): 0.0,
+                                    (1, 2): -700.0, (2, 3): -700.0,
+                                    (3, 0): -700.0})
+        tol = 1e-6
+        est = critical_alpha(SubsetSpec.whole(system), pot, 2, tol)
+        assert abs(est.value) <= tol
+        assert est.bracket[0] <= 0.0 <= est.bracket[1]
+        assert est.diagnostics["steps"] <= 20
 
     def test_open_bracket_raises_naming_its_width(self, golden,
                                                   monkeypatch):
@@ -613,8 +643,8 @@ class TestCertifiedBrackets:
 
     def test_wide_potentials_randomized(self):
         # 24 systems with N(0, s^2) potential values, s up to 200: the
-        # arc weights of a class span up to e^800 (then the call raises by
-        # name), and most classes' rho lies far below the largest weight
+        # arc weights of a class span up to e^800, past the float range,
+        # and most classes' rho lies far below the largest weight
         rng = np.random.default_rng(107)
         answered = 0
         for trial in range(24):
@@ -632,16 +662,12 @@ class TestCertifiedBrackets:
                     continue
                 ref = max(oracles.reached_class_log_rhos(
                     system.adjacency, pot.table, 1, 1, **kw))
-                try:
-                    est = critical_alpha(spec, pot, 1, 1e-6)
-                except InconclusiveError as exc:
-                    assert "past the normal float range" in str(exc)
-                    continue
+                est = critical_alpha(spec, pot, 1, 1e-6)
                 slack = 1e-12 * max(1.0, abs(ref))
                 assert est.bracket[0] - slack <= ref <= est.bracket[1] + slack
                 assert est.bracket[1] - est.bracket[0] <= 1e-6
                 answered += 1
-        assert answered >= 30
+        assert answered == 42
 
     def test_transient_cylinder_root(self):
         # the cylinder [1] enters the fixed point 9 only after the path
@@ -661,10 +687,9 @@ class TestCertifiedBrackets:
 
     def test_brackets_hold_exact_bracket_rational_weights(self):
         # 120 whole-space systems of 2-6 symbols with rational weights w,
-        # 12 of them with one weight 2^(+-1154) (about e^(+-800)): each
-        # bracket holds the exact bracket of the float potential fl(log w)
-        # on its cover of depth r or r + 1, or the call raises by name
-        # where the weights span more than the float range.  The exact
+        # 12 of them with one weight 2^(+-1154) (about e^(+-800), past the
+        # float range): each bracket holds the exact bracket of the float
+        # potential fl(log w) on its cover of depth r or r + 1.  The exact
         # matrix is built here from the adjacency and the weights.
         rng = np.random.default_rng(107)
         answered = 0
@@ -690,18 +715,14 @@ class TestCertifiedBrackets:
             pot = Potential(system, depth, table)
             spec = SubsetSpec.whole(system)
             t = depth + trial // 4 % 2
-            try:
-                est = critical_alpha(spec, pot, t, 1e-6)
-                cap_lo, cap_hi = capacity_pressures(spec, pot, t, 24)
-            except InconclusiveError as err:
-                assert extreme and "spread over" in str(err)
-                continue
+            est = critical_alpha(spec, pot, t, 1e-6)
+            cap_lo, cap_hi = capacity_pressures(spec, pot, t, 24)
             lo, hi = oracles.float_pressure_bracket(
                 M, [(table[u], x) for u, x in w.items()])
             assert est.bracket[0] <= lo <= hi <= est.bracket[1]
             assert cap_lo.value <= lo <= hi <= cap_hi.value
             answered += 1
-        assert answered >= 100
+        assert answered == 120
 
 
 class TestDeepCylinderWords:
